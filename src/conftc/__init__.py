@@ -26,11 +26,12 @@ from .certificates import (
     y1i_product,
     zcl_search,
 )
-from .errors import ConftcError, SizeGuardError, VerificationError
+from .errors import ConfigurationError, ConftcError, SizeGuardError, VerificationError
 from .fields import GF2, RATIONALS
 from .linalg import GradedSubspace
 from .quotients import (
     QuotientAlgebra,
+    build_quotient,
     cached_quotient,
     cached_surface,
     ideal_span,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
+    "ConfigurationError",
     "ConftcError",
     "Element",
     "GF2",
@@ -66,6 +68,7 @@ __all__ = [
     "VerificationError",
     "bar",
     "bar_product_xs",
+    "build_quotient",
     "reduced_letter_basis",
     "reduced_shifted_basis",
     "cross_handle_relations",

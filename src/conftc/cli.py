@@ -8,7 +8,7 @@ cup-length search).  Output is JSON (default), CSV (table only) or text,
 deterministic byte-for-byte for a fixed configuration.
 
 Exit codes: 0 when all requested verifications pass, 1 on a verification
-failure, 2 on a guard refusal or usage error.
+failure, 2 on a guard refusal, a usage error or an invalid setting.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .certificates import (
     verify_lemma_identities,
     zcl_search,
 )
-from .errors import SizeGuardError, VerificationError
+from .errors import ConfigurationError, SizeGuardError, VerificationError
 from .quotients import cached_quotient, cached_surface
 from .surfaces import reduced_letter_basis, shifted_basis_products
 
@@ -319,6 +319,9 @@ def run(config: RunConfig, stream=None) -> int:
         records, failures = _DISPATCH[config.command](config)
     except SizeGuardError as e:
         print(f"refused: {e}", file=sys.stderr)
+        return 2
+    except ConfigurationError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)

@@ -18,5 +18,9 @@ class SizeGuardError(ConftcError):
         self.limit = limit
 
 
+class ConfigurationError(ConftcError):
+    """An environment setting holds a value the package cannot use."""
+
+
 class VerificationError(ConftcError):
     """A machine check that is expected to succeed came back false."""

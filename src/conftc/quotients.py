@@ -1,18 +1,24 @@
 """Graded ideal spans and quotient algebras with normal forms.
 
-An ideal of a finite-dimensional graded-commutative algebra is stored as
-the per-degree linear span of all basis-monomial multiples of its
-generators (one multiplication pass suffices: any product of ring
-elements with a generator reduces to signed monomial multiples).  A
-:class:`QuotientAlgebra` wraps such a span and exposes the induced ring:
-``normal_form`` reduces against the span, standard monomials (the
-non-pivot basis monomials) enumerate the quotient basis, and tensor
-elements reduce slotwise.
+A :class:`QuotientAlgebra` is a parent algebra modulo a graded ideal held
+as per-degree row-reduced rows over the parent's monomial basis.
+``normal_form`` gives the unique representative on the standard (non-pivot)
+monomials, which enumerate the quotient basis; tensor elements reduce
+slotwise.  Quotients stack: a quotient may sit on a base, either a monomial
+predicate (a monomial ideal, which needs no rows) or another quotient, and
+its own rows are kept in the base's normal form.
 
-Builders for the three quotients used throughout the package are cached:
-the base-axis quotient of the power algebra by the degree-2 pair
-relations ('E'), the intermediate quotient by the mixed index >= 2
-products ('A'), and the small certificate ring on top of it ('B').
+:func:`ideal_span` builds rows.  On its own it eliminates every basis-monomial
+multiple of the generators in the ambient basis (one multiplication pass
+suffices: any product of ring elements with a generator reduces to signed
+monomial multiples).  Over a base it multiplies by the base's standard
+monomials only and reduces each product to the base's normal form, which
+spans the same ideal modulo the base's.
+
+The three cached quotients form a tower: 'A' (mixed index >= 2 products) is
+a monomial ideal and is listed, not eliminated; the certificate ring 'B'
+eliminates only the x_i y_j rows over 'A'; the base-axis quotient 'E' (the
+degree-2 pair relations, not monomial) eliminates in the ambient basis.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .algebra import Element, TensorElement
 from .linalg import GradedSubspace
 from .surfaces import (
     SurfacePowerAlgebra,
+    basis_limit,
+    cross_handle_predicate,
     cross_handle_relations,
     xy_pair_relations,
     totaro_relations,
@@ -49,17 +57,34 @@ def element_from_vector(algebra, degree, vec):
     )
 
 
-def ideal_span(algebra, generators, max_degree=None):
-    """Linear span of all basis-monomial multiples of the generators.
+def _empty_span(algebra, max_degree=None):
+    """A subspace of the ambient basis in degrees 0..max_degree (or all)."""
+    top = algebra.top_degree if max_degree is None else min(max_degree, algebra.top_degree)
+    dims = {d: len(algebra.monomials_of_degree(d)) for d in range(top + 1)}
+    return GradedSubspace(dims, algebra.field)
+
+
+def ideal_span(algebra, generators, max_degree=None, base=None):
+    """Linear span of the basis-monomial multiples of the generators.
 
     Generators must be homogeneous; the result is frozen.  ``max_degree``
     caps the degrees that get populated (and the degrees the resulting
     quotient can reduce in), which is sound because the ideal is graded.
+
+    With a ``base`` quotient the generators are multiplied by the base's
+    standard monomials only and every product is reduced to the base's
+    normal form: the rows span the ideal modulo the base's, ready to be
+    stacked on it.  Degrees are then capped at the base's as well.
     """
     gens = list(getattr(generators, "generators", generators))
     top = algebra.top_degree if max_degree is None else min(max_degree, algebra.top_degree)
-    dims = {d: len(algebra.monomials_of_degree(d)) for d in range(top + 1)}
-    space = GradedSubspace(dims, algebra.field)
+    multipliers, reduce = algebra.monomials_of_degree, None
+    if base is not None:
+        if base.parent is not algebra:
+            raise ValueError("the base quotient has a different parent algebra")
+        top = min(top, base.max_degree)
+        multipliers, reduce = base.standard_monomials, base._reduce
+    space = _empty_span(algebra, top)
     for r in gens:
         if r.is_zero():
             continue
@@ -68,7 +93,7 @@ def ideal_span(algebra, generators, max_degree=None):
         e = r.degree()
         rterms = list(r.terms.items())
         for d in range(top - e + 1):
-            for m in algebra.monomials_of_degree(d):
+            for m in multipliers(d):
                 vec = {}
                 for mr, cr in rterms:
                     res = algebra.mono_mul(m, mr)
@@ -83,15 +108,23 @@ def ideal_span(algebra, generators, max_degree=None):
                         vec[i] = cur
                     else:
                         del vec[i]
+                if reduce is not None:
+                    vec = reduce(vec, d + e)
                 if vec:
                     space.insert(vec, d + e)
     return space.freeze()
 
 
 class QuotientAlgebra:
-    """A parent algebra modulo a per-degree row-reduced ideal span."""
+    """A parent algebra modulo a per-degree row-reduced ideal span.
 
-    def __init__(self, parent, ideal, label="CUSTOM"):
+    ``base`` stacks the quotient on a lower one: a monomial predicate (the
+    ideal then contains every basis monomial it holds true for) or another
+    quotient of the same parent.  The rows of ``ideal`` must be in the
+    base's normal form; their degrees must lie within the base's.
+    """
+
+    def __init__(self, parent, ideal, label="CUSTOM", base=None):
         if label not in QUOTIENT_LABELS:
             raise ValueError(f"unknown quotient label {label!r}")
         for d in ideal.degrees():
@@ -101,13 +134,34 @@ class QuotientAlgebra:
         self.parent = parent
         self.ideal = ideal
         self.label = label
+        self.base = None
+        # Ambient indices that survive a monomial base, per degree.
+        self._alive = None
+        degrees = ideal.degrees()
+        if base is None:
+            below = {d: parent.monomials_of_degree(d) for d in degrees}
+        elif isinstance(base, QuotientAlgebra):
+            if base.parent is not parent:
+                raise ValueError("the base quotient has a different parent algebra")
+            if any(d not in base._std for d in degrees):
+                raise ValueError("the ideal has degrees the base quotient lacks")
+            self.base = base
+            below = {d: base.standard_monomials(d) for d in degrees}
+        else:
+            below = {
+                d: tuple(m for m in parent.monomials_of_degree(d) if not base(m))
+                for d in degrees
+            }
+            self._alive = {
+                d: frozenset(parent.monomial_index(m)[1] for m in below[d])
+                for d in degrees
+            }
+        self._has_rows = ideal.total_rank() > 0
         self._std = {}
-        for d in ideal.degrees():
+        for d in degrees:
             pivots = set(ideal.pivots(d))
             self._std[d] = tuple(
-                m
-                for i, m in enumerate(parent.monomials_of_degree(d))
-                if i not in pivots
+                m for m in below[d] if parent.monomial_index(m)[1] not in pivots
             )
         self._nf_mono = {}
 
@@ -129,13 +183,26 @@ class QuotientAlgebra:
 
     # -- normal forms -----------------------------------------------------
 
+    def _reduce(self, vec, degree):
+        """Normal form of an index-keyed vector of one degree."""
+        if degree not in self._std:
+            raise ValueError(f"degree out of range: {degree}")
+        if self.base is not None:
+            vec = self.base._reduce(vec, degree)
+        elif self._alive is not None:
+            alive = self._alive[degree]
+            vec = {i: c for i, c in vec.items() if i in alive}
+        if self._has_rows:
+            vec = self.ideal.reduce(vec, degree)
+        return vec
+
     def normal_form(self, e):
         """The unique representative of e supported on standard monomials."""
         if e.algebra is not self.parent:
             raise ValueError("element does not belong to the parent algebra")
         out = {}
         for d in e.degrees():
-            vec = self.ideal.reduce(element_vector(e, d), d)
+            vec = self._reduce(element_vector(e, d), d)
             for i, c in vec.items():
                 out[self.parent.monomial_at(d, i)] = c
         return Element(self.parent, out)
@@ -195,7 +262,31 @@ def quotient(algebra, ideal, label="CUSTOM"):
     return QuotientAlgebra(algebra, ideal, label)
 
 
+def build_quotient(algebra, kind, max_degree=None):
+    """Build the 'E', 'A' or 'B' quotient of a surface power algebra, uncached.
+
+    'A' lists its standard monomials (its ideal is monomial), 'B' stacks
+    the x_i y_j rows on 'A', and 'E' eliminates in the ambient basis.
+    """
+    if kind == "E":
+        span = ideal_span(algebra, totaro_relations(algebra), max_degree=max_degree)
+        return QuotientAlgebra(algebra, span, "BASE_AXIS")
+    if kind == "A":
+        span = _empty_span(algebra, max_degree).freeze()
+        return QuotientAlgebra(
+            algebra, span, "HANDLE_REDUCED", base=cross_handle_predicate(algebra)
+        )
+    if kind == "B":
+        qa = build_quotient(algebra, "A", max_degree)
+        span = ideal_span(algebra, xy_pair_relations(algebra), base=qa)
+        return QuotientAlgebra(algebra, span, "CERTIFICATE", base=qa)
+    raise ValueError(f"unknown quotient kind {kind!r}")
+
+
 # -- cached builders for the standard quotients ---------------------------
+#
+# The cache keys hold the resolved basis guard, so a changed TCCONF_MAX_BASIS
+# takes effect on the next call instead of being masked by an earlier build.
 
 
 @lru_cache(maxsize=None)
@@ -205,29 +296,17 @@ def _surface(genus, points, max_basis):
 
 def cached_surface(genus, points, max_basis=None):
     """One shared algebra instance per (genus, points, guard) triple."""
-    return _surface(genus, points, max_basis)
+    return _surface(genus, points, basis_limit(max_basis))
 
 
 @lru_cache(maxsize=None)
 def _quotient(genus, points, kind, max_basis, max_degree):
-    alg = cached_surface(genus, points, max_basis)
-    if kind == "E":
-        gens = list(totaro_relations(alg))
-        label = "BASE_AXIS"
-    elif kind == "A":
-        gens = list(cross_handle_relations(alg))
-        label = "HANDLE_REDUCED"
-    elif kind == "B":
-        gens = list(cross_handle_relations(alg)) + list(xy_pair_relations(alg))
-        label = "CERTIFICATE"
-    else:
-        raise ValueError(f"unknown quotient kind {kind!r}")
-    return QuotientAlgebra(alg, ideal_span(alg, gens, max_degree=max_degree), label)
+    return build_quotient(cached_surface(genus, points, max_basis), kind, max_degree)
 
 
 def cached_quotient(genus, points, kind, max_basis=None, max_degree=None):
     """The 'E', 'A' or 'B' quotient of the cached power algebra."""
-    return _quotient(genus, points, kind, max_basis, max_degree)
+    return _quotient(genus, points, kind, basis_limit(max_basis), max_degree)
 
 
 # -- the genus chain -------------------------------------------------------

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import Element, GradedAlgebraBase
-from .errors import SizeGuardError
+from .errors import ConfigurationError, SizeGuardError
 from .fields import RATIONALS
 
 UNIT = 0
@@ -46,12 +46,30 @@ def omega_letter(genus):
 _LETTER_RE = re.compile(r"([ab])(\d+)\((\d+)\)$|w(\d+)$")
 
 DEFAULT_MAX_BASIS = 10**5
+MAX_BASIS_ENV = "TCCONF_MAX_BASIS"
 
 
-def _basis_limit(max_basis):
+def basis_limit(max_basis=None):
+    """The ambient basis guard: ``max_basis``, else TCCONF_MAX_BASIS, else 10^5.
+
+    The environment is read on every call, so callers that cache on the
+    limit see a changed setting.  A value that is not a nonnegative
+    integer raises :class:`ConfigurationError`.
+    """
     if max_basis is not None:
         return max_basis
-    return int(os.environ.get("TCCONF_MAX_BASIS", DEFAULT_MAX_BASIS))
+    text = os.environ.get(MAX_BASIS_ENV)
+    if text is None:
+        return DEFAULT_MAX_BASIS
+    try:
+        limit = int(text)
+        if limit < 0:
+            raise ValueError
+    except ValueError:
+        raise ConfigurationError(
+            f"{MAX_BASIS_ENV} must be a nonnegative integer, got {text!r}"
+        ) from None
+    return limit
 
 
 class SurfacePowerAlgebra(GradedAlgebraBase):
@@ -63,7 +81,7 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         if points < 1:
             raise ValueError("points must be at least 1")
         dim = (2 * genus + 2) ** points
-        limit = _basis_limit(max_basis)
+        limit = basis_limit(max_basis)
         if dim > limit:
             raise SizeGuardError(
                 f"basis size {dim} for genus {genus} with {points} points "
@@ -283,24 +301,34 @@ def _special_codes(algebra):
     return frozenset(range(3, 2 * algebra.genus + 2))
 
 
+def cross_handle_predicate(algebra):
+    """Membership test for the basis monomials of the CROSS_HANDLE ideal.
+
+    The ideal generated by :func:`cross_handle_relations` is a monomial
+    ideal: it is spanned by the monomials with two or more coordinates
+    carrying an index >= 2 or w letter (w = a(2)b(2) is such a product
+    once the genus is at least 2).  For genus 1 there are no generators,
+    and the predicate is false everywhere.
+    """
+    if algebra.genus == 1:
+        return lambda m: False
+    special = _special_codes(algebra)
+    return lambda m: sum(1 for c in m if c in special) >= 2
+
+
 def reduced_letter_basis(algebra):
     """Monomials with at most one coordinate carrying an index >= 2 or w letter.
 
-    For genus 1 this degenerates to the full monomial basis.
+    These are the standard monomials of the CROSS_HANDLE quotient; for
+    genus 1 this degenerates to the full monomial basis.
     """
-    if algebra.genus == 1:
-        return [
-            Element.monomial(algebra, m)
-            for d in range(algebra.top_degree + 1)
-            for m in algebra.monomials_of_degree(d)
-        ]
-    special = _special_codes(algebra)
-    out = []
-    for d in range(algebra.top_degree + 1):
-        for m in algebra.monomials_of_degree(d):
-            if sum(1 for c in m if c in special) <= 1:
-                out.append(Element.monomial(algebra, m))
-    return out
+    killed = cross_handle_predicate(algebra)
+    return [
+        Element.monomial(algebra, m)
+        for d in range(algebra.top_degree + 1)
+        for m in algebra.monomials_of_degree(d)
+        if not killed(m)
+    ]
 
 
 def _letter_element(algebra, i, kind, p):

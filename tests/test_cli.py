@@ -1,7 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import conftc
 
 try:
     import jsonschema
@@ -221,3 +227,21 @@ def test_allow_large_warns(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "overridden" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "", "-5"])
+@pytest.mark.parametrize("command", ["certify", "basis"])
+def test_invalid_basis_limit_exits_two_with_one_line(command, value):
+    src = str(Path(conftc.__file__).resolve().parents[1])
+    env = dict(os.environ, TCCONF_MAX_BASIS=value)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conftc.cli", command, "--genus", "2", "--points", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "TCCONF_MAX_BASIS" in lines[0], proc.stderr

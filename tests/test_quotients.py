@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftc.algebra import Element, TensorElement
+from conftc.errors import SizeGuardError
 from conftc.linalg import GradedSubspace
 from conftc.quotients import (
     QuotientAlgebra,
+    build_quotient,
     cached_quotient,
     cached_surface,
     element_vector,
@@ -16,6 +18,8 @@ from conftc.quotients import (
     verify_subalgebra_chain,
 )
 from conftc.surfaces import (
+    SurfacePowerAlgebra,
+    cross_handle_predicate,
     reduced_letter_basis,
     reduced_shifted_basis,
     cross_handle_relations,
@@ -244,3 +248,94 @@ def test_subalgebra_chain():
     assert verify_subalgebra_chain(2, 1).ok
     with pytest.raises(ValueError):
         verify_subalgebra_chain(1, 2)
+
+
+# -- the quotient tower against ambient elimination ----------------------
+
+TOWER_GRID = (
+    [(1, n) for n in (1, 2, 3, 4)]
+    + [(2, n) for n in (1, 2, 3, 4, 5)]
+    + [(3, 3), (3, 4), (4, 2), (4, 3)]
+)
+
+
+def ambient_quotient(alg, kind, max_degree):
+    """'A' or 'B' by eliminating every generator multiple in the ambient basis."""
+    gens = list(cross_handle_relations(alg))
+    if kind == "B":
+        gens += list(xy_pair_relations(alg))
+    return QuotientAlgebra(alg, ideal_span(alg, gens, max_degree=max_degree))
+
+
+@pytest.mark.parametrize("g,n", TOWER_GRID)
+def test_tower_matches_ambient_elimination(g, n):
+    alg = cached_surface(g, n)
+    for kind in ("A", "B"):
+        for cap in (None, 2, 3):
+            tower = cached_quotient(g, n, kind, max_degree=cap)
+            oracle = ambient_quotient(alg, kind, cap)
+            assert tower.max_degree == oracle.max_degree
+            for d in range(oracle.max_degree + 1):
+                assert tower.standard_monomials(d) == oracle.standard_monomials(d)
+                for m in alg.monomials_of_degree(d):
+                    e = Element.monomial(alg, m)
+                    assert tower.normal_form(e) == oracle.normal_form(e)
+
+
+def count_mono_mul(monkeypatch):
+    calls = [0]
+    orig = SurfacePowerAlgebra.mono_mul
+
+    def counting(self, m1, m2):
+        calls[0] += 1
+        return orig(self, m1, m2)
+
+    monkeypatch.setattr(SurfacePowerAlgebra, "mono_mul", counting)
+    return calls
+
+
+def test_tower_build_work_counts(monkeypatch):
+    alg = SurfacePowerAlgebra(2, 4)
+    calls = count_mono_mul(monkeypatch)
+    build_quotient(alg, "A")
+    assert calls[0] == 0
+    build_quotient(alg, "B")
+    tower = calls[0]
+    calls[0] = 0
+    ideal_span(alg, list(cross_handle_relations(alg)) + list(xy_pair_relations(alg)))
+    ambient = calls[0]
+    assert 0 < 4 * tower <= ambient
+
+
+def test_stacked_ideal_keeps_only_the_rows_above_the_base():
+    alg = cached_surface(2, 3)
+    qa = cached_quotient(2, 3, "A")
+    qb = cached_quotient(2, 3, "B")
+    assert qa.ideal.total_rank() == 0
+    assert qb.base.label == "HANDLE_REDUCED"
+    killed = cross_handle_predicate(alg)
+    assert qa.dimension == sum(
+        1 for ms in alg.monomials_by_degree for m in ms if not killed(m)
+    )
+    assert qb.dimension == qa.dimension - qb.ideal.total_rank()
+
+
+def test_stacking_validation():
+    alg = cached_surface(2, 2)
+    qa2 = cached_quotient(2, 2, "A", max_degree=2)
+    with pytest.raises(ValueError, match="lacks"):
+        QuotientAlgebra(alg, ideal_span(alg, []), base=qa2)
+    with pytest.raises(ValueError, match="different parent"):
+        ideal_span(cached_surface(3, 2), [], base=qa2)
+    with pytest.raises(ValueError, match="unknown quotient kind"):
+        build_quotient(alg, "Z")
+
+
+def test_cached_quotient_sees_a_changed_basis_limit(monkeypatch):
+    monkeypatch.delenv("TCCONF_MAX_BASIS", raising=False)
+    assert cached_quotient(2, 3, "B").dimension == 70
+    monkeypatch.setenv("TCCONF_MAX_BASIS", "10")
+    with pytest.raises(SizeGuardError):
+        cached_quotient(2, 3, "B")
+    with pytest.raises(SizeGuardError):
+        cached_surface(2, 3)

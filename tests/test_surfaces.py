@@ -1,11 +1,13 @@
 import pytest
 
-from conftc.errors import SizeGuardError
+from conftc.errors import ConfigurationError, SizeGuardError
 from conftc.quotients import cached_surface
 from conftc.surfaces import (
     SurfacePowerAlgebra,
     a_letter,
     b_letter,
+    basis_limit,
+    cross_handle_predicate,
     reduced_letter_basis,
     shifted_basis_products,
     cross_handle_relations,
@@ -90,6 +92,38 @@ def test_size_guard_env(monkeypatch):
         SurfacePowerAlgebra(1, 2)
     monkeypatch.setenv("TCCONF_MAX_BASIS", "100000")
     assert SurfacePowerAlgebra(1, 2).dimension == 16
+
+
+@pytest.mark.parametrize("value", ["abc", "", "-5", "1e5"])
+def test_invalid_basis_limit_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("TCCONF_MAX_BASIS", value)
+    with pytest.raises(ConfigurationError, match="TCCONF_MAX_BASIS"):
+        basis_limit()
+    with pytest.raises(ConfigurationError, match="TCCONF_MAX_BASIS"):
+        SurfacePowerAlgebra(1, 2)
+    # an explicit limit does not consult the environment
+    assert basis_limit(50) == 50
+
+
+def test_basis_limit_default_and_env(monkeypatch):
+    monkeypatch.delenv("TCCONF_MAX_BASIS", raising=False)
+    assert basis_limit() == 10**5
+    monkeypatch.setenv("TCCONF_MAX_BASIS", "0")
+    assert basis_limit() == 0
+
+
+def test_cross_handle_predicate_marks_two_special_coordinates():
+    alg = cached_surface(3, 3)
+    killed = cross_handle_predicate(alg)
+    assert killed(alg.parse_word("a1(2)*b2(3)"))
+    assert killed(alg.parse_word("w1*w3"))
+    assert killed(alg.parse_word("a1(1)*w2*a3(2)"))
+    assert not killed(alg.parse_word("a1(1)*b2(1)*w3"))
+    assert not killed(alg.parse_word("a2(3)*b3(1)"))
+    torus = cached_surface(1, 3)
+    assert not any(
+        cross_handle_predicate(torus)(m) for ms in torus.monomials_by_degree for m in ms
+    )
 
 
 def test_x_y_generators():
