@@ -23,8 +23,9 @@ class GradedAlgebraBase:
 
     Subclasses call :meth:`_set_basis` once with ``(monomial, degree)``
     pairs and implement ``mono_mul``, ``monomial_word``, ``parse_word``
-    and ``term_key``.  Monomials must be hashable; ``one`` is the unit
-    monomial.
+    and ``term_key``; ``monomial_weight`` may add a grading that lets
+    elimination split each degree into blocks.  Monomials must be
+    hashable; ``one`` is the unit monomial.
     """
 
     field = None
@@ -76,6 +77,10 @@ class GradedAlgebraBase:
     def mono_mul(self, m1, m2):
         """Product of two basis monomials: ``(monomial, sign)`` or None."""
         raise NotImplementedError
+
+    def monomial_weight(self, m):
+        """A grading finer than degree that products add, or None if there is none."""
+        return None
 
     def monomial_word(self, m) -> str:
         raise NotImplementedError
@@ -475,7 +480,7 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
     def __init__(self, field, truncation, gen_degree=1, name="t", max_basis=None):
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
-        limit = max_basis or 10**5
+        limit = 10**5 if max_basis is None else max_basis
         if truncation > limit:
             raise SizeGuardError(
                 f"basis size {truncation} exceeds the limit {limit}",

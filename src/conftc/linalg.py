@@ -9,6 +9,20 @@ These spans back every ideal and normal-form computation in the package:
 ``reduce`` is the normal-form map, ``insert`` grows a span, ``rank``
 counts it.
 
+Within a degree the rows may be split into blocks: columns that the
+caller knows no two blocks share, such as the monomials of one weight of a
+grading finer than degree.  ``insert(v, degree, block)`` then
+back-substitutes the new row only into the rows of its own block, which
+keeps the reduced echelon form because rows of other blocks have no entry
+at its pivot.  Without a block every row of the degree is one block.
+Blocks speed up building a span only; ``reduce``, ``pivots`` and ``rank``
+work by degree.
+
+Integer entries stay ``int``: a row whose pivot is +1 or -1 is normalized
+by a sign change, and any other pivot by ``field.one / pivot``, which turns
+the row into rationals.  Every operation is exact, and the reduced rows are
+the same values whichever scalar types went in.
+
 Subspaces are mutable while being built and are meant to be frozen
 afterwards; a frozen subspace only ever reads its rows.
 """
@@ -37,6 +51,7 @@ class GradedSubspace:
         self.ambient_dims = dict(ambient_dims)
         self.field = field
         self._rows = {d: {} for d in self.ambient_dims}  # degree -> {pivot: row}
+        self._blocks = {d: {} for d in self.ambient_dims}  # degree -> {block: [row]}
         self._frozen = False
 
     def _check_degree(self, degree):
@@ -71,24 +86,35 @@ class GradedSubspace:
                 out = vec_scaled_sub(out, c, rows[p])
         return out
 
-    def insert(self, v, degree):
-        """Add v to the span; returns True iff it enlarged the span."""
+    def insert(self, v, degree, block=None):
+        """Add v to the span; returns True iff it enlarged the span.
+
+        ``block`` names the columns v lives in (see the module docstring);
+        vectors of different blocks of one degree must not share a column.
+        """
         if self._frozen:
             raise RuntimeError("subspace is frozen")
         r = self.reduce(v, degree)
         if not r:
             return False
         pivot = min(r)
-        inv = self.field.one / r[pivot]
-        row = {i: c * inv for i, c in r.items()}
-        rows = self._rows[degree]
-        for other in rows.values():
+        lead = r[pivot]
+        if lead == 1:
+            row = r
+        elif lead == -1:
+            row = {i: -c for i, c in r.items()}
+        else:
+            inv = self.field.one / lead
+            row = {i: c * inv for i, c in r.items()}
+        peers = self._blocks[degree].setdefault(block, [])
+        for other in peers:
             c = other.get(pivot)
             if c:
                 updated = vec_scaled_sub(other, c, row)
                 other.clear()
                 other.update(updated)
-        rows[pivot] = row
+        peers.append(row)
+        self._rows[degree][pivot] = row
         return True
 
     def rank(self, degree):
@@ -108,6 +134,7 @@ class GradedSubspace:
 
     def freeze(self):
         self._frozen = True
+        self._blocks = None
         return self
 
     @property

@@ -13,17 +13,23 @@ multiple of the generators in the ambient basis (one multiplication pass
 suffices: any product of ring elements with a generator reduces to signed
 monomial multiples).  Over a base it multiplies by the base's standard
 monomials only and reduces each product to the base's normal form, which
-spans the same ideal modulo the base's.
+spans the same ideal modulo the base's.  Products go into the elimination
+in (degree, handle weight) blocks, with integer coefficients kept as int.
 
 The three cached quotients form a tower: 'A' (mixed index >= 2 products) is
 a monomial ideal and is listed, not eliminated; the certificate ring 'B'
-eliminates only the x_i y_j rows over 'A'; the base-axis quotient 'E' (the
-degree-2 pair relations, not monomial) eliminates in the ambient basis.
+eliminates only the x_i y_j rows over 'A'.  The base-axis quotient 'E' (the
+degree-2 pair relations, not monomial) eliminates in the ambient basis, but
+only the diagonal-free multiples: the generator r_ij is the class of the
+diagonal of coordinates i and j, so r_ij u_i = r_ij u_j for every letter u
+(Totaro), and any multiple m r_ij equals a signed multiple whose multiplier
+carries the unit at coordinate i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Element, TensorElement
@@ -51,17 +57,25 @@ def element_vector(e, degree):
     return vec
 
 
-def element_from_vector(algebra, degree, vec):
-    return Element(
-        algebra, {algebra.monomial_at(degree, i): c for i, c in vec.items()}
-    )
-
-
 def _empty_span(algebra, max_degree=None):
     """A subspace of the ambient basis in degrees 0..max_degree (or all)."""
     top = algebra.top_degree if max_degree is None else min(max_degree, algebra.top_degree)
     dims = {d: len(algebra.monomials_of_degree(d)) for d in range(top + 1)}
     return GradedSubspace(dims, algebra.field)
+
+
+def _integral(c):
+    """An integer-valued rational as ``int``, so elimination rows stay integral."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _monomial_stack(base):
+    """True when the base's normal form only drops monomials (no rows below)."""
+    while base is not None:
+        if base._has_rows:
+            return False
+        base = base.base
+    return True
 
 
 def ideal_span(algebra, generators, max_degree=None, base=None):
@@ -71,12 +85,26 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
     caps the degrees that get populated (and the degrees the resulting
     quotient can reduce in), which is sound because the ideal is graded.
 
+    A :class:`~conftc.surfaces.RelationSet` with ``unit_coordinates``
+    multiplies each generator only by monomials carrying the unit at its
+    unit coordinate; a plain list of generators uses every multiplier.
+
     With a ``base`` quotient the generators are multiplied by the base's
     standard monomials only and every product is reduced to the base's
     normal form: the rows span the ideal modulo the base's, ready to be
     stacked on it.  Degrees are then capped at the base's as well.
+
+    When the algebra has a ``monomial_weight`` and every generator is
+    homogeneous for it, each product is inserted in its (degree, weight)
+    block; otherwise each degree is one block.
+
+    Unit coordinates and blocks are proven sound only for a base whose
+    normal form just drops monomials.  The normal form of a base with rows
+    can mix weights, and can bring a letter back to a unit coordinate, so
+    over such a base every multiplier is used, in one block per degree.
     """
     gens = list(getattr(generators, "generators", generators))
+    units = getattr(generators, "unit_coordinates", None)
     top = algebra.top_degree if max_degree is None else min(max_degree, algebra.top_degree)
     multipliers, reduce = algebra.monomials_of_degree, None
     if base is not None:
@@ -84,16 +112,29 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
             raise ValueError("the base quotient has a different parent algebra")
         top = min(top, base.max_degree)
         multipliers, reduce = base.standard_monomials, base._reduce
-    space = _empty_span(algebra, top)
-    for r in gens:
+    monomial_base = _monomial_stack(base)
+    if units is None or not monomial_base:
+        units = (None,) * len(gens)
+    work = []
+    for r, unit in zip(gens, units):
         if r.is_zero():
             continue
         if not r.is_homogeneous():
             raise ValueError(f"inhomogeneous generator: {r.to_text()}")
+        weights = {algebra.monomial_weight(m) for m in r.terms}
+        work.append((r, unit, weights.pop() if len(weights) == 1 else None))
+    weigh = None
+    if monomial_base and all(w is not None for _r, _u, w in work):
+        weigh = algebra.monomial_weight
+    space = _empty_span(algebra, top)
+    unit_letters = algebra.one
+    for r, unit, weight in work:
         e = r.degree()
-        rterms = list(r.terms.items())
+        rterms = [(mr, _integral(cr)) for mr, cr in r.terms.items()]
         for d in range(top - e + 1):
             for m in multipliers(d):
+                if unit is not None and m[unit - 1] != unit_letters[unit - 1]:
+                    continue
                 vec = {}
                 for mr, cr in rterms:
                     res = algebra.mono_mul(m, mr)
@@ -111,7 +152,7 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
                 if reduce is not None:
                     vec = reduce(vec, d + e)
                 if vec:
-                    space.insert(vec, d + e)
+                    space.insert(vec, d + e, None if weigh is None else weigh(m) + weight)
     return space.freeze()
 
 
@@ -266,7 +307,8 @@ def build_quotient(algebra, kind, max_degree=None):
     """Build the 'E', 'A' or 'B' quotient of a surface power algebra, uncached.
 
     'A' lists its standard monomials (its ideal is monomial), 'B' stacks
-    the x_i y_j rows on 'A', and 'E' eliminates in the ambient basis.
+    the x_i y_j rows on 'A', and 'E' eliminates the diagonal-free multiples
+    of the pair relations in the ambient basis.
     """
     if kind == "E":
         span = ideal_span(algebra, totaro_relations(algebra), max_degree=max_degree)

@@ -95,6 +95,10 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         self._omega = 2 * genus + 1
         self._deg = [0] + [1] * (2 * genus) + [2]
         self._ltab = self._local_table()
+        self._lweight = [0] * (2 * genus + 2)
+        for p in range(1, genus + 1):
+            unit = (2 * points + 1) ** (p - 1)
+            self._lweight[2 * p - 1], self._lweight[2 * p] = unit, -unit
         self.one = (UNIT,) * points
         letters = range(2 * genus + 2)
         monos = []
@@ -123,26 +127,35 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
     # -- monomial products ------------------------------------------------
 
     def mono_mul(self, m1, m2):
-        deg = self._deg
         ltab = self._ltab
-        # Koszul sign from interleaving: slot i of m2 crosses slots > i of m1.
-        par = 0
-        suffix_odd = 0
-        for i in range(self.points - 1, -1, -1):
-            if deg[m2[i]] & 1:
-                par ^= suffix_odd & 1
-            if deg[m1[i]] & 1:
-                suffix_odd += 1
         out = []
+        par = 0
         for c1, c2 in zip(m1, m2):
             r = ltab[c1][c2]
             if r is None:
                 return None
-            c3, s = r
-            if s < 0:
+            out.append(r[0])
+            if r[1] < 0:
                 par ^= 1
-            out.append(c3)
+        # Koszul sign from interleaving: slot i of m2 crosses slots > i of m1.
+        deg = self._deg
+        suffix_odd = 0
+        for i in range(self.points - 1, -1, -1):
+            if deg[m2[i]] & 1:
+                par ^= suffix_odd
+            if deg[m1[i]] & 1:
+                suffix_odd ^= 1
         return (tuple(out), -1 if par else 1)
+
+    def monomial_weight(self, m):
+        """The handle weight a(p) -> +e_p, b(p) -> -e_p, w -> 0, as one int.
+
+        Products add weights.  The weight vector is packed in balanced base
+        2n+1; each component lies in -n..n, so distinct weights give
+        distinct ints.
+        """
+        lw = self._lweight
+        return sum([lw[c] for c in m])
 
     def local_multiply(self, c1, c2):
         """Product of two letter codes in one coordinate: (letter, sign) or None."""
@@ -241,10 +254,24 @@ def surface_power(genus, points, max_basis=None):
 
 @dataclass(frozen=True)
 class RelationSet:
-    """A labeled list of homogeneous relation elements."""
+    """A labeled list of homogeneous relation elements.
+
+    ``unit_coordinates``, when given, holds one coordinate (numbered from
+    1, or None) per generator: a coordinate where a letter times the
+    generator equals, up to sign, the same letter in another coordinate
+    times it.  The ideal is then spanned by the multiples whose multiplier
+    carries the unit there, and :func:`conftc.quotients.ideal_span` skips
+    the rest.
+    """
 
     label: str
     generators: tuple
+    unit_coordinates: tuple | None = None
+
+    def __post_init__(self):
+        units = self.unit_coordinates
+        if units is not None and len(units) != len(self.generators):
+            raise ValueError("unit_coordinates needs one entry per generator")
 
     def __iter__(self):
         return iter(self.generators)
@@ -256,9 +283,11 @@ class RelationSet:
 def totaro_relations(algebra) -> RelationSet:
     """One degree-2 generator per coordinate pair i < j.
 
-    The pair (i, j) contributes w_i + w_j + sum_p (b_i(p)a_j(p) - a_i(p)b_j(p)).
+    The pair (i, j) contributes w_i + w_j + sum_p (b_i(p)a_j(p) - a_i(p)b_j(p)),
+    the class of the diagonal of coordinates i and j.  Its unit coordinate
+    is i: the diagonal satisfies r_ij (u_i - u_j) = 0 for every letter u.
     """
-    gens = []
+    gens, units = [], []
     n, g = algebra.points, algebra.genus
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -266,7 +295,8 @@ def totaro_relations(algebra) -> RelationSet:
             for p in range(1, g + 1):
                 e = e + algebra.b(i, p) * algebra.a(j, p) - algebra.a(i, p) * algebra.b(j, p)
             gens.append(e)
-    return RelationSet("TOTARO", tuple(gens))
+            units.append(i)
+    return RelationSet("TOTARO", tuple(gens), tuple(units))
 
 
 def cross_handle_relations(algebra) -> RelationSet:

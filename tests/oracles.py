@@ -109,6 +109,33 @@ def poly_pow(p, k):
     return out
 
 
+def sorted_letter_product(m1, m2, degree, local):
+    """Product of two per-coordinate letter words by explicit transpositions.
+
+    The word m1 m2 (the letters of m1 in coordinate order, then those of
+    m2) is bubble-sorted by coordinate, flipping the sign whenever two odd
+    letters swap; each coordinate's adjacent pair is then multiplied with
+    ``local`` (a letter pair -> (letter, sign) or None).
+    """
+    word = list(enumerate(m1)) + list(enumerate(m2))
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for k in range(end):
+            (i, c), (j, d) = word[k], word[k + 1]
+            if i > j:
+                if degree[c] % 2 and degree[d] % 2:
+                    sign = -sign
+                word[k], word[k + 1] = word[k + 1], word[k]
+    out = []
+    for k in range(0, len(word), 2):
+        r = local(word[k][1], word[k + 1][1])
+        if r is None:
+            return None
+        out.append(r[0])
+        sign *= r[1]
+    return tuple(out), sign
+
+
 def omission_patterns(n, s):
     """All subset tuples (J_1..J_s) with each i omitted from exactly one slot.
 

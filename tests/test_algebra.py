@@ -256,3 +256,6 @@ def test_truncated_polynomial_rational_variant():
 def test_truncated_polynomial_guard():
     with pytest.raises(SizeGuardError):
         TruncatedPolynomialAlgebra(GF2, truncation=100, max_basis=10)
+    # a limit of 0 is a limit, not "unset"
+    with pytest.raises(SizeGuardError):
+        TruncatedPolynomialAlgebra(GF2, truncation=50, max_basis=0)

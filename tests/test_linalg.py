@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftc.fields import GF2, RATIONALS
+from conftc.fields import GF2, Bit, RATIONALS
 from conftc.linalg import GradedSubspace
+from conftc.quotients import build_quotient, cached_surface
 
 from oracles import dense_membership, dense_rank
 
@@ -186,6 +187,81 @@ def test_gf2_subspace():
     # e0 + e2 is the sum of the two rows
     assert s.reduce({0: one, 2: one}, 0) == {}
     assert s.insert({0: one, 2: one}, 0) is False
+
+
+def rref_rows(s, degree, one=None):
+    """The reduced row of each pivot p, read through reduce: e_p - reduce(e_p).
+
+    An int ``one`` keeps each entry's stored type (int or Fraction).
+    """
+    one = s.field.one if one is None else one
+    rows = {}
+    for p in s.pivots(degree):
+        row = {i: -c for i, c in s.reduce({p: one}, degree).items()}
+        row[p] = one
+        rows[p] = row
+    return rows
+
+
+def test_base_axis_rows_are_exact_integers():
+    q = build_quotient(cached_surface(3, 4), "E")
+    entries = [
+        c
+        for d in q.ideal.degrees()
+        for row in rref_rows(q.ideal, d, one=1).values()
+        for c in row.values()
+    ]
+    assert len(entries) > 1806
+    assert all(type(c) in (int, Fraction) for c in entries)
+    assert all(c == int(c) and abs(c) <= 2 for c in entries)
+
+
+def test_pivot_two_gives_the_fraction_row():
+    ints, fracs = space(), space()
+    for s, conv in ((ints, int), (fracs, Fraction)):
+        s.insert({0: conv(1), 3: conv(1)}, 0)
+        # reduces to 2 e1 - e3 - 3 e5 against the first row: pivot 2
+        s.insert({0: conv(1), 1: conv(2), 5: conv(-3)}, 0)
+    assert ints.pivots(0) == fracs.pivots(0) == [0, 1]
+    rows = rref_rows(ints, 0)
+    assert rows == rref_rows(fracs, 0)
+    assert rows[1] == {1: 1, 3: Fraction(-1, 2), 5: Fraction(-3, 2)}
+    assert all(type(c) is Fraction for c in ints.reduce({1: 1}, 0).values())
+
+
+def test_unit_pivots_keep_integer_rows():
+    s = space()
+    s.insert({2: -1, 4: 3, 6: -2}, 0)
+    s.insert({4: 1, 7: 1}, 0)
+    rows = rref_rows(s, 0, one=1)
+    assert rows == {2: {2: 1, 6: 2, 7: 3}, 4: {4: 1, 7: 1}}
+    assert all(type(c) is int for row in rows.values() for c in row.values())
+
+
+def test_gf2_insert_and_reduce():
+    s = space(dim=5, field=GF2)
+    one = GF2.one
+    assert s.insert({0: one, 1: one, 3: one}, 0)
+    assert s.insert({1: one, 2: one}, 0)
+    assert not s.insert({0: one, 2: one, 3: one}, 0)
+    assert s.reduce({0: one}, 0) == {2: one, 3: one}
+    assert s.reduce({1: one, 4: one}, 0) == {2: one, 4: one}
+    assert all(type(c) is Bit for row in rref_rows(s, 0).values() for c in row.values())
+
+
+def test_blocks_give_the_same_rows_as_one_block():
+    rng = random.Random(5)
+    for _ in range(20):
+        dim = rng.randint(4, 24)
+        whole, split = space(dim=dim), space(dim=dim)
+        for _ in range(rng.randint(1, dim)):
+            parity = rng.randint(0, 1)
+            cols = [i for i in range(dim) if i % 2 == parity]
+            v = {i: rng.randint(-2, 2) for i in rng.sample(cols, rng.randint(1, len(cols)))}
+            v = {i: c for i, c in v.items() if c}
+            assert whole.insert(v, 0) == split.insert(v, 0, block=parity)
+        assert whole.pivots(0) == split.pivots(0)
+        assert rref_rows(whole, 0) == rref_rows(split, 0)
 
 
 def test_rational_round_trip():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftc.algebra import Element, TensorElement
+from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from conftc.errors import SizeGuardError
+from conftc.fields import RATIONALS
 from conftc.linalg import GradedSubspace
 from conftc.quotients import (
     QuotientAlgebra,
@@ -28,6 +29,7 @@ from conftc.surfaces import (
 )
 
 from oracles import dense_rank
+from test_linalg import rref_rows
 
 
 def reduced_basis_count_formula(g, n):
@@ -305,6 +307,84 @@ def test_tower_build_work_counts(monkeypatch):
     ideal_span(alg, list(cross_handle_relations(alg)) + list(xy_pair_relations(alg)))
     ambient = calls[0]
     assert 0 < 4 * tower <= ambient
+
+
+# -- the diagonal-free base-axis build against every multiplier ----------
+
+E_GRID = (
+    [(1, n) for n in (2, 3, 4)]
+    + [(2, n) for n in (2, 3, 4, 5)]
+    + [(3, 3), (3, 4), (4, 2), (4, 3)]
+)
+
+
+@pytest.mark.parametrize("g,n", E_GRID)
+def test_base_axis_matches_elimination_of_every_multiple(g, n):
+    alg = cached_surface(g, n)
+    for cap in (None, 2, 3):
+        built = build_quotient(alg, "E", cap).ideal
+        # a plain list carries no unit coordinates: every multiplier is used
+        oracle = ideal_span(alg, list(totaro_relations(alg)), max_degree=cap)
+        assert built.degrees() == oracle.degrees()
+        for d in oracle.degrees():
+            assert built.pivots(d) == oracle.pivots(d)
+            assert rref_rows(built, d) == rref_rows(oracle, d)
+
+
+def count_inserts(monkeypatch):
+    calls = [0]
+    orig = GradedSubspace.insert
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedSubspace, "insert", counting)
+    return calls
+
+
+def test_base_axis_build_work_counts(monkeypatch):
+    alg = SurfacePowerAlgebra(2, 4)
+    calls = count_mono_mul(monkeypatch)
+    inserts = count_inserts(monkeypatch)
+    ambient = ideal_span(alg, list(totaro_relations(alg)))
+    assert calls[0] == 46068
+    calls[0] = inserts[0] = 0
+    built = build_quotient(alg, "E")
+    assert 4 * calls[0] <= 46068
+    assert inserts[0] <= 1296
+    assert built.ideal.total_rank() == ambient.total_rank() == 725
+
+
+def test_ideal_span_falls_back_to_one_block_per_degree():
+    # each generator has two weights, so every degree is one block
+    alg = cached_surface(2, 2)
+    gens = [alg.a(2, 2) * 2 - alg.b(1), alg.b(1) * 2 + alg.b(1, 2) * 2]
+    space = ideal_span(alg, gens)
+    reference = GradedSubspace(space.ambient_dims, alg.field)
+    for d in space.degrees():
+        for r in gens:
+            if d >= r.degree():
+                for m in alg.monomials_of_degree(d - r.degree()):
+                    reference.insert(element_vector(Element.monomial(alg, m) * r, d), d)
+        assert rref_rows(space, d) == rref_rows(reference, d)
+    # over a base with rows of two weights: every standard multiplier, one block
+    base = QuotientAlgebra(alg, ideal_span(alg, [(alg.a(1) + alg.b(1)) * alg.omega(2) * 2]))
+    rels = totaro_relations(alg)
+    stacked = ideal_span(alg, rels, base=base)
+    reference = GradedSubspace(stacked.ambient_dims, alg.field)
+    for d in stacked.degrees():
+        for r in rels:
+            if d >= 2:
+                for m in base.standard_monomials(d - 2):
+                    vec = element_vector(Element.monomial(alg, m) * r, d)
+                    reference.insert(base._reduce(vec, d), d)
+        assert rref_rows(stacked, d) == rref_rows(reference, d)
+    # an algebra without a weight; the pivot 2 takes the Fraction path
+    trunc = TruncatedPolynomialAlgebra(RATIONALS, truncation=5, gen_degree=2)
+    space = ideal_span(trunc, [Element.monomial(trunc, 2, 2)])
+    assert [space.rank(d) for d in space.degrees()] == [0, 0, 0, 0, 1, 0, 1, 0, 1]
+    assert space.reduce({0: Fraction(3)}, 8) == {}
 
 
 def test_stacked_ideal_keeps_only_the_rows_above_the_base():

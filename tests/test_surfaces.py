@@ -3,6 +3,7 @@ import pytest
 from conftc.errors import ConfigurationError, SizeGuardError
 from conftc.quotients import cached_surface
 from conftc.surfaces import (
+    RelationSet,
     SurfacePowerAlgebra,
     a_letter,
     b_letter,
@@ -17,7 +18,7 @@ from conftc.surfaces import (
     totaro_relations,
 )
 
-from oracles import poly_pow
+from oracles import poly_pow, sorted_letter_product
 
 
 def reduced_basis_count_formula(g, n):
@@ -69,6 +70,35 @@ def test_multiply_matches_pair_expansion():
     lhs = (alg.a(1) - alg.a(2)) * (alg.b(1) - alg.b(2))
     rhs = alg.omega(2) + alg.omega(1) + alg.b(1) * alg.a(2) - alg.a(1) * alg.b(2)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (1, 3)])
+def test_mono_mul_matches_brute_force_signs(g, n):
+    alg = SurfacePowerAlgebra(g, n)
+    degree = [0] + [1] * (2 * g) + [2]
+    monos = [m for ms in alg.monomials_by_degree for m in ms]
+    for m1 in monos:
+        for m2 in monos:
+            expected = sorted_letter_product(m1, m2, degree, alg.local_multiply)
+            assert alg.mono_mul(m1, m2) == expected, (m1, m2)
+
+
+def test_monomial_weight_is_additive_and_separates_handles():
+    alg = SurfacePowerAlgebra(2, 3)
+    wt = alg.monomial_weight
+    assert wt(alg.one) == 0
+    assert wt((a_letter(1), b_letter(1), omega_letter(2))) == 0
+    assert wt((a_letter(1), a_letter(1), a_letter(1))) != wt((a_letter(2), 0, 0))
+    monos = [m for ms in alg.monomials_by_degree for m in ms]
+    weights = {}
+    for m1 in monos:
+        for m2 in monos:
+            r = alg.mono_mul(m1, m2)
+            if r is not None:
+                assert wt(r[0]) == wt(m1) + wt(m2)
+        # the weight determines the per-handle letter counts a(p) - b(p)
+        counts = tuple(m1.count(a_letter(p)) - m1.count(b_letter(p)) for p in (1, 2))
+        assert weights.setdefault(wt(m1), counts) == counts
 
 
 def test_surface_power_dimensions():
@@ -156,6 +186,9 @@ def test_totaro_relations():
         rels3 = totaro_relations(cached_surface(g, 3))
         assert len(rels3) == 3
         assert all(r.degree() == 2 for r in rels3)
+        assert rels3.unit_coordinates == (1, 1, 2)
+    with pytest.raises(ValueError, match="one entry per generator"):
+        RelationSet("TOTARO", rels3.generators, (1, 1))
 
 
 def test_cross_handle_relations():
