@@ -371,8 +371,15 @@ def build_parser():
     return parser
 
 
+# Built once, at import: the first argparse parser of a process pulls in
+# gettext's lazy ``import locale`` (about 2 ms), which is interpreter set-up
+# rather than a command's work.  ``parse_args`` leaves the parser unchanged,
+# so every ``main`` call can share it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = PARSER
     args = parser.parse_args(argv)
     config = RunConfig(
         command=args.command,
