@@ -40,16 +40,40 @@ def slot_difference(element, arity, slot):
 
 
 def bar(u, s):
-    """Product over slots 2..s of (u in slot 1 minus u in that slot).
+    """Product over slots 2..s of (u in slot 1 minus u in that slot), in closed form.
 
-    For u of odd degree the expansion has one term per omitted slot.
+    Writing u_k for u placed in slot k, the product is
+    (u_1 - u_2)(u_1 - u_3)...(u_1 - u_s).  For u homogeneous of odd degree
+    with u*u = 0 its expansion keeps one summand per omitted slot j:
+
+        bar(u, s) = sum over j = 1..s of (-1)^(s+j) * (u in every slot but j, 1 in slot j).
+
+    A choice that takes u_1 twice contains u*u = 0.  The choice that takes
+    u_1 at factor j >= 2 has s - 2 factors -u_k, and moving u_1 past the
+    odd u_2..u_{j-1} costs (-1)^(j-2); taking no u_1 (j = 1) has s - 1
+    factors -u_k.  Either way the sign is (-1)^(s+j).  The summands have
+    disjoint supports because u has no unit term.  Any other u is refused;
+    u*u is computed only where the algebra does not declare
+    ``odd_squares_vanish``.
     """
+    if s < 2:
+        raise ValueError("stages must be at least 2")
     if not u.is_homogeneous() or u.is_zero() or u.degree() == 0:
         raise ValueError("bar requires a homogeneous element of positive degree")
-    acc = TensorElement.unit(u.algebra, s)
-    for slot in range(2, s + 1):
-        acc = acc * slot_difference(u, s, slot)
-    return acc
+    if u.degree() % 2 == 0:
+        raise ValueError("bar requires an element of odd degree")
+    alg = u.algebra
+    if not alg.odd_squares_vanish and not (u * u).is_zero():
+        raise ValueError("bar requires an element whose square is zero")
+    # Summand j is the tensor power u^(s-1) with the unit spliced in at slot j.
+    power = TensorElement.of_elements([u] * (s - 1)).terms
+    by_sign = (power, {t: -c for t, c in power.items()})
+    unit = (alg.one,)
+    terms = {}
+    for j in range(1, s + 1):
+        signed = by_sign[(s + j) % 2]
+        terms.update({t[: j - 1] + unit + t[j - 1 :]: c for t, c in signed.items()})
+    return TensorElement(alg, s, terms)
 
 
 def bar_product_xs(algebra, s):
@@ -268,7 +292,7 @@ def evaluate_certificate(
     if ring not in RING_LABELS:
         raise ValueError(f"unknown ring {ring!r}; expected 'B' or 'E'")
     estimate = certificate_term_estimate(genus, points, stages)
-    limit = term_limit or DEFAULT_TERM_LIMIT
+    limit = DEFAULT_TERM_LIMIT if term_limit is None else term_limit
     if estimate > limit and not allow_large:
         raise SizeGuardError(
             f"estimated certificate expansion of {estimate} terms exceeds "

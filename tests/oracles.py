@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: dense Gaussian elimination over
 Fraction lists, schoolbook polynomial arithmetic, and brute combinatorial
-enumeration.  None of it shares code with the package's sparse kernel.
+enumeration.  None of it shares code with the package's sparse kernel,
+except :func:`iterated_bar`, which multiplies out the defining product
+with the kernel's tensor arithmetic to check the closed form against it.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from conftc.algebra import TensorElement
 
 
 def dense_rows(vectors, keys=None):
@@ -170,3 +174,16 @@ def binomial_mod2_truncated_power(exponent, truncation):
         and k < truncation
         and exponent - k < truncation
     }
+
+
+def iterated_bar(u, s):
+    """The product over slots 2..s of (u in slot 1 minus u in that slot).
+
+    Multiplied out factor by factor with tensor products, for any u.
+    """
+    acc = TensorElement.unit(u.algebra, s)
+    for slot in range(2, s + 1):
+        acc = acc * (
+            TensorElement.slot_embed(u, s, 1) - TensorElement.slot_embed(u, s, slot)
+        )
+    return acc

@@ -25,10 +25,17 @@ from conftc.certificates import (
     zcl_search,
 )
 from conftc.errors import SizeGuardError
-from conftc.fields import GF2
+from conftc.fields import GF2, RATIONALS
 from conftc.quotients import cached_quotient, cached_surface
 
-from oracles import binomial_mod2_truncated_power, dense_rank, dense_solve_in_span, omission_patterns
+from oracles import (
+    binomial_mod2_truncated_power,
+    dense_rank,
+    dense_solve_in_span,
+    iterated_bar,
+    omission_patterns,
+)
+from test_quotients import count_mono_mul
 
 
 def chain_product(alg, indices, gen):
@@ -69,6 +76,50 @@ def test_bar_rejects_degree_zero():
         bar(Element.unit(alg), 2)
     with pytest.raises(ValueError, match="positive degree"):
         bar(alg.a(1) + alg.omega(1), 2)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bar_matches_iterated_product(g, n):
+    alg = cached_surface(g, n)
+    for i in range(1, n + 1):
+        for s in range(2, 11):
+            expected_terms = s if i == 1 else s * 2 ** (s - 1)
+            for u in (alg.x(i), alg.y(i)):
+                t = bar(u, s)
+                assert t == iterated_bar(u, s), (i, s, u)
+                assert len(t.terms) == expected_terms
+
+
+def test_bar_checks_the_square_where_odd_squares_may_survive():
+    # t^2 = 0 here, so the closed form holds and matches the product
+    t = Element.monomial(TruncatedPolynomialAlgebra(RATIONALS, 2), 1)
+    for s in (2, 3, 4, 5):
+        assert bar(t, s) == iterated_bar(t, s)
+
+
+def test_bar_refuses_where_the_closed_form_fails():
+    alg = cached_surface(2, 2)
+    with pytest.raises(ValueError, match="odd degree"):
+        bar(alg.omega(1), 3)
+    with pytest.raises(ValueError, match="stages"):
+        bar(alg.x(1), 1)
+    t = Element.monomial(TruncatedPolynomialAlgebra(RATIONALS, 3), 1)
+    # the product keeps t^2 (x) 1 (x) 1, which the closed form drops
+    assert (2, 0, 0) in iterated_bar(t, 3).terms
+    with pytest.raises(ValueError, match="square is zero"):
+        bar(t, 3)
+
+
+def test_bar_work_counts(monkeypatch):
+    alg = cached_surface(2, 3)
+    cached_quotient(2, 3, "B")
+    calls = count_mono_mul(monkeypatch)
+    bar(alg.x(2), 10)
+    assert calls[0] == 0
+    evaluate_certificate(2, 3, 10)
+    # multiplying out the s - 1 slot differences of each bar costs 316,311 here
+    assert calls[0] <= 80_000
 
 
 def test_bar_products_are_zero_divisors():
@@ -298,6 +349,8 @@ def test_certificate_validation():
 def test_certificate_term_guard():
     with pytest.raises(SizeGuardError, match="exceeds"):
         evaluate_certificate(2, 2, 3, term_limit=10)
+    with pytest.raises(SizeGuardError, match="exceeds the limit 0"):
+        evaluate_certificate(2, 2, 3, term_limit=0)
     cert = evaluate_certificate(2, 2, 3, term_limit=10, allow_large=True)
     assert cert.nonzero
 
