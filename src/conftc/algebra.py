@@ -30,9 +30,6 @@ class GradedAlgebraBase:
 
     field = None
     one = None
-    # True when every odd-degree element squares to zero, as in a graded
-    # commutative algebra over a field of characteristic other than 2.
-    odd_squares_vanish = False
 
     def _set_basis(self, monos_with_degree):
         by_deg = {}

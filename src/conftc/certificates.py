@@ -52,9 +52,7 @@ def bar(u, s):
     u_1 at factor j >= 2 has s - 2 factors -u_k, and moving u_1 past the
     odd u_2..u_{j-1} costs (-1)^(j-2); taking no u_1 (j = 1) has s - 1
     factors -u_k.  Either way the sign is (-1)^(s+j).  The summands have
-    disjoint supports because u has no unit term.  Any other u is refused;
-    u*u is computed only where the algebra does not declare
-    ``odd_squares_vanish``.
+    disjoint supports because u has no unit term.  Any other u is refused.
     """
     if s < 2:
         raise ValueError("stages must be at least 2")
@@ -62,18 +60,17 @@ def bar(u, s):
         raise ValueError("bar requires a homogeneous element of positive degree")
     if u.degree() % 2 == 0:
         raise ValueError("bar requires an element of odd degree")
-    alg = u.algebra
-    if not alg.odd_squares_vanish and not (u * u).is_zero():
+    if not (u * u).is_zero():
         raise ValueError("bar requires an element whose square is zero")
     # Summand j is the tensor power u^(s-1) with the unit spliced in at slot j.
     power = TensorElement.of_elements([u] * (s - 1)).terms
     by_sign = (power, {t: -c for t, c in power.items()})
-    unit = (alg.one,)
+    unit = (u.algebra.one,)
     terms = {}
     for j in range(1, s + 1):
         signed = by_sign[(s + j) % 2]
         terms.update({t[: j - 1] + unit + t[j - 1 :]: c for t, c in signed.items()})
-    return TensorElement(alg, s, terms)
+    return TensorElement(u.algebra, s, terms)
 
 
 def bar_product_xs(algebra, s):

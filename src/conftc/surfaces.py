@@ -75,8 +75,6 @@ def basis_limit(max_basis=None):
 class SurfacePowerAlgebra(GradedAlgebraBase):
     """The full cohomology algebra of the n-fold power of a genus-g surface."""
 
-    odd_squares_vanish = True  # graded commutative over the rationals
-
     def __init__(self, genus, points, max_basis=None):
         if genus < 1:
             raise ValueError("genus must be at least 1 (genus 0 is handled by formula only)")

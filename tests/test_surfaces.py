@@ -83,22 +83,6 @@ def test_mono_mul_matches_brute_force_signs(g, n):
             assert alg.mono_mul(m1, m2) == expected, (m1, m2)
 
 
-@pytest.mark.parametrize("g,n", [(2, 2), (1, 3)])
-def test_odd_monomials_anticommute_and_square_to_zero(g, n):
-    # so every odd-degree element squares to zero, as odd_squares_vanish claims
-    alg = SurfacePowerAlgebra(g, n)
-    assert alg.odd_squares_vanish
-    odd = [m for d, ms in enumerate(alg.monomials_by_degree) if d % 2 for m in ms]
-    for m1 in odd:
-        assert alg.mono_mul(m1, m1) is None
-        for m2 in odd:
-            r12, r21 = alg.mono_mul(m1, m2), alg.mono_mul(m2, m1)
-            if r12 is None:
-                assert r21 is None
-            else:
-                assert r21 == (r12[0], -r12[1])
-
-
 def test_monomial_weight_is_additive_and_separates_handles():
     alg = SurfacePowerAlgebra(2, 3)
     wt = alg.monomial_weight
