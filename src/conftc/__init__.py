@@ -6,12 +6,7 @@ certificates, machine-verifying the lower bounds behind the higher
 topological complexity table of their configuration spaces.
 """
 
-from .algebra import (
-    Element,
-    TensorElement,
-    TruncatedPolynomialAlgebra,
-    poincare_polynomial,
-)
+from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from .certificates import (
     Certificate,
     bar,
@@ -35,17 +30,14 @@ from .quotients import (
     cached_quotient,
     cached_surface,
     ideal_span,
-    quotient,
     verify_subalgebra_chain,
 )
 from .surfaces import (
     RelationSet,
     SurfacePowerAlgebra,
     reduced_letter_basis,
-    reduced_shifted_basis,
     cross_handle_relations,
     xy_pair_relations,
-    surface_power,
     totaro_relations,
 )
 
@@ -70,7 +62,6 @@ __all__ = [
     "bar_product_xs",
     "build_quotient",
     "reduced_letter_basis",
-    "reduced_shifted_basis",
     "cross_handle_relations",
     "c_d_factors",
     "cached_quotient",
@@ -78,10 +69,7 @@ __all__ = [
     "evaluate_certificate",
     "ideal_span",
     "xy_pair_relations",
-    "poincare_polynomial",
-    "quotient",
     "rp3_zcl_check",
-    "surface_power",
     "tc_upper_bound",
     "tc_value",
     "tilde_product_ys",

@@ -6,7 +6,9 @@ monomial or zero; both presentations used in this package have that
 property).  :class:`Element` is a sparse scalar combination of monomials,
 :class:`TensorElement` a sparse combination of s-tuples of monomials with
 the Koszul sign convention: moving a factor of degree p past one of
-degree q costs (-1)^{pq}.
+degree q costs (-1)^{pq}.  Both keep their terms as a dict from key to
+nonzero coefficient, and share their linear structure, equality and text
+form through one private base class.
 
 Elements serialize to a stable text form, one signed coefficient followed
 by a monomial word per term (tensor slots joined by ``(x)``), and parse
@@ -96,7 +98,124 @@ def _coerce(field, c):
     return field.from_int(c) if isinstance(c, int) else c
 
 
-class Element:
+def _add_terms(out, pairs):
+    """Add (key, coefficient) pairs into the terms dict ``out`` and return it.
+
+    A key whose coefficients sum to zero is dropped, so ``out`` never holds
+    a zero.  Every sum and product of sparse combinations accumulates here.
+    """
+    for k, c in pairs:
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+class _SparseCombination:
+    """A dict ``terms`` from keys to nonzero coefficients over ``algebra.field``.
+
+    Holds the linear structure, equality, hashing and the text form.  A
+    subclass says what its keys are (``_shape``, ``_key_order``,
+    ``_key_word``) and how they multiply.
+    """
+
+    __slots__ = ()
+
+    def _shape(self):
+        """The constructor arguments between ``algebra`` and ``terms``.
+
+        Two combinations of one type and algebra are equal only if these are.
+        """
+        return ()
+
+    def _like(self, terms):
+        """A combination of the same type, algebra and shape with these terms.
+
+        ``terms`` must hold no zero, so the constructor's filter is skipped:
+        sums come from :func:`_add_terms`, and over a field negating or
+        scaling by a nonzero scalar keeps every coefficient nonzero.
+        """
+        new = object.__new__(type(self))
+        new.algebra = self.algebra
+        new.terms = terms
+        return new
+
+    def _require_same(self, other):
+        if self.algebra is not other.algebra:
+            raise ValueError("elements belong to different algebras")
+
+    # -- linear structure -----------------------------------------------
+
+    def __add__(self, other):
+        self._require_same(other)
+        return self._like(_add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scaled(self, c):
+        c = _coerce(self.algebra.field, c)
+        if not c:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = scaled
+
+    # -- queries ----------------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.algebra is other.algebra
+            and self._shape() == other._shape()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((id(self.algebra), *self._shape(), frozenset(self.terms.items())))
+
+    # -- text form --------------------------------------------------------
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        signed = self.algebra.field.signed_text
+        return " ".join(
+            f"{signed(self.terms[k])} {self._key_word(k)}"
+            for k in sorted(self.terms, key=self._key_order)
+        )
+
+    @staticmethod
+    def _parse_terms(algebra, text, parse_key, what):
+        """The terms of a text form; ``parse_key`` reads the word of one key."""
+        tokens = text.split()
+        if tokens == ["0"]:
+            return {}
+        if len(tokens) % 2:
+            raise ValueError(f"malformed {what} text: {text!r}")
+        pairs = []
+        for k in range(0, len(tokens), 2):
+            c = algebra.field.parse(tokens[k])
+            pairs.append((parse_key(tokens[k + 1]), c))
+        return _add_terms({}, pairs)
+
+    def __repr__(self):
+        return f"<{self.to_text()}>"
+
+
+class Element(_SparseCombination):
     """A sparse linear combination of basis monomials of one algebra.
 
     Mixed-degree sums are allowed; ``degrees()`` reports the occurring
@@ -125,69 +244,33 @@ class Element:
     def unit(cls, algebra):
         return cls.monomial(algebra, algebra.one)
 
-    # -- linear structure -----------------------------------------------
+    @classmethod
+    def from_text(cls, algebra, text: str):
+        return cls(algebra, cls._parse_terms(algebra, text, algebra.parse_word, "element"))
 
-    def _require_same(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements belong to different algebras")
+    # -- keys -------------------------------------------------------------
 
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Element(self.algebra, out)
+    def _key_order(self, m):
+        return self.algebra.term_key(m)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _key_word(self, m):
+        return self.algebra.monomial_word(m)
 
-    def __neg__(self):
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def scaled(self, c):
-        c = _coerce(self.algebra.field, c)
-        if not c:
-            return Element.zero(self.algebra)
-        return Element(self.algebra, {m: v * c for m, v in self.terms.items()})
+    # -- products and degrees ---------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, Element):
             return self.scaled(other)
         self._require_same(other)
-        alg = self.algebra
-        out = {}
+        mul = self.algebra.mono_mul
+        products = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                r = alg.mono_mul(m1, m2)
-                if r is None:
-                    continue
-                m, sign = r
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Element(alg, out)
-
-    def __rmul__(self, c):
-        return self.scaled(c)
-
-    # -- queries ----------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+                r = mul(m1, m2)
+                if r is not None:
+                    c = c1 * c2
+                    products.append((r[0], c if r[1] > 0 else -c))
+        return self._like(_add_terms({}, products))
 
     def degrees(self):
         """Sorted tuple of degrees occurring in this element."""
@@ -202,47 +285,8 @@ class Element:
             raise ValueError(f"element is not homogeneous: degrees {degs}")
         return degs[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
 
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
-
-    # -- text form --------------------------------------------------------
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        alg = self.algebra
-        parts = []
-        for m in sorted(self.terms, key=alg.term_key):
-            parts.append(alg.field.signed_text(self.terms[m]))
-            parts.append(alg.monomial_word(m))
-        return " ".join(parts)
-
-    @classmethod
-    def from_text(cls, algebra, text: str):
-        tokens = text.split()
-        if tokens == ["0"]:
-            return cls.zero(algebra)
-        if len(tokens) % 2:
-            raise ValueError(f"malformed element text: {text!r}")
-        terms = {}
-        for k in range(0, len(tokens), 2):
-            c = algebra.field.parse(tokens[k])
-            m = algebra.parse_word(tokens[k + 1])
-            terms[m] = terms.get(m, algebra.field.zero) + c
-        return cls(algebra, terms)
-
-    def __repr__(self):
-        return f"<{self.to_text()}>"
-
-
-class TensorElement:
+class TensorElement(_SparseCombination):
     """A sparse combination of s-tuples of monomials of one algebra."""
 
     __slots__ = ("algebra", "arity", "terms")
@@ -253,6 +297,16 @@ class TensorElement:
         self.algebra = algebra
         self.arity = arity
         self.terms = {t: c for t, c in terms.items() if c}
+
+    def _shape(self):
+        return (self.arity,)
+
+    def _like(self, terms):
+        new = super()._like(terms)
+        new.arity = self.arity
+        return new
+
+    # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, algebra, arity):
@@ -289,7 +343,26 @@ class TensorElement:
             [element if k == slot else unit for k in range(1, arity + 1)]
         )
 
-    # -- linear structure -----------------------------------------------
+    @classmethod
+    def from_text(cls, algebra, arity, text: str):
+        def parse_key(word):
+            words = word.split("(x)")
+            if len(words) != arity:
+                raise ValueError(
+                    f"expected {arity} tensor slots, got {len(words)}: {word!r}"
+                )
+            return tuple(algebra.parse_word(w) for w in words)
+
+        return cls(algebra, arity, cls._parse_terms(algebra, text, parse_key, "tensor"))
+
+    # -- keys -------------------------------------------------------------
+
+    def _key_order(self, t):
+        key = self.algebra.term_key
+        return tuple(key(m) for m in t)
+
+    def _key_word(self, t):
+        return "(x)".join(self.algebra.monomial_word(m) for m in t)
 
     def _require_same(self, other):
         if self.algebra is not other.algebra:
@@ -297,36 +370,7 @@ class TensorElement:
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return TensorElement(self.algebra, self.arity, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(
-            self.algebra, self.arity, {t: -c for t, c in self.terms.items()}
-        )
-
-    def scaled(self, c):
-        c = _coerce(self.algebra.field, c)
-        if not c:
-            return TensorElement.zero(self.algebra, self.arity)
-        return TensorElement(
-            self.algebra, self.arity, {t: v * c for t, v in self.terms.items()}
-        )
-
-    def __rmul__(self, c):
-        return self.scaled(c)
+    # -- products and degrees ---------------------------------------------
 
     def __mul__(self, other):
         """Slotwise product with the global Koszul sign.
@@ -340,7 +384,7 @@ class TensorElement:
         alg = self.algebra
         deg = alg.monomial_degree
         s = self.arity
-        out = {}
+        products = []
         for t1, c1 in self.terms.items():
             # sufpar[k]: parity of the total degree of slots k..s-1 of t1
             sufpar = [0] * (s + 1)
@@ -349,124 +393,40 @@ class TensorElement:
             for t2, c2 in other.terms.items():
                 sign = 1
                 slots = []
-                dead = False
                 for k in range(s):
                     if deg(t2[k]) & 1 and sufpar[k + 1]:
                         sign = -sign
                     r = alg.mono_mul(t1[k], t2[k])
                     if r is None:
-                        dead = True
                         break
-                    m, sg = r
-                    if sg < 0:
+                    slots.append(r[0])
+                    if r[1] < 0:
                         sign = -sign
-                    slots.append(m)
-                if dead:
-                    continue
-                t = tuple(slots)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                cur = out.get(t)
-                cur = c if cur is None else cur + c
-                if cur:
-                    out[t] = cur
                 else:
-                    out.pop(t, None)
-        return TensorElement(alg, s, out)
-
-    # -- queries ----------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+                    c = c1 * c2
+                    products.append((tuple(slots), c if sign > 0 else -c))
+        return self._like(_add_terms({}, products))
 
     def degrees(self):
         deg = self.algebra.monomial_degree
         return tuple(sorted({sum(deg(m) for m in t) for t in self.terms}))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra is other.algebra
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.arity, frozenset(self.terms.items())))
-
     def mu(self):
         """Multiply the slots left to right inside the algebra."""
-        alg = self.algebra
-        out = {}
+        mul = self.algebra.mono_mul
+        products = []
         for t, c in self.terms.items():
-            m = t[0]
-            sign = 1
-            dead = False
-            for k in range(1, self.arity):
-                r = alg.mono_mul(m, t[k])
+            m, sign = t[0], 1
+            for m2 in t[1:]:
+                r = mul(m, m2)
                 if r is None:
-                    dead = True
                     break
-                m, sg = r
-                if sg < 0:
+                m = r[0]
+                if r[1] < 0:
                     sign = -sign
-            if dead:
-                continue
-            v = c if sign > 0 else -c
-            cur = out.get(m)
-            cur = v if cur is None else cur + v
-            if cur:
-                out[m] = cur
             else:
-                out.pop(m, None)
-        return Element(alg, out)
-
-    # -- text form --------------------------------------------------------
-
-    def _term_key(self, t):
-        key = self.algebra.term_key
-        return tuple(key(m) for m in t)
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        alg = self.algebra
-        parts = []
-        for t in sorted(self.terms, key=self._term_key):
-            parts.append(alg.field.signed_text(self.terms[t]))
-            parts.append("(x)".join(alg.monomial_word(m) for m in t))
-        return " ".join(parts)
-
-    @classmethod
-    def from_text(cls, algebra, arity, text: str):
-        tokens = text.split()
-        if tokens == ["0"]:
-            return cls.zero(algebra, arity)
-        if len(tokens) % 2:
-            raise ValueError(f"malformed tensor text: {text!r}")
-        terms = {}
-        for k in range(0, len(tokens), 2):
-            c = algebra.field.parse(tokens[k])
-            words = tokens[k + 1].split("(x)")
-            if len(words) != arity:
-                raise ValueError(
-                    f"expected {arity} tensor slots, got {len(words)}: {tokens[k + 1]!r}"
-                )
-            t = tuple(algebra.parse_word(w) for w in words)
-            terms[t] = terms.get(t, algebra.field.zero) + c
-        return cls(algebra, arity, terms)
-
-    def __repr__(self):
-        return f"<{self.to_text()}>"
-
-
-def poincare_polynomial(obj):
-    """Basis count per degree of an algebra or quotient."""
-    return obj.dimensions_by_degree()
+                products.append((m, c if sign > 0 else -c))
+        return Element(self.algebra, _add_terms({}, products))
 
 
 class TruncatedPolynomialAlgebra(GradedAlgebraBase):

@@ -396,7 +396,12 @@ def main(argv=None) -> int:
     except ValueError as e:
         parser.error(str(e))
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as e:
+            print(f"error: cannot open --out file {args.out}: {e.strerror}", file=sys.stderr)
+            return 2
+        with fh:
             code = run(config, fh)
     else:
         code = run(config, sys.stdout)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, TensorElement
+from .algebra import Element, TensorElement, _add_terms
 from .linalg import GradedSubspace
 from .surfaces import (
     SurfacePowerAlgebra,
@@ -128,6 +128,7 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
         weigh = algebra.monomial_weight
     space = _empty_span(algebra, top)
     unit_letters = algebra.one
+    mono_mul, index = algebra.mono_mul, algebra.monomial_index
     for r, unit, weight in work:
         e = r.degree()
         rterms = [(mr, _integral(cr)) for mr, cr in r.terms.items()]
@@ -135,20 +136,12 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
             for m in multipliers(d):
                 if unit is not None and m[unit - 1] != unit_letters[unit - 1]:
                     continue
-                vec = {}
+                products = []
                 for mr, cr in rterms:
-                    res = algebra.mono_mul(m, mr)
-                    if res is None:
-                        continue
-                    mm, sg = res
-                    c = cr if sg > 0 else -cr
-                    i = algebra.monomial_index(mm)[1]
-                    cur = vec.get(i)
-                    cur = c if cur is None else cur + c
-                    if cur:
-                        vec[i] = cur
-                    else:
-                        del vec[i]
+                    res = mono_mul(m, mr)
+                    if res is not None:
+                        products.append((index(res[0])[1], cr if res[1] > 0 else -cr))
+                vec = _add_terms({}, products)
                 if reduce is not None:
                     vec = reduce(vec, d + e)
                 if vec:
@@ -281,13 +274,7 @@ class QuotientAlgebra:
                     for pt, pc in partial
                     for m2, c2 in piece.terms.items()
                 ]
-            for pt, pc in partial:
-                cur = out.get(pt)
-                cur = pc if cur is None else cur + pc
-                if cur:
-                    out[pt] = cur
-                else:
-                    del out[pt]
+            _add_terms(out, partial)
         return TensorElement(self.parent, t.arity, out)
 
     def mu(self, t):
@@ -297,10 +284,6 @@ class QuotientAlgebra:
     def __repr__(self):
         p = self.parent
         return f"QuotientAlgebra({self.label}, genus={p.genus}, points={p.points})"
-
-
-def quotient(algebra, ideal, label="CUSTOM"):
-    return QuotientAlgebra(algebra, ideal, label)
 
 
 def build_quotient(algebra, kind, max_degree=None):

@@ -248,10 +248,6 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         return f"SurfacePowerAlgebra(genus={self.genus}, points={self.points})"
 
 
-def surface_power(genus, points, max_basis=None):
-    return SurfacePowerAlgebra(genus, points, max_basis=max_basis)
-
-
 @dataclass(frozen=True)
 class RelationSet:
     """A labeled list of homogeneous relation elements.
@@ -400,7 +396,3 @@ def shifted_basis_products(algebra):
             e = e * _letter_element(algebra, i, kind, p)
         out.append((combo, e))
     return out
-
-
-def reduced_shifted_basis(algebra):
-    return [e for _, e in shifted_basis_products(algebra)]

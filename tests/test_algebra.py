@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftc.algebra import (
-    Element,
-    TensorElement,
-    TruncatedPolynomialAlgebra,
-    poincare_polynomial,
-)
+from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra, _add_terms
 from conftc.errors import SizeGuardError
 from conftc.fields import GF2, RATIONALS
 from conftc.quotients import cached_surface
@@ -193,14 +188,14 @@ def test_mu_is_linear_and_restores_slot_embeddings():
 def test_poincare_polynomial_surface():
     for g in (1, 2, 3):
         alg = cached_surface(g, 1)
-        assert poincare_polynomial(alg) == [1, 2 * g, 1]
+        assert alg.dimensions_by_degree() == [1, 2 * g, 1]
 
 
 def test_poincare_polynomial_powers_match_oracle():
     for (g, n) in ((1, 2), (2, 2), (2, 3), (3, 2)):
         alg = cached_surface(g, n)
         expected = poly_pow([1, 2 * g, 1], n)
-        assert poincare_polynomial(alg) == expected
+        assert alg.dimensions_by_degree() == expected
         assert alg.dimension == sum(expected) == (2 * g + 2) ** n
 
 
@@ -229,6 +224,46 @@ def test_tensor_text_round_trip():
         text = te.to_text()
         assert TensorElement.from_text(alg, 2, text) == te
         assert TensorElement.from_text(alg, 2, text).to_text() == text
+
+
+# Element and TensorElement share one sparse base: each check runs on both.
+SPARSE_KINDS = {
+    "element": (lambda e: e, lambda alg, text: Element.from_text(alg, text)),
+    "tensor": (
+        lambda e: TensorElement.of_elements([e]),
+        lambda alg, text: TensorElement.from_text(alg, 1, text),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_KINDS))
+def test_cancellation_stores_no_zero(kind):
+    wrap, parse = SPARSE_KINDS[kind]
+    alg = cached_surface(2, 2)
+    rng = random.Random(43)
+    for _ in range(20):
+        x = wrap(random_element(alg, rng, nterms=4))
+        assert (x - x).terms == {}
+        assert (x + (-x)).terms == {}
+        assert x.scaled(0).terms == {}
+    assert parse(alg, "1 a1(1) -1 a1(1)").terms == {}
+    assert parse(alg, "1 a1(1) +2 b1(2) -1 a1(1)") == wrap(alg.b(1, 2).scaled(2))
+    with pytest.raises(ValueError, match=f"malformed {kind} text"):
+        parse(alg, "1")
+
+
+def test_add_terms_drops_cancelled_keys():
+    out = {"a": Fraction(1), "b": Fraction(2)}
+    assert _add_terms(out, [("a", Fraction(-1)), ("c", Fraction(3)), ("c", Fraction(-3))]) is out
+    assert out == {"b": Fraction(2)}
+
+
+def test_element_never_equals_a_tensor():
+    alg = cached_surface(1, 1)
+    for e in (Element.zero(alg), Element.unit(alg), alg.a(1) + alg.omega(1)):
+        t = TensorElement.of_elements([e])
+        assert e != t and t != e
+        assert t.mu() == e
 
 
 def test_truncated_polynomial_algebra():

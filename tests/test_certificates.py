@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftc import certificates
 from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from conftc.certificates import (
     bar,
     bar_product_xs,
     c_d_factors,
     certificate_factors,
-    combination_in_span,
     evaluate_certificate,
     expected_survivors,
     omega_chain_elements,
@@ -326,6 +326,34 @@ def test_certificate_single_point_two_stages_doubles_top_class():
     assert cert.closed_form_match is True
 
 
+WRONG_SURVIVORS = {
+    "doubled": lambda q, s, t1, t2: [t1.scaled(2), t2.scaled(2)],
+    "halved": lambda q, s, t1, t2: [t1.scaled(Fraction(1, 2)), t2.scaled(Fraction(1, 2))],
+    "unit tensors": lambda q, s, t1, t2: [TensorElement.unit(q.parent, s)] * 2,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_SURVIVORS))
+@pytest.mark.parametrize(
+    "g,n,s,claim",
+    [
+        (2, 2, 3, "support_matches_expected"),
+        (2, 1, 3, "support_matches_expected"),
+        (2, 2, 2, "closed_form_match"),
+    ],
+)
+def test_support_check_refuses_wrong_survivors(monkeypatch, wrong, g, n, s, claim):
+    expected = certificates.expected_survivors
+
+    def wrong_survivors(q, stages):
+        return WRONG_SURVIVORS[wrong](q, stages, *expected(q, stages))
+
+    monkeypatch.setattr(certificates, "expected_survivors", wrong_survivors)
+    cert = evaluate_certificate(g, n, s)
+    assert cert.nonzero
+    assert getattr(cert, claim) is False
+
+
 def test_incremental_reduction_matches_single_final_reduction():
     # reducing between factor multiplications is sound: the quotient map
     # is a ring map applied slotwise
@@ -364,24 +392,6 @@ def test_ring_agreement_exact(g, n, s):
     ok, cert_b, cert_e = ring_agreement(g, n, s)
     assert ok
     assert cert_b.nonzero and cert_e.nonzero
-
-
-def test_combination_in_span_roundtrip():
-    alg = cached_surface(1, 2)
-    v1 = TensorElement.of_elements([alg.a(1), alg.b(2)])
-    v2 = TensorElement.of_elements([alg.b(1), alg.a(2)])
-    target = v1.scaled(3) - v2.scaled(2)
-    assert combination_in_span([v1, v2], target) == [Fraction(3), Fraction(-2)]
-    outside = TensorElement.of_elements([alg.omega(1), Element.unit(alg)])
-    assert combination_in_span([v1, v2], outside) is None
-
-
-def test_combination_in_span_duplicate_vectors():
-    # redundant vectors carry zero; the first one absorbs the coefficient
-    alg = cached_surface(1, 1)
-    v = TensorElement.of_elements([alg.omega(1), alg.omega(1)])
-    coeffs = combination_in_span([v, v], v.scaled(-2))
-    assert coeffs == [Fraction(-2), Fraction(0)]
 
 
 # -- the table ---------------------------------------------------------------

@@ -204,6 +204,25 @@ def test_main_with_out_file(tmp_path):
     assert payload["records"][0]["tc"] == 2
 
 
+def test_unopenable_out_file_exits_two_with_one_line(tmp_path):
+    bad = tmp_path / "missing" / "table.json"
+    src = str(Path(conftc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conftc.cli", "table", "--genus", "1", "--points", "1",
+         "--out", str(bad)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and str(bad) in lines[0], proc.stderr
+    assert not bad.parent.exists()
+
+
 def test_main_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--stages", "1"])

@@ -14,7 +14,6 @@ from conftc.surfaces import (
     cross_handle_relations,
     xy_pair_relations,
     omega_letter,
-    surface_power,
     totaro_relations,
 )
 
@@ -102,10 +101,10 @@ def test_monomial_weight_is_additive_and_separates_handles():
 
 
 def test_surface_power_dimensions():
-    alg = surface_power(1, 1)
+    alg = SurfacePowerAlgebra(1, 1)
     assert alg.dimension == 4
     assert alg.dimensions_by_degree() == [1, 2, 1]
-    assert surface_power(2, 2).dimension == 36
+    assert SurfacePowerAlgebra(2, 2).dimension == 36
     alg23 = cached_surface(2, 3)
     assert alg23.dimensions_by_degree() == poly_pow([1, 4, 1], 3)
 
