@@ -150,6 +150,10 @@ class _SparseCombination:
     # -- linear structure -----------------------------------------------
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            raise ValueError(
+                f"cannot add {type(self).__name__} and {type(other).__name__}"
+            )
         self._require_same(other)
         return self._like(_add_terms(dict(self.terms), other.terms.items()))
 
@@ -320,17 +324,28 @@ class TensorElement(_SparseCombination):
     @classmethod
     def of_elements(cls, elements):
         """The tensor e_1 (x) ... (x) e_s of algebra elements."""
-        alg = elements[0].algebra
-        terms = {(): alg.field.one}
-        for e in elements:
-            if e.algebra is not alg:
-                raise ValueError("elements belong to different algebras")
-            terms = {
-                t + (m,): c * cm
-                for t, c in terms.items()
-                for m, cm in e.terms.items()
-            }
-        return cls(alg, len(elements), terms)
+        return cls.of_summands(elements[0].algebra, len(elements), [(1, elements)])
+
+    @classmethod
+    def of_summands(cls, algebra, arity, summands):
+        """The sum of signed pure tensors sign * e_1 (x) ... (x) e_s.
+
+        ``summands`` holds pairs ``(sign, (e_1, ..., e_s))`` of an int and
+        ``arity`` elements of ``algebra``.
+        """
+        terms = {}
+        for sign, elements in summands:
+            if len(elements) != arity:
+                raise ValueError(f"expected {arity} tensor slots, got {len(elements)}")
+            partial = [((), algebra.field.from_int(sign))]
+            for e in elements:
+                if e.algebra is not algebra:
+                    raise ValueError("elements belong to different algebras")
+                partial = [
+                    (t + (m,), c * cm) for t, c in partial for m, cm in e.terms.items()
+                ]
+            _add_terms(terms, partial)
+        return cls(algebra, arity, terms)
 
     @classmethod
     def slot_embed(cls, element, arity, slot):

@@ -17,9 +17,11 @@ arbitrary finite algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import prod
 
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
-from .errors import SizeGuardError, VerificationError
+from .errors import SizeGuardError, VerificationError, check_term_limit
 from .fields import GF2
 from .quotients import QuotientAlgebra, cached_quotient, cached_surface
 from .surfaces import shifted_basis_products
@@ -28,17 +30,33 @@ DEFAULT_TERM_LIMIT = 10**6
 
 
 # -- factor construction ----------------------------------------------------
+#
+# A factor is held as a short list of signed pure tensors
+# (sign, (e_1, ..., e_s)) of algebra elements.  The certificate multiplies
+# and checks these summands without expanding them; the TensorElement
+# builders below expand them for the transcripts and the tests.
+
+
+def slot_difference_summands(element, arity, slot):
+    """The basic zero divisor as summands: element in slot 1 minus element in the given slot."""
+    if not 1 <= slot <= arity:
+        raise ValueError(f"slot {slot} out of range for arity {arity}")
+    unit = Element.unit(element.algebra)
+
+    def placed(k):
+        return tuple(element if j == k else unit for j in range(1, arity + 1))
+
+    return [(1, placed(1)), (-1, placed(slot))]
 
 
 def slot_difference(element, arity, slot):
     """The basic zero divisor: element in slot 1 minus element in the given slot."""
-    return TensorElement.slot_embed(element, arity, 1) - TensorElement.slot_embed(
-        element, arity, slot
-    )
+    summands = slot_difference_summands(element, arity, slot)
+    return TensorElement.of_summands(element.algebra, arity, summands)
 
 
-def bar(u, s):
-    """Product over slots 2..s of (u in slot 1 minus u in that slot), in closed form.
+def bar_summands(u, s):
+    """Product over slots 2..s of (u in slot 1 minus u in that slot), as s summands.
 
     Writing u_k for u placed in slot k, the product is
     (u_1 - u_2)(u_1 - u_3)...(u_1 - u_s).  For u homogeneous of odd degree
@@ -60,15 +78,16 @@ def bar(u, s):
         raise ValueError("bar requires an element of odd degree")
     if not (u * u).is_zero():
         raise ValueError("bar requires an element whose square is zero")
-    # Summand j is the tensor power u^(s-1) with the unit spliced in at slot j.
-    power = TensorElement.of_elements([u] * (s - 1)).terms
-    by_sign = (power, {t: -c for t, c in power.items()})
-    unit = (u.algebra.one,)
-    terms = {}
-    for j in range(1, s + 1):
-        signed = by_sign[(s + j) % 2]
-        terms.update({t[: j - 1] + unit + t[j - 1 :]: c for t, c in signed.items()})
-    return TensorElement(u.algebra, s, terms)
+    unit = Element.unit(u.algebra)
+    return [
+        (1 if (s + j) % 2 == 0 else -1, (u,) * (j - 1) + (unit,) + (u,) * (s - j))
+        for j in range(1, s + 1)
+    ]
+
+
+def bar(u, s):
+    """The closed form of ``bar_summands`` as one tensor element."""
+    return TensorElement.of_summands(u.algebra, s, bar_summands(u, s))
 
 
 def bar_product_xs(algebra, s):
@@ -101,50 +120,72 @@ def y1i_product(algebra, s):
     return acc
 
 
+def _c_d_summands(algebra, s):
+    if algebra.genus < 2:
+        raise ValueError("c and d require genus at least 2")
+    c = slot_difference_summands(algebra.a(1, 2), s, 2)
+    d = slot_difference_summands(algebra.b(1, 2), s, 2 if s == 2 else 3)
+    return c, d
+
+
 def c_d_factors(algebra, s):
     """The two extra zero divisors available from the second dual pair.
 
     c places a_1(2) in slots 1/2; d places b_1(2) in slots 1/2 for s = 2
     and in slots 1/3 for s >= 3.
     """
-    if algebra.genus < 2:
-        raise ValueError("c and d require genus at least 2")
-    c = slot_difference(algebra.a(1, 2), s, 2)
-    d = slot_difference(algebra.b(1, 2), s, 2 if s == 2 else 3)
-    return c, d
+    return tuple(TensorElement.of_summands(algebra, s, f) for f in _c_d_summands(algebra, s))
 
 
 @dataclass
 class ZeroDivisorFactor:
     """One multiplicand of a certificate; ``count`` is its factor weight.
 
-    A BAR entry is itself a product of s - 1 basic zero divisors and is
-    accounted as such.
+    ``summands`` holds the factor as signed pure tensors
+    ``(sign, (e_1, ..., e_s))``.  A BAR entry is itself a product of s - 1
+    basic zero divisors and is accounted as such.
     """
 
     kind: str  # C, D, Y1I, BAR, TILDE, GENERIC
     label: str
-    tensor: TensorElement
+    summands: list
     count: int = 1
+
+    def term_count(self):
+        """Terms of the expanded tensor, counted without expanding it (an upper bound)."""
+        return sum(prod(len(e.terms) for e in es) for _sign, es in self.summands)
+
+    @cached_property
+    def tensor(self):
+        """The expanded factor, built on first use."""
+        es = self.summands[0][1]
+        return TensorElement.of_summands(es[0].algebra, len(es), self.summands)
+
+    def to_text(self, term_limit=None):
+        """The text form of the expanded factor, refused past ``term_limit`` terms."""
+        check_term_limit(self.term_count(), term_limit, f"factor {self.label}")
+        return self.tensor.to_text()
 
 
 def certificate_factors(algebra, s):
     """The ordered factor list: c, d, the y_{1,i}, then bar/tilde pairs."""
     factors = []
     if algebra.genus >= 2:
-        c, d = c_d_factors(algebra, s)
+        c, d = _c_d_summands(algebra, s)
         factors.append(ZeroDivisorFactor("C", "c", c))
         factors.append(ZeroDivisorFactor("D", "d", d))
     for i in range(2, s):
         factors.append(
-            ZeroDivisorFactor("Y1I", f"y1,{i}", slot_difference(algebra.y(1), s, i))
+            ZeroDivisorFactor("Y1I", f"y1,{i}", slot_difference_summands(algebra.y(1), s, i))
         )
     for i in range(1, algebra.points + 1):
         factors.append(
-            ZeroDivisorFactor("BAR", f"xbar{i}", bar(algebra.x(i), s), count=s - 1)
+            ZeroDivisorFactor("BAR", f"xbar{i}", bar_summands(algebra.x(i), s), count=s - 1)
         )
         factors.append(
-            ZeroDivisorFactor("TILDE", f"ytilde{i}", slot_difference(algebra.y(i), s, s))
+            ZeroDivisorFactor(
+                "TILDE", f"ytilde{i}", slot_difference_summands(algebra.y(i), s, s)
+            )
         )
     return factors
 
@@ -196,16 +237,9 @@ class Certificate:
     # doubled closed form (s = 2); None where no such claim applies.
     support_matches_expected: bool | None = None
     closed_form_match: bool | None = None
-
-
-def certificate_term_estimate(genus, points, stages):
-    """Crude upper estimate of the expansion size, used by the guard."""
-    return (
-        (stages**points)
-        * (2**points)
-        * max(stages - 1, 1)
-        * (4 if genus >= 2 else 1)
-    )
+    # The tensor-term limit the evaluation ran under (None: lifted); the
+    # factors' transcript text is held to it too.
+    term_limit: int | None = None
 
 
 def evaluate_certificate(
@@ -219,9 +253,13 @@ def evaluate_certificate(
 ):
     """Multiply the certificate factors with normal forms applied throughout.
 
-    Normal forms are taken after every factor multiplication; this is
-    sound because the quotient map is a ring map applied slotwise, and it
-    keeps intermediate term counts bounded.
+    Each factor is streamed into the accumulator summand by summand
+    (``QuotientAlgebra.stream_product``), so it is never expanded; this is
+    sound because the quotient map is a ring map applied slotwise.  Every
+    factor is checked to be a zero divisor from its summands as well.
+    ``term_limit`` (default 10^6; ``allow_large`` lifts it) bounds the
+    tensor terms held at any time: the accumulator, each summand's
+    product, and each factor's transcript text.
     """
     if stages < 2:
         raise ValueError("stages must be at least 2")
@@ -229,27 +267,18 @@ def evaluate_certificate(
         raise ValueError("certificates require genus at least 1")
     if ring not in ("B", "E"):
         raise ValueError(f"unknown ring {ring!r}; expected 'B' or 'E'")
-    estimate = certificate_term_estimate(genus, points, stages)
-    limit = DEFAULT_TERM_LIMIT if term_limit is None else term_limit
-    if estimate > limit and not allow_large:
-        raise SizeGuardError(
-            f"estimated certificate expansion of {estimate} terms exceeds "
-            f"the limit {limit} for genus {genus}, {points} points, "
-            f"{stages} stages",
-            estimate=estimate,
-            limit=limit,
-        )
+    limit = None if allow_large else (DEFAULT_TERM_LIMIT if term_limit is None else term_limit)
     algebra = cached_surface(genus, points, max_basis)
     q = cached_quotient(genus, points, ring, max_basis)
     factors = certificate_factors(algebra, stages)
     for f in factors:
-        if not q.mu(f.tensor).is_zero():
+        if not q.mu_of_summands(f.summands).is_zero():
             raise VerificationError(
                 f"factor {f.label} is not a zero divisor in {q.label}"
             )
     acc = TensorElement.unit(algebra, stages)
     for f in factors:
-        acc = q.tensor_normal_form(acc * f.tensor)
+        acc = q.stream_product(acc, f.summands, limit)
     factor_count = sum(f.count for f in factors)
     expected_count = stages * (points + 1) - (2 if genus == 1 else 0)
     if factor_count != expected_count:
@@ -286,6 +315,7 @@ def evaluate_certificate(
         nonzero=nonzero,
         support_matches_expected=support_ok,
         closed_form_match=closed_ok,
+        term_limit=limit,
     )
 
 

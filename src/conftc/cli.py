@@ -14,13 +14,13 @@ failure, 2 on a guard refusal, a usage error or an invalid setting.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .certificates import (
-    certificate_term_estimate,
     evaluate_certificate,
     rp3_zcl_check,
     tc_value,
@@ -89,10 +89,9 @@ def _warn_override(config, stream):
         if g == 0:
             continue
         basis = (2 * g + 2) ** n
-        terms = certificate_term_estimate(g, n, s)
         print(
             f"warning: size guards overridden for genus={g} n={n} s={s}: "
-            f"ambient basis {basis}, estimated certificate terms {terms}",
+            f"ambient basis {basis}",
             file=stream,
         )
 
@@ -144,7 +143,7 @@ def _run_certify(config):
                         "kind": f.kind,
                         "label": f.label,
                         "count": f.count,
-                        "tensor": f.tensor.to_text(),
+                        "tensor": f.to_text(cert.term_limit),
                     }
                     for f in cert.factors
                 ],
@@ -366,7 +365,7 @@ def build_parser():
     parser.add_argument("--strategy", choices=("EXHAUSTIVE_TINY", "GREEDY"), default=None,
                         help="search strategy for search-zcl (default: by dimension)")
     parser.add_argument("--allow-large", action="store_true",
-                        help="override the size guards (prints the estimates)")
+                        help="override the size guards (prints the ambient basis sizes)")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     return parser
 
@@ -395,16 +394,19 @@ def main(argv=None) -> int:
         config.validate()
     except ValueError as e:
         parser.error(str(e))
-    if args.out:
+    if not args.out:
+        return run(config, sys.stdout)
+    # The file is opened only once the run has produced output, so a refused
+    # or failed run leaves no file behind and an existing one untouched.
+    buffer = io.StringIO()
+    code = run(config, buffer)
+    if buffer.tell():
         try:
-            fh = open(args.out, "w")
+            with open(args.out, "w") as fh:
+                fh.write(buffer.getvalue())
         except OSError as e:
             print(f"error: cannot open --out file {args.out}: {e.strerror}", file=sys.stderr)
             return 2
-        with fh:
-            code = run(config, fh)
-    else:
-        code = run(config, sys.stdout)
     return code
 
 

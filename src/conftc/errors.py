@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tensor-term guard."""
 
 
 class ConftcError(Exception):
@@ -24,3 +24,13 @@ class ConfigurationError(ConftcError):
 
 class VerificationError(ConftcError):
     """A machine check that is expected to succeed came back false."""
+
+
+def check_term_limit(count, limit, what):
+    """Refuse ``what`` if it holds more than ``limit`` tensor terms (None: no limit)."""
+    if limit is not None and count > limit:
+        raise SizeGuardError(
+            f"{what} holds {count} tensor terms, which exceeds the limit {limit}",
+            estimate=count,
+            limit=limit,
+        )

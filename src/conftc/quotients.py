@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Element, TensorElement, _add_terms
+from .errors import check_term_limit
 from .linalg import GradedSubspace
 from .surfaces import (
     SurfacePowerAlgebra,
@@ -277,9 +278,105 @@ class QuotientAlgebra:
             _add_terms(out, partial)
         return TensorElement(self.parent, t.arity, out)
 
+    def _nf_times(self, pairs, e):
+        """Normal form of (the sum of c*m over the pairs) times e, as a terms dict."""
+        mul, nf = self.parent.mono_mul, self._nf_monomial
+        products = []
+        for m, c in pairs:
+            for m2, c2 in e.terms.items():
+                r = mul(m, m2)
+                if r is not None:
+                    cc = c * c2 if r[1] > 0 else -(c * c2)
+                    products += [(m3, cc * c3) for m3, c3 in nf(r[0]).terms.items()]
+        return _add_terms({}, products)
+
+    def stream_product(self, t, summands, term_limit=None):
+        """Slotwise normal form of t times a sum of signed pure tensors.
+
+        ``summands`` holds pairs ``(sign, (e_1, ..., e_s))`` of an int sign
+        and s homogeneous elements of the parent.  For a term
+        t_1 (x) ... (x) t_s of t with coefficient c, the product with one
+        summand is
+
+            c * sign * kappa * nf(t_1 e_1) (x) ... (x) nf(t_s e_s),
+
+        where kappa = (-1)^(sum over k of |e_k| * sum over l > k of |t_l|)
+        is the Koszul sign of moving each e_k past the higher slots of t, as
+        in ``TensorElement.__mul__``.  The normal form is slotwise and
+        linear, so the result equals ``tensor_normal_form(t * F)`` for the
+        expanded sum F, term for term, but F is never built.  Each piece
+        nf(t_k e_k) is computed once per (monomial, element), and a summand
+        is skipped as soon as one of its pieces is zero.
+
+        ``term_limit`` bounds the tensor terms held: each summand's expanded
+        product and the accumulated result.  Past it, SizeGuardError.
+        """
+        alg = self.parent
+        if t.algebra is not alg:
+            raise ValueError("tensor element does not belong to the parent algebra")
+        s = t.arity
+        # Each distinct slot element once: its degree parity and its pieces.
+        slots, rows = {}, []
+        for sign, elements in summands:
+            if len(elements) != s:
+                raise ValueError(f"expected {s} tensor slots, got {len(elements)}")
+            row = []
+            for e in elements:
+                entry = slots.get(id(e))
+                if entry is None:
+                    if e.algebra is not alg:
+                        raise ValueError("element does not belong to the parent algebra")
+                    entry = slots[id(e)] = (e, e.degree() & 1, {})
+                row.append(entry)
+            rows.append((sign < 0, row))
+        deg, one = alg.monomial_degree, alg.field.one
+        out = {}
+        for tup, c in t.terms.items():
+            # above[k]: parity of the total degree of the slots after k
+            above = [0] * s
+            for k in range(s - 1, 0, -1):
+                above[k - 1] = above[k] ^ (deg(tup[k]) & 1)
+            for negative, row in rows:
+                pieces = []
+                for k, (e, odd, cache) in enumerate(row):
+                    m = tup[k]
+                    piece = cache.get(m)
+                    if piece is None:
+                        piece = cache[m] = list(self._nf_times(((m, one),), e).items())
+                    if not piece:
+                        break
+                    pieces.append(piece)
+                    negative ^= odd & above[k]
+                else:
+                    partial = [((), -c if negative else c)]
+                    for piece in pieces:
+                        partial = [(pt + (m2,), pc * c2) for pt, pc in partial for m2, c2 in piece]
+                        check_term_limit(len(partial), term_limit, "a streamed summand product")
+                    _add_terms(out, partial)
+                    check_term_limit(len(out), term_limit, "the streamed product")
+        return TensorElement(alg, s, out)
+
     def mu(self, t):
         """Iterated multiplication of the slots, evaluated in the quotient."""
         return self.normal_form(t.mu())
+
+    def mu_of_summands(self, summands):
+        """``mu`` of a sum of signed pure tensors, without expanding it.
+
+        mu(sign * e_1 (x) ... (x) e_s) = sign * e_1 ... e_s: each summand is
+        multiplied left to right with a normal form after every step, and
+        stops at the first zero.
+        """
+        out = {}
+        start = {self.parent.one: self.parent.field.one}
+        for sign, elements in summands:
+            p = start
+            for e in elements:
+                p = self._nf_times(p.items(), e)
+                if not p:
+                    break
+            _add_terms(out, ((m, c if sign > 0 else -c) for m, c in p.items()))
+        return Element(self.parent, out)
 
     def __repr__(self):
         p = self.parent

@@ -266,6 +266,37 @@ def test_element_never_equals_a_tensor():
         assert t.mu() == e
 
 
+def test_mixed_sums_raise():
+    alg = cached_surface(1, 1)
+    e = alg.a(1)
+    t = TensorElement.of_elements([alg.b(1)])
+    for left, right in ((e, t), (t, e)):
+        with pytest.raises(ValueError, match="cannot add"):
+            left + right
+        with pytest.raises(ValueError, match="cannot add"):
+            left - right
+
+
+def test_of_summands_is_the_signed_sum_of_pure_tensors():
+    alg = cached_surface(2, 2)
+    one, x, y = Element.unit(alg), alg.x(2), alg.y(1)
+    summands = [(1, (x, one, y)), (-1, (one, y, x)), (1, (x, one, y))]
+    expected = (
+        TensorElement.of_elements([x, one, y]).scaled(2)
+        - TensorElement.of_elements([one, y, x])
+    )
+    assert TensorElement.of_summands(alg, 3, summands) == expected
+    # opposite summands cancel without storing a zero
+    cancel = TensorElement.of_summands(alg, 3, [(1, (x, one, y)), (-1, (x, one, y))])
+    assert cancel.terms == {}
+    with pytest.raises(ValueError, match="3 tensor slots"):
+        TensorElement.of_summands(alg, 3, [(1, (x, one))])
+    gf2 = TruncatedPolynomialAlgebra(GF2, truncation=4)
+    t = Element.monomial(gf2, 1)
+    # over GF(2) the sign -1 is 1
+    assert TensorElement.of_summands(gf2, 2, [(-1, (t, t))]) == TensorElement.of_elements([t, t])
+
+
 def test_truncated_polynomial_algebra():
     alg = TruncatedPolynomialAlgebra(GF2, truncation=4)
     assert alg.dimension == 4

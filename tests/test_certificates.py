@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftc import certificates
+from conftc import certificates, quotients
 from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from conftc.certificates import (
+    ZeroDivisorFactor,
     bar,
     bar_product_xs,
     c_d_factors,
@@ -24,7 +25,7 @@ from conftc.certificates import (
     y1i_product,
     zcl_search,
 )
-from conftc.errors import SizeGuardError
+from conftc.errors import SizeGuardError, VerificationError
 from conftc.fields import GF2, RATIONALS
 from conftc.quotients import cached_quotient, cached_surface
 
@@ -122,8 +123,9 @@ def test_bar_work_counts(monkeypatch):
     # only the check that x_2 squares to zero multiplies monomials
     assert calls[0] <= len(alg.x(2).terms) ** 2
     evaluate_certificate(2, 3, 10)
-    # multiplying out the s - 1 slot differences of each bar costs 316,311 here
-    assert calls[0] <= 80_000
+    # 528 calls streamed; multiplying the accumulator by the expanded
+    # factors cost 52,532, and multiplying out each bar 316,311 before that
+    assert calls[0] <= 600
 
 
 def test_bar_products_are_zero_divisors():
@@ -369,6 +371,117 @@ def test_incremental_reduction_matches_single_final_reduction():
         assert q.tensor_normal_form(ambient) == incremental
 
 
+@pytest.mark.parametrize("ring", ["B", "E"])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stream_product_and_mu_match_the_expanded_factors(ring, g, n):
+    alg = cached_surface(g, n)
+    q = cached_quotient(g, n, ring)
+    for s in range(2, 9):
+        acc = TensorElement.unit(alg, s)
+        for f in certificate_factors(alg, s):
+            streamed = q.stream_product(acc, f.summands)
+            assert streamed == q.tensor_normal_form(acc * f.tensor), (s, f.label)
+            assert q.mu_of_summands(f.summands) == q.mu(f.tensor), (s, f.label)
+            acc = streamed
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (3, 3)])
+def test_stream_product_of_unreduced_and_partial_tensors(g, n):
+    # a left side that is not in normal form, and single summands, whose mu
+    # does not vanish
+    alg = cached_surface(g, n)
+    q = cached_quotient(g, n, "B")
+    for s in (2, 3, 4):
+        factors = certificate_factors(alg, s)
+        for f1, f2 in zip(factors, factors[1:]):
+            t = f1.tensor
+            assert q.stream_product(t, f2.summands) == q.tensor_normal_form(t * f2.tensor)
+            for summand in f2.summands:
+                pure = TensorElement.of_summands(alg, s, [summand])
+                assert q.stream_product(t, [summand]) == q.tensor_normal_form(t * pure)
+                assert q.mu_of_summands([summand]) == q.mu(pure)
+
+
+def test_stream_product_expands_only_summands_without_a_zero_piece(monkeypatch):
+    alg = cached_surface(2, 3)
+    q = cached_quotient(2, 3, "B")
+    checked = []
+    guard = quotients.check_term_limit
+
+    def recording(count, limit, what):
+        checked.append(what)
+        return guard(count, limit, what)
+
+    monkeypatch.setattr(quotients, "check_term_limit", recording)
+    s = 6
+    acc = TensorElement.unit(alg, s)
+    pairs = skipped = 0
+    for f in certificate_factors(alg, s):
+        survivors = sum(
+            all(q.normal_form(Element.monomial(alg, m) * e) for m, e in zip(t, es))
+            for t in acc.terms
+            for _sign, es in f.summands
+        )
+        pairs += len(acc.terms) * len(f.summands)
+        skipped += len(acc.terms) * len(f.summands) - survivors
+        checked.clear()
+        acc = q.stream_product(acc, f.summands)
+        # one accumulator check per summand product added, one partial check per slot
+        assert checked.count("the streamed product") == survivors, f.label
+        assert checked.count("a streamed summand product") == survivors * s, f.label
+    assert acc and 0 < skipped < pairs
+
+
+def test_table_builds_no_factor_tensor(monkeypatch):
+    built = []
+
+    def refuse(self):
+        built.append(self.label)
+        raise AssertionError(f"factor {self.label} was expanded")
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            built.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ZeroDivisorFactor, "tensor", property(refuse))
+    for name in ("bar", "slot_difference", "c_d_factors"):
+        monkeypatch.setattr(certificates, name, counted(getattr(certificates, name)))
+    monkeypatch.setattr(TensorElement, "__mul__", counted(TensorElement.__mul__))
+    for g in (2, 3, 4):
+        for n in (1, 2, 3):
+            for s in range(2, 11):
+                assert tc_value(g, n, s).certified
+    assert built == []
+
+
+def test_factor_that_is_no_zero_divisor_is_refused(monkeypatch):
+    factors = certificates.certificate_factors
+
+    def with_extra(algebra, s):
+        one = Element.unit(algebra)
+        extra = ZeroDivisorFactor("GENERIC", "half", [(1, (algebra.x(2),) + (one,) * (s - 1))])
+        return factors(algebra, s) + [extra]
+
+    monkeypatch.setattr(certificates, "certificate_factors", with_extra)
+    with pytest.raises(VerificationError, match="factor half is not a zero divisor"):
+        evaluate_certificate(2, 2, 3)
+
+
+def test_factor_term_count_and_text_guard():
+    alg = cached_surface(2, 2)
+    for f in certificate_factors(alg, 5):
+        assert f.term_count() == len(f.tensor.terms)
+        assert f.to_text(f.term_count()) == f.tensor.to_text()
+    f = next(f for f in certificate_factors(alg, 5) if f.label == "xbar2")
+    assert f.term_count() == 5 * 2**4
+    with pytest.raises(SizeGuardError, match="factor xbar2 holds 80 tensor terms"):
+        f.to_text(79)
+
+
 def test_certificate_validation():
     with pytest.raises(ValueError, match="stages"):
         evaluate_certificate(2, 2, 1)
@@ -379,12 +492,18 @@ def test_certificate_validation():
 
 
 def test_certificate_term_guard():
-    with pytest.raises(SizeGuardError, match="exceeds"):
-        evaluate_certificate(2, 2, 3, term_limit=10)
+    # at (2, 2, 3) the accumulator and the streamed products hold at most 4
+    # tensor terms, so the limit 4 passes and 3 is refused
+    with pytest.raises(SizeGuardError, match="exceeds the limit 3"):
+        evaluate_certificate(2, 2, 3, term_limit=3)
     with pytest.raises(SizeGuardError, match="exceeds the limit 0"):
         evaluate_certificate(2, 2, 3, term_limit=0)
-    cert = evaluate_certificate(2, 2, 3, term_limit=10, allow_large=True)
-    assert cert.nonzero
+    assert evaluate_certificate(2, 2, 3, term_limit=4).term_limit == 4
+    cert = evaluate_certificate(2, 2, 3, term_limit=3, allow_large=True)
+    assert cert.nonzero and cert.term_limit is None
+    # the former term estimate refused these cells
+    assert evaluate_certificate(2, 5, 6).nonzero
+    assert evaluate_certificate(2, 3, 14).nonzero
 
 
 @pytest.mark.parametrize("g,n,s", [(1, 2, 2), (1, 1, 3), (2, 3, 3), (3, 2, 4)])

@@ -174,11 +174,16 @@ def test_basis_text_lists_monomials_with_degrees():
     assert "  deg 2  w1" in lines
 
 
-def test_guard_refusal_exit_code():
+def test_guard_refusal_exit_code(capsys):
     code, out = run_config(command="rp3", stages=(6,))
     assert code == 2
+    # the transcript of bar(x_2, 17) would hold 17 * 2^16 > 10^6 terms
+    code, out = run_config(command="certify", genus=(2,), points=(2,), stages=(17,))
+    assert code == 2 and out == ""
+    assert "xbar2 holds 1114112 tensor terms" in capsys.readouterr().err
+    # the former term estimate refused this cell at 4,976,640 terms
     code, _ = run_config(command="certify", genus=(2,), points=(5,), stages=(6,))
-    assert code == 2
+    assert code == 0
 
 
 def test_config_validation_errors():
@@ -223,6 +228,32 @@ def test_unopenable_out_file_exits_two_with_one_line(tmp_path):
     assert not bad.parent.exists()
 
 
+def _cli(*args):
+    src = str(Path(conftc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "conftc.cli", *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_out_file_is_written_only_after_output(tmp_path):
+    out = tmp_path / "x.json"
+    proc = _cli("rp3", "--stages", "6", "--out", str(out))
+    assert proc.returncode == 2
+    assert not out.exists()
+    out.write_text("kept\n")
+    proc = _cli("rp3", "--stages", "6", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "refused: stage count 6 exceeds the guarded range (tensor basis 4^6)"
+    ]
+    assert out.read_text() == "kept\n"
+    proc = _cli("rp3", "--stages", "2", "--out", str(out))
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert out.read_text() == _cli("rp3", "--stages", "2").stdout
+
+
 def test_main_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--stages", "1"])
@@ -245,7 +276,9 @@ def test_allow_large_warns(capsys):
     )
     assert code == 0
     captured = capsys.readouterr()
-    assert "overridden" in captured.err
+    assert captured.err == (
+        "warning: size guards overridden for genus=1 n=1 s=2: ambient basis 4\n"
+    )
 
 
 @pytest.mark.parametrize("value", ["abc", "", "-5"])
