@@ -17,49 +17,41 @@ back bit-exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import SizeGuardError
 
 
 class GradedAlgebraBase:
     """Shared monomial bookkeeping for concrete algebra presentations.
 
-    Subclasses call :meth:`_set_basis` once with ``(monomial, degree)``
-    pairs and implement ``mono_mul``, ``monomial_word``, ``parse_word``
-    and ``term_key``; ``monomial_weight`` may add a grading that lets
-    elimination split each degree into blocks.  Monomials must be
-    hashable; ``one`` is the unit monomial.
+    Subclasses set ``top_degree`` and implement ``is_monomial``,
+    ``monomial_degree``, ``_monomials``, ``mono_mul``, ``monomial_word`` and
+    ``parse_word``; ``monomial_weight`` may add a grading that lets
+    elimination split each degree into blocks.  Monomials are hashable and
+    ordered, and their own order is the one used for pivots and text
+    output; ``one`` is the unit monomial.  A monomial's degree and validity
+    come from the monomial itself, so products and normal forms never list
+    the basis; the basis is listed on first use of the queries below.
     """
 
     field = None
     one = None
-
-    def _set_basis(self, monos_with_degree):
-        by_deg = {}
-        for m, d in monos_with_degree:
-            by_deg.setdefault(d, []).append(m)
-        top = max(by_deg)
-        self.monomials_by_degree = [
-            tuple(sorted(by_deg.get(d, []), key=self.term_key)) for d in range(top + 1)
-        ]
-        self._index = {}
-        for d, monos in enumerate(self.monomials_by_degree):
-            for i, m in enumerate(monos):
-                self._index[m] = (d, i)
+    top_degree = None
 
     # -- basis queries -------------------------------------------------
 
-    def monomial_index(self, m):
-        """(degree, position) of a basis monomial in the fixed enumeration."""
-        return self._index[m]
-
-    def monomial_degree(self, m):
-        return self._index[m][0]
-
-    def monomial_at(self, degree, i):
-        return self.monomials_by_degree[degree][i]
+    @cached_property
+    def monomials_by_degree(self):
+        """The basis monomials of each degree, in order."""
+        by_deg = [[] for _ in range(self.top_degree + 1)]
+        deg = self.monomial_degree
+        for m in self._monomials():
+            by_deg[deg(m)].append(m)
+        return [tuple(ms) for ms in by_deg]
 
     def monomials_of_degree(self, degree):
-        if not 0 <= degree < len(self.monomials_by_degree):
+        if not 0 <= degree <= self.top_degree:
             raise ValueError(f"degree out of range: {degree}")
         return self.monomials_by_degree[degree]
 
@@ -68,13 +60,20 @@ class GradedAlgebraBase:
 
     @property
     def dimension(self):
-        return len(self._index)
-
-    @property
-    def top_degree(self):
-        return len(self.monomials_by_degree) - 1
+        return sum(self.dimensions_by_degree())
 
     # -- presentation hooks --------------------------------------------
+
+    def is_monomial(self, m):
+        """True when m is a basis monomial."""
+        raise NotImplementedError
+
+    def monomial_degree(self, m):
+        raise NotImplementedError
+
+    def _monomials(self):
+        """Every basis monomial, in order; guards the size of the listing."""
+        raise NotImplementedError
 
     def mono_mul(self, m1, m2):
         """Product of two basis monomials: ``(monomial, sign)`` or None."""
@@ -88,9 +87,6 @@ class GradedAlgebraBase:
         raise NotImplementedError
 
     def parse_word(self, word: str):
-        raise NotImplementedError
-
-    def term_key(self, m):
         raise NotImplementedError
 
 
@@ -118,8 +114,8 @@ class _SparseCombination:
     """A dict ``terms`` from keys to nonzero coefficients over ``algebra.field``.
 
     Holds the linear structure, equality, hashing and the text form.  A
-    subclass says what its keys are (``_shape``, ``_key_order``,
-    ``_key_word``) and how they multiply.
+    subclass says what its keys are (``_shape``, ``_key_word``) and how
+    they multiply; keys are written out in their own order.
     """
 
     __slots__ = ()
@@ -198,7 +194,7 @@ class _SparseCombination:
         signed = self.algebra.field.signed_text
         return " ".join(
             f"{signed(self.terms[k])} {self._key_word(k)}"
-            for k in sorted(self.terms, key=self._key_order)
+            for k in sorted(self.terms)
         )
 
     @staticmethod
@@ -240,7 +236,7 @@ class Element(_SparseCombination):
 
     @classmethod
     def monomial(cls, algebra, m, coeff=1):
-        if m not in algebra._index:
+        if not algebra.is_monomial(m):
             raise ValueError(f"monomial {m!r} is not in the basis")
         return cls(algebra, {m: _coerce(algebra.field, coeff)})
 
@@ -253,9 +249,6 @@ class Element(_SparseCombination):
         return cls(algebra, cls._parse_terms(algebra, text, algebra.parse_word, "element"))
 
     # -- keys -------------------------------------------------------------
-
-    def _key_order(self, m):
-        return self.algebra.term_key(m)
 
     def _key_word(self, m):
         return self.algebra.monomial_word(m)
@@ -372,10 +365,6 @@ class TensorElement(_SparseCombination):
 
     # -- keys -------------------------------------------------------------
 
-    def _key_order(self, t):
-        key = self.algebra.term_key
-        return tuple(key(m) for m in t)
-
     def _key_word(self, t):
         return "(x)".join(self.algebra.monomial_word(m) for m in t)
 
@@ -467,7 +456,16 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
         self.gen_degree = gen_degree
         self.name = name
         self.one = 0
-        self._set_basis([(e, e * gen_degree) for e in range(truncation)])
+        self.top_degree = (truncation - 1) * gen_degree
+
+    def is_monomial(self, m):
+        return type(m) is int and 0 <= m < self.truncation
+
+    def monomial_degree(self, m):
+        return m * self.gen_degree
+
+    def _monomials(self):
+        return range(self.truncation)
 
     def mono_mul(self, m1, m2):
         e = m1 + m2
@@ -492,6 +490,3 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
         if e >= self.truncation:
             raise ValueError(f"monomial {word!r} exceeds truncation {self.truncation}")
         return e
-
-    def term_key(self, m):
-        return m

@@ -29,7 +29,7 @@ from .certificates import (
 )
 from .errors import ConfigurationError, SizeGuardError, VerificationError
 from .quotients import cached_quotient, cached_surface
-from .surfaces import reduced_letter_basis, shifted_basis_products
+from .surfaces import reduced_basis_count, reduced_letter_basis, shifted_basis_products
 
 COMMANDS = ("table", "certify", "basis", "lemmas", "search-zcl", "rp3")
 FORMATS = ("json", "csv", "text")
@@ -62,6 +62,8 @@ class RunConfig:
         for n in self.points:
             if n < 1:
                 raise ValueError("points must be at least 1")
+            if n < 2 and self.command == "lemmas":
+                raise ValueError("the lemmas command requires at least 2 points")
         for g in self.genus:
             if g < 0:
                 raise ValueError("genus must be nonnegative")
@@ -85,19 +87,24 @@ def _grid(config):
 
 
 def _warn_override(config, stream):
+    # Name the basis the command lists: 'basis' and ring E list the ambient
+    # basis, the other commands only the handle-reduced one.
+    ambient = config.command == "basis" or (
+        config.command in ("certify", "search-zcl") and config.ring == "E"
+    )
     for g, n, s in _grid(config):
         if g == 0:
             continue
-        basis = (2 * g + 2) ** n
+        basis = (2 * g + 2) ** n if ambient else reduced_basis_count(g, n)
         print(
             f"warning: size guards overridden for genus={g} n={n} s={s}: "
-            f"ambient basis {basis}",
+            f"{'ambient' if ambient else 'handle-reduced'} basis {basis}",
             file=stream,
         )
 
 
 def _max_basis(config):
-    # The --allow-large flag lifts the ambient basis guard outright.
+    # The --allow-large flag lifts the basis guards outright.
     return (1 << 62) if config.allow_large else None
 
 
@@ -158,6 +165,7 @@ def _run_basis(config):
     for g in sorted(config.genus):
         for n in sorted(config.points):
             alg = cached_surface(g, n, _max_basis(config))
+            dims = alg.dimensions_by_degree()  # lists the ambient basis, under its guard
             qa = cached_quotient(g, n, "A", _max_basis(config))
             qe = cached_quotient(g, n, "E", _max_basis(config))
             reduced = reduced_letter_basis(alg)
@@ -166,8 +174,8 @@ def _run_basis(config):
                 {
                     "genus": g,
                     "n": n,
-                    "dimension": alg.dimension,
-                    "dimensions_by_degree": alg.dimensions_by_degree(),
+                    "dimension": sum(dims),
+                    "dimensions_by_degree": dims,
                     "dim_reduced": qa.dimension,
                     # informational: no published value to compare against
                     "dim_base_axis": qe.dimension,
@@ -365,7 +373,7 @@ def build_parser():
     parser.add_argument("--strategy", choices=("EXHAUSTIVE_TINY", "GREEDY"), default=None,
                         help="search strategy for search-zcl (default: by dimension)")
     parser.add_argument("--allow-large", action="store_true",
-                        help="override the size guards (prints the ambient basis sizes)")
+                        help="override the size guards (prints the guarded basis sizes)")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     return parser
 

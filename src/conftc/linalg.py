@@ -1,10 +1,12 @@
 """Per-degree row-reduced subspaces of sparse exact vectors.
 
-A vector is a dict mapping basis index to a nonzero scalar of the ambient
-field.  A :class:`GradedSubspace` keeps, for every degree of a graded
-ambient space, a basis of such vectors in reduced echelon form: each row
-is normalized so its pivot (the lowest occupied index) has coefficient 1,
-pivots are distinct, and no row has an entry at another row's pivot.
+A vector is a dict mapping a basis key to a nonzero scalar of the field.
+Keys may be anything hashable and mutually ordered; the quotient layer
+uses the monomials themselves, whose order is the output order.  A
+:class:`GradedSubspace` keeps, for every degree it holds, a basis of such
+vectors in reduced echelon form: each row is normalized so its pivot (the
+lowest key present) has coefficient 1, pivots are distinct, and no row
+has an entry at another row's pivot.
 These spans back every ideal and normal-form computation in the package:
 ``reduce`` is the normal-form map, ``insert`` grows a span, ``rank``
 counts it.
@@ -44,37 +46,26 @@ def vec_scaled_sub(v, c, row):
 
 
 class GradedSubspace:
-    """Row-reduced echelon bases, one per degree of the ambient space."""
+    """Row-reduced echelon bases, one per degree held."""
 
-    def __init__(self, ambient_dims, field):
-        # ambient_dims: mapping degree -> dimension of the ambient basis.
-        self.ambient_dims = dict(ambient_dims)
+    def __init__(self, degrees, field):
         self.field = field
-        self._rows = {d: {} for d in self.ambient_dims}  # degree -> {pivot: row}
-        self._blocks = {d: {} for d in self.ambient_dims}  # degree -> {block: [row]}
+        self._rows = {d: {} for d in degrees}  # degree -> {pivot: row}
+        self._blocks = {d: {} for d in degrees}  # degree -> {block: [row]}
         self._frozen = False
 
     def _check_degree(self, degree):
-        if degree not in self.ambient_dims:
+        if degree not in self._rows:
             raise ValueError(f"degree out of range: {degree}")
-
-    def _check_vector(self, v, degree):
-        dim = self.ambient_dims[degree]
-        for i in v:
-            if not 0 <= i < dim:
-                raise ValueError(
-                    f"index {i} outside ambient basis of size {dim} in degree {degree}"
-                )
 
     def reduce(self, v, degree):
         """Normal form of v against the stored rows of the given degree.
 
         The result is the unique representative of v modulo the span with
-        zero coefficient at every pivot index; it is linear in v,
-        idempotent, and zero exactly when v lies in the span.
+        zero coefficient at every pivot; it is linear in v, idempotent, and
+        zero exactly when v lies in the span.
         """
         self._check_degree(degree)
-        self._check_vector(v, degree)
         rows = self._rows[degree]
         out = {i: c for i, c in v.items() if c}
         # Rows are mutually reduced, so eliminating one pivot never
@@ -125,12 +116,12 @@ class GradedSubspace:
         return sum(len(rows) for rows in self._rows.values())
 
     def pivots(self, degree):
-        """Sorted pivot indices of the given degree."""
+        """Sorted pivot keys of the given degree."""
         self._check_degree(degree)
         return sorted(self._rows[degree])
 
     def degrees(self):
-        return sorted(self.ambient_dims)
+        return sorted(self._rows)
 
     def freeze(self):
         self._frozen = True

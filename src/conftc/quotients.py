@@ -1,29 +1,31 @@
 """Graded ideal spans and quotient algebras with normal forms.
 
 A :class:`QuotientAlgebra` is a parent algebra modulo a graded ideal held
-as per-degree row-reduced rows over the parent's monomial basis.
-``normal_form`` gives the unique representative on the standard (non-pivot)
-monomials, which enumerate the quotient basis; tensor elements reduce
-slotwise.  Quotients stack: a quotient may sit on a base, either a monomial
-predicate (a monomial ideal, which needs no rows) or another quotient, and
-its own rows are kept in the base's normal form.
+as per-degree row-reduced rows keyed by the parent's monomials, so the
+pivot order is the monomials' own order.  ``normal_form`` gives the unique
+representative on the standard (non-pivot) monomials, which enumerate the
+quotient basis; tensor elements reduce slotwise.  Quotients stack: a
+quotient may sit on a base, either the listed standard monomials of a
+monomial ideal (which needs no rows) or another quotient, and its own rows
+are kept in the base's normal form.
 
-:func:`ideal_span` builds rows.  On its own it eliminates every basis-monomial
-multiple of the generators in the ambient basis (one multiplication pass
-suffices: any product of ring elements with a generator reduces to signed
-monomial multiples).  Over a base it multiplies by the base's standard
-monomials only and reduces each product to the base's normal form, which
-spans the same ideal modulo the base's.  Products go into the elimination
+:func:`ideal_span` builds rows.  On its own it eliminates every multiple of
+the generators by a monomial of the parent's listed basis (one
+multiplication pass suffices: any product of ring elements with a generator
+reduces to signed monomial multiples).  Over a base it multiplies by the
+base's standard monomials only and reduces each product to the base's normal
+form, which spans the same ideal modulo the base's.  Products go into the elimination
 in (degree, handle weight) blocks, with integer coefficients kept as int.
 
 The three cached quotients form a tower: 'A' (mixed index >= 2 products) is
 a monomial ideal and is listed, not eliminated; the certificate ring 'B'
-eliminates only the x_i y_j rows over 'A'.  The base-axis quotient 'E' (the
-degree-2 pair relations, not monomial) eliminates in the ambient basis, but
-only the diagonal-free multiples: the generator r_ij is the class of the
-diagonal of coordinates i and j, so r_ij u_i = r_ij u_j for every letter u
-(Totaro), and any multiple m r_ij equals a signed multiple whose multiplier
-carries the unit at coordinate i.
+eliminates only the x_i y_j rows over 'A', so neither lists the (2g+2)^n
+ambient basis.  The base-axis quotient 'E' (the degree-2 pair relations, not
+monomial) lists it and eliminates over it, but only the diagonal-free
+multiples: the generator r_ij is the class of the diagonal of coordinates i
+and j, so r_ij u_i = r_ij u_j for every letter u (Totaro), and any multiple
+m r_ij equals a signed multiple whose multiplier carries the unit at
+coordinate i.
 """
 
 from __future__ import annotations
@@ -38,31 +40,13 @@ from .linalg import GradedSubspace
 from .surfaces import (
     SurfacePowerAlgebra,
     basis_limit,
-    cross_handle_predicate,
     cross_handle_relations,
+    reduced_monomials,
     xy_pair_relations,
     totaro_relations,
 )
 
 QUOTIENT_LABELS = ("BASE_AXIS", "HANDLE_REDUCED", "CERTIFICATE", "CUSTOM")
-
-
-def element_vector(e, degree):
-    """Index-keyed coefficient vector of the degree-d part of an element."""
-    alg = e.algebra
-    vec = {}
-    for m, c in e.terms.items():
-        d, i = alg.monomial_index(m)
-        if d == degree:
-            vec[i] = c
-    return vec
-
-
-def _empty_span(algebra, max_degree=None):
-    """A subspace of the ambient basis in degrees 0..max_degree (or all)."""
-    top = algebra.top_degree if max_degree is None else min(max_degree, algebra.top_degree)
-    dims = {d: len(algebra.monomials_of_degree(d)) for d in range(top + 1)}
-    return GradedSubspace(dims, algebra.field)
 
 
 def _integral(c):
@@ -127,9 +111,9 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
     weigh = None
     if monomial_base and all(w is not None for _r, _u, w in work):
         weigh = algebra.monomial_weight
-    space = _empty_span(algebra, top)
+    space = GradedSubspace(range(top + 1), algebra.field)
     unit_letters = algebra.one
-    mono_mul, index = algebra.mono_mul, algebra.monomial_index
+    mono_mul = algebra.mono_mul
     for r, unit, weight in work:
         e = r.degree()
         rterms = [(mr, _integral(cr)) for mr, cr in r.terms.items()]
@@ -141,7 +125,7 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
                 for mr, cr in rterms:
                     res = mono_mul(m, mr)
                     if res is not None:
-                        products.append((index(res[0])[1], cr if res[1] > 0 else -cr))
+                        products.append((res[0], cr if res[1] > 0 else -cr))
                 vec = _add_terms({}, products)
                 if reduce is not None:
                     vec = reduce(vec, d + e)
@@ -153,26 +137,27 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
 class QuotientAlgebra:
     """A parent algebra modulo a per-degree row-reduced ideal span.
 
-    ``base`` stacks the quotient on a lower one: a monomial predicate (the
-    ideal then contains every basis monomial it holds true for) or another
-    quotient of the same parent.  The rows of ``ideal`` must be in the
-    base's normal form; their degrees must lie within the base's.
+    ``base`` stacks the quotient on a lower one: the standard monomials of
+    a monomial ideal (which then holds every other basis monomial), or
+    another quotient of the same parent.  The rows of ``ideal`` are keyed
+    by monomial and must be in the base's normal form; their degrees must
+    lie within the base's.  Without a base the standard monomials are
+    found in the parent's listed basis.
     """
 
     def __init__(self, parent, ideal, label="CUSTOM", base=None):
         if label not in QUOTIENT_LABELS:
             raise ValueError(f"unknown quotient label {label!r}")
-        for d in ideal.degrees():
-            if ideal.ambient_dims[d] != len(parent.monomials_of_degree(d)):
-                raise ValueError("ideal does not match the parent algebra's basis")
         ideal.freeze()
         self.parent = parent
         self.ideal = ideal
         self.label = label
         self.base = None
-        # Ambient indices that survive a monomial base, per degree.
-        self._alive = None
+        # The standard monomials of a monomial base, the ones its normal form keeps.
+        self._kept = None
         degrees = ideal.degrees()
+        if any(not 0 <= d <= parent.top_degree for d in degrees):
+            raise ValueError("ideal does not match the parent algebra's basis")
         if base is None:
             below = {d: parent.monomials_of_degree(d) for d in degrees}
         elif isinstance(base, QuotientAlgebra):
@@ -183,21 +168,17 @@ class QuotientAlgebra:
             self.base = base
             below = {d: base.standard_monomials(d) for d in degrees}
         else:
-            below = {
-                d: tuple(m for m in parent.monomials_of_degree(d) if not base(m))
-                for d in degrees
-            }
-            self._alive = {
-                d: frozenset(parent.monomial_index(m)[1] for m in below[d])
-                for d in degrees
-            }
+            self._kept = frozenset(base)
+            below = {d: [] for d in degrees}
+            for m in base:
+                below.get(parent.monomial_degree(m), []).append(m)
         self._has_rows = ideal.total_rank() > 0
         self._std = {}
         for d in degrees:
             pivots = set(ideal.pivots(d))
-            self._std[d] = tuple(
-                m for m in below[d] if parent.monomial_index(m)[1] not in pivots
-            )
+            self._std[d] = tuple(m for m in below[d] if m not in pivots)
+            if len(self._std[d]) + len(pivots) != len(below[d]):
+                raise ValueError("ideal does not match the parent algebra's basis")
         self._nf_mono = {}
 
     @property
@@ -219,14 +200,14 @@ class QuotientAlgebra:
     # -- normal forms -----------------------------------------------------
 
     def _reduce(self, vec, degree):
-        """Normal form of an index-keyed vector of one degree."""
+        """Normal form of a monomial-keyed vector of one degree."""
         if degree not in self._std:
             raise ValueError(f"degree out of range: {degree}")
         if self.base is not None:
             vec = self.base._reduce(vec, degree)
-        elif self._alive is not None:
-            alive = self._alive[degree]
-            vec = {i: c for i, c in vec.items() if i in alive}
+        elif self._kept is not None:
+            kept = self._kept
+            vec = {m: c for m, c in vec.items() if m in kept}
         if self._has_rows:
             vec = self.ideal.reduce(vec, degree)
         return vec
@@ -235,11 +216,13 @@ class QuotientAlgebra:
         """The unique representative of e supported on standard monomials."""
         if e.algebra is not self.parent:
             raise ValueError("element does not belong to the parent algebra")
+        deg = self.parent.monomial_degree
+        parts = {}
+        for m, c in e.terms.items():
+            parts.setdefault(deg(m), {})[m] = c
         out = {}
-        for d in e.degrees():
-            vec = self._reduce(element_vector(e, d), d)
-            for i, c in vec.items():
-                out[self.parent.monomial_at(d, i)] = c
+        for d, vec in parts.items():
+            out.update(self._reduce(vec, d))
         return Element(self.parent, out)
 
     def _nf_monomial(self, m):
@@ -388,15 +371,16 @@ def build_quotient(algebra, kind, max_degree=None):
 
     'A' lists its standard monomials (its ideal is monomial), 'B' stacks
     the x_i y_j rows on 'A', and 'E' eliminates the diagonal-free multiples
-    of the pair relations in the ambient basis.
+    of the pair relations in the listed ambient basis.  Only 'E' lists the
+    ambient basis.
     """
     if kind == "E":
         span = ideal_span(algebra, totaro_relations(algebra), max_degree=max_degree)
         return QuotientAlgebra(algebra, span, "BASE_AXIS")
     if kind == "A":
-        span = _empty_span(algebra, max_degree).freeze()
+        span = ideal_span(algebra, [], max_degree=max_degree)
         return QuotientAlgebra(
-            algebra, span, "HANDLE_REDUCED", base=cross_handle_predicate(algebra)
+            algebra, span, "HANDLE_REDUCED", base=reduced_monomials(algebra)
         )
     if kind == "B":
         qa = build_quotient(algebra, "A", max_degree)

@@ -80,19 +80,15 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             raise ValueError("genus must be at least 1 (genus 0 is handled by formula only)")
         if points < 1:
             raise ValueError("points must be at least 1")
-        dim = (2 * genus + 2) ** points
-        limit = basis_limit(max_basis)
-        if dim > limit:
-            raise SizeGuardError(
-                f"basis size {dim} for genus {genus} with {points} points "
-                f"exceeds the limit {limit}",
-                estimate=dim,
-                limit=limit,
-            )
         self.genus = genus
         self.points = points
+        # The guard on every basis listed for this algebra: the ambient one
+        # (_monomials) and the handle-reduced one (reduced_monomials).
+        self.max_basis = basis_limit(max_basis)
         self.field = RATIONALS
+        self.top_degree = 2 * points
         self._omega = 2 * genus + 1
+        self._letters = range(2 * genus + 2)
         self._deg = [0] + [1] * (2 * genus) + [2]
         self._ltab = self._local_table()
         self._lweight = [0] * (2 * genus + 2)
@@ -100,12 +96,6 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             unit = (2 * points + 1) ** (p - 1)
             self._lweight[2 * p - 1], self._lweight[2 * p] = unit, -unit
         self.one = (UNIT,) * points
-        letters = range(2 * genus + 2)
-        monos = []
-        deg = self._deg
-        for m in itertools.product(letters, repeat=points):
-            monos.append((m, sum(deg[c] for c in m)))
-        self._set_basis(monos)
 
     def _local_table(self):
         """Products of two letters sharing a coordinate: (letter, sign) or None."""
@@ -123,6 +113,32 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
                     tab[2 * p - 1][2 * q] = (omega, 1)   # a(p) b(p) = w
                     tab[2 * p][2 * q - 1] = (omega, -1)  # b(p) a(p) = -w
         return tab
+
+    # -- monomials -----------------------------------------------------------
+
+    def is_monomial(self, m):
+        letters = self._letters
+        ok = type(m) is tuple and len(m) == self.points
+        return ok and all(type(c) is int and c in letters for c in m)
+
+    def monomial_degree(self, m):
+        deg = self._deg
+        return sum([deg[c] for c in m])
+
+    def _guard(self, what, size):
+        """Refuse to list a basis of ``size`` monomials past the basis guard."""
+        if size > self.max_basis:
+            raise SizeGuardError(
+                f"{what} basis size {size} for genus {self.genus} with {self.points} "
+                f"points exceeds the limit {self.max_basis}",
+                estimate=size,
+                limit=self.max_basis,
+            )
+
+    def _monomials(self):
+        """All (2g+2)^n letter words, in tuple order."""
+        self._guard("ambient", len(self._letters) ** self.points)
+        return itertools.product(self._letters, repeat=self.points)
 
     # -- monomial products ------------------------------------------------
 
@@ -241,9 +257,6 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             codes[i - 1] = c
         return tuple(codes)
 
-    def term_key(self, m):
-        return m
-
     def __repr__(self):
         return f"SurfacePowerAlgebra(genus={self.genus}, points={self.points})"
 
@@ -322,39 +335,43 @@ def xy_pair_relations(algebra) -> RelationSet:
     return RelationSet("XY_PAIRS", tuple(gens))
 
 
-def _special_codes(algebra):
-    # letters a(p), b(p) with p >= 2, plus w; everything of code >= 3
-    return frozenset(range(3, 2 * algebra.genus + 2))
+def reduced_basis_count(genus, points):
+    """The number of standard monomials of the CROSS_HANDLE quotient."""
+    if genus == 1:
+        return 4**points
+    return 3**points + points * (2 * genus - 1) * 3 ** (points - 1)
 
 
-def cross_handle_predicate(algebra):
-    """Membership test for the basis monomials of the CROSS_HANDLE ideal.
+def reduced_monomials(algebra):
+    """The standard monomials of the CROSS_HANDLE quotient, in tuple order.
 
     The ideal generated by :func:`cross_handle_relations` is a monomial
     ideal: it is spanned by the monomials with two or more coordinates
-    carrying an index >= 2 or w letter (w = a(2)b(2) is such a product
-    once the genus is at least 2).  For genus 1 there are no generators,
-    and the predicate is false everywhere.
+    carrying a special letter, one of index >= 2 or w (w = a(2)b(2) is such
+    a product once the genus is at least 2).  The standard monomials are the
+    words with at most one special letter, listed directly rather than
+    filtered from the ambient basis; for genus 1 there are no generators
+    and every word is standard.  The basis guard limits their count
+    (:func:`reduced_basis_count`), checked before listing.
     """
-    if algebra.genus == 1:
-        return lambda m: False
-    special = _special_codes(algebra)
-    return lambda m: sum(1 for c in m if c in special) >= 2
+    g, n = algebra.genus, algebra.points
+    algebra._guard("handle-reduced", reduced_basis_count(g, n))
+    size = 2 * g + 2
+    plain = size if g == 1 else 3  # the letter codes below this are not special
+    # Words of the current length with no special letter, and with at most one.
+    none, upto1 = [()], [()]
+    for _ in range(n):
+        none, upto1 = (
+            [(c,) + w for c in range(plain) for w in none],
+            [(c,) + w for c in range(size) for w in (upto1 if c < plain else none)],
+        )
+    return upto1
 
 
 def reduced_letter_basis(algebra):
-    """Monomials with at most one coordinate carrying an index >= 2 or w letter.
-
-    These are the standard monomials of the CROSS_HANDLE quotient; for
-    genus 1 this degenerates to the full monomial basis.
-    """
-    killed = cross_handle_predicate(algebra)
-    return [
-        Element.monomial(algebra, m)
-        for d in range(algebra.top_degree + 1)
-        for m in algebra.monomials_of_degree(d)
-        if not killed(m)
-    ]
+    """The standard monomials of the CROSS_HANDLE quotient as elements, by degree."""
+    monos = sorted(reduced_monomials(algebra), key=algebra.monomial_degree)
+    return [Element.monomial(algebra, m) for m in monos]
 
 
 def _letter_element(algebra, i, kind, p):
@@ -377,20 +394,13 @@ def shifted_basis_products(algebra):
     is 'w' or carries p >= 2; products keep at most one special coordinate
     (no restriction for genus 1, where only plain letters exist).
     """
-    g, n = algebra.genus, algebra.points
-    plain = [("1", 0), ("x", 1), ("y", 1)]
-    special = [(k, p) for p in range(2, g + 1) for k in ("x", "y")] + [("w", 0)]
-    if g == 1:
-        options = plain + [("w", 0)]
-        allowed = itertools.product(options, repeat=n)
-    else:
-        allowed = (
-            combo
-            for combo in itertools.product(plain + special, repeat=n)
-            if sum(1 for c in combo if c in special) <= 1
-        )
+    g = algebra.genus
+    # The choice of each letter code: 1, x(p) for a(p), y(p) for b(p), w.
+    choices = [("1", 0)] + [(k, p) for p in range(1, g + 1) for k in ("x", "y")]
+    choices.append(("w", 0))
     out = []
-    for combo in allowed:
+    for m in reduced_monomials(algebra):
+        combo = tuple(choices[c] for c in m)
         e = Element.unit(algebra)
         for i, (kind, p) in enumerate(combo, start=1):
             e = e * _letter_element(algebra, i, kind, p)

@@ -187,3 +187,16 @@ def iterated_bar(u, s):
             TensorElement.slot_embed(u, s, 1) - TensorElement.slot_embed(u, s, slot)
         )
     return acc
+
+
+def cross_handle_predicate(algebra):
+    """Membership test for the basis monomials of the CROSS_HANDLE ideal.
+
+    The ideal generated by the mixed products of index >= 2 letters is a
+    monomial ideal, spanned by the monomials with two or more coordinates
+    carrying an index >= 2 or w letter (letter code >= 3); for genus 1 it
+    is zero.
+    """
+    if algebra.genus == 1:
+        return lambda m: False
+    return lambda m: sum(1 for c in m if c >= 3) >= 2

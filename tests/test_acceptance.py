@@ -21,7 +21,7 @@ from conftc.certificates import (
     verify_lemma_identities,
 )
 from conftc.linalg import GradedSubspace
-from conftc.quotients import cached_quotient, cached_surface, element_vector, ideal_span
+from conftc.quotients import cached_quotient, cached_surface, ideal_span
 from conftc.surfaces import (
     cross_handle_relations,
     reduced_letter_basis,
@@ -108,17 +108,13 @@ def test_criterion_05_restricted_bases():
             # ambient elimination of the CROSS_HANDLE generators checks it.
             eliminated = alg.dimension - ideal_span(alg, cross_handle_relations(alg)).total_rank()
             ok = ok and len(reduced) == len(shifted) == qa.dimension == eliminated == expected
-            dims = {
-                d: len(alg.monomials_of_degree(d))
-                for d in range(alg.top_degree + 1)
-            }
-            space = GradedSubspace(dims, alg.field)
+            space = GradedSubspace(range(alg.top_degree + 1), alg.field)
             rank = 0
             for e in shifted:
                 nf = qa.normal_form(e)
                 if nf.is_zero():
                     continue
-                if space.insert(element_vector(nf, nf.degree()), nf.degree()):
+                if space.insert(nf.terms, nf.degree()):
                     rank += 1
             ok = ok and rank == expected
     report(5, ok)
@@ -132,10 +128,10 @@ def test_criterion_06_omega_chains_have_rank_two():
             qb = cached_quotient(g, n, "B")
             vx, vy = omega_chain_elements(qb)
             d = n + 1
-            space = GradedSubspace({d: len(alg.monomials_of_degree(d))}, alg.field)
+            space = GradedSubspace([d], alg.field)
             for e in (vx, vy):
                 ok = ok and not e.is_zero()
-                space.insert(element_vector(e, d), d)
+                space.insert(e.terms, d)
             ok = ok and space.rank(d) == 2
     report(6, ok)
 

@@ -47,6 +47,23 @@ def test_algebra_mismatch_rejected():
         a1.a(1) * Element.unit(a2)
 
 
+def test_bad_monomials_are_refused_at_the_boundary():
+    # Monomials are keyed by their letter tuple alone, so the algebra checks
+    # each one where it enters: length n, letter codes 0..2g+1, a tuple.
+    alg = cached_surface(2, 2)  # letter codes 0..5
+    assert Element.monomial(alg, (5, 0)).to_text() == "+1 w1"
+    for bad in ((1,), (1, 2, 0), (6, 0), (0, -1), [1, 2], "ab", 3, (1.5, 0), None):
+        with pytest.raises(ValueError, match="not in the basis"):
+            Element.monomial(alg, bad)
+    for text in ("+1 a3(1)", "+1 w0", "+1 b1(3)", "+1 a1(1)*a1(2)"):
+        with pytest.raises(ValueError):
+            Element.from_text(alg, text)
+    trunc = TruncatedPolynomialAlgebra(GF2, truncation=4)
+    for bad in (4, -1, (1,), True):
+        with pytest.raises(ValueError, match="not in the basis"):
+            Element.monomial(trunc, bad)
+
+
 def test_graded_commutativity_exhaustive_small():
     # all monomial pairs for one- and two-point algebras
     for (g, n) in ((1, 1), (2, 1), (1, 2), (2, 2)):

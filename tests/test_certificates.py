@@ -548,7 +548,7 @@ def test_tc_value_records():
     assert rec0.tc == 4
     assert rec0.certified is False
     assert rec0.note == "formula-only"
-    skipped = tc_value(2, 7, 2)  # ambient basis 6^7 > 10^5
+    skipped = tc_value(2, 9, 2)  # handle-reduced basis 196,830 > 10^5
     assert skipped.certified is False
     assert skipped.note == "guard-skipped"
 

@@ -15,6 +15,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from conftc.cli import RunConfig, build_parser, main, run, schema_path
+from conftc.surfaces import SurfacePowerAlgebra
 
 needs_jsonschema = pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
 
@@ -186,6 +187,38 @@ def test_guard_refusal_exit_code(capsys):
     assert code == 0
 
 
+def test_guard_refusals_name_the_listed_basis(capsys):
+    cases = (
+        (dict(command="certify", genus=(2,), points=(9,)), "handle-reduced basis size 196830"),
+        (dict(command="certify", ring="E", genus=(2,), points=(7,)), "ambient basis size 279936"),
+        (dict(command="basis", genus=(1,), points=(9,)), "ambient basis size 262144"),
+    )
+    for kw, named in cases:
+        code, out = run_config(**kw)
+        assert code == 2 and out == ""
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("refused: " + named) and line.endswith("limit 100000")
+
+
+def test_b_commands_never_list_the_ambient_basis(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the ambient basis was listed")
+
+    # A fresh guard value keys fresh cached algebras and quotients.
+    monkeypatch.setenv("TCCONF_MAX_BASIS", "99991")
+    monkeypatch.setattr(SurfacePowerAlgebra, "monomials_of_degree", boom)
+    monkeypatch.setattr(SurfacePowerAlgebra, "_monomials", boom)
+    for kw in (
+        dict(command="certify", genus=(2,), points=(4,), stages=(3,)),
+        dict(command="table", genus=(2,), points=(3,), stages=(3,)),
+        dict(command="lemmas", genus=(2,), points=(3,)),
+    ):
+        code, out = run_config(**kw)
+        assert code == 0 and out
+    with pytest.raises(AssertionError, match="ambient basis was listed"):
+        run_config(command="certify", ring="E", genus=(2,), points=(2,))
+
+
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="stages"):
         run_config(command="table", stages=(1,))
@@ -254,13 +287,20 @@ def test_out_file_is_written_only_after_output(tmp_path):
     assert out.read_text() == _cli("rp3", "--stages", "2").stdout
 
 
-def test_main_usage_error_exit_two():
+def test_main_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--stages", "1"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--genus", "2", "--points", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: conftc")
+    assert err.endswith("error: the lemmas command requires at least 2 points\n")
 
 
 def test_parser_int_lists():
@@ -271,14 +311,20 @@ def test_parser_int_lists():
 
 
 def test_allow_large_warns(capsys):
-    code, out = run_config(
-        command="table", genus=(1,), points=(1,), stages=(2,), allow_large=True
-    )
-    assert code == 0
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "warning: size guards overridden for genus=1 n=1 s=2: ambient basis 4\n"
-    )
+    # Each warning names the basis the command lists: the handle-reduced one
+    # (3^n + n(2g-1)3^(n-1)) for the B/A commands, the ambient (2g+2)^n for
+    # basis and ring E.
+    for kw, basis in (
+        (dict(command="table"), "handle-reduced basis 27"),
+        (dict(command="certify", ring="E"), "ambient basis 36"),
+        (dict(command="basis"), "ambient basis 36"),
+    ):
+        code, out = run_config(genus=(2,), points=(2,), stages=(2,), allow_large=True, **kw)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: size guards overridden for genus=2 n=2 s=2: {basis}\n"
+        )
 
 
 @pytest.mark.parametrize("value", ["abc", "", "-5"])

@@ -8,8 +8,9 @@ from conftc.surfaces import (
     a_letter,
     b_letter,
     basis_limit,
-    cross_handle_predicate,
+    reduced_basis_count,
     reduced_letter_basis,
+    reduced_monomials,
     shifted_basis_products,
     cross_handle_relations,
     xy_pair_relations,
@@ -17,7 +18,7 @@ from conftc.surfaces import (
     totaro_relations,
 )
 
-from oracles import poly_pow, sorted_letter_product
+from oracles import cross_handle_predicate, poly_pow, sorted_letter_product
 
 
 def reduced_basis_count_formula(g, n):
@@ -110,17 +111,26 @@ def test_surface_power_dimensions():
 
 
 def test_size_guard():
-    with pytest.raises(SizeGuardError) as exc:
-        SurfacePowerAlgebra(3, 3, max_basis=100)
-    assert "512" in str(exc.value)
+    # The ambient listing is guarded by (2g+2)^n, the handle-reduced one by
+    # its own count, 3^n + n(2g-1)3^(n-1); building the algebra lists nothing.
+    alg = SurfacePowerAlgebra(3, 3, max_basis=200)
+    with pytest.raises(SizeGuardError, match="ambient basis size 512 .* limit 200"):
+        alg.monomials_of_degree(2)
+    assert len(reduced_monomials(alg)) == 162
+    with pytest.raises(SizeGuardError, match="handle-reduced basis size 162 .* limit 100"):
+        reduced_monomials(SurfacePowerAlgebra(3, 3, max_basis=100))
+    assert SurfacePowerAlgebra(3, 3, max_basis=512).dimension == 512
 
 
 def test_size_guard_env(monkeypatch):
     monkeypatch.setenv("TCCONF_MAX_BASIS", "10")
-    with pytest.raises(SizeGuardError):
-        SurfacePowerAlgebra(1, 2)
+    with pytest.raises(SizeGuardError, match="ambient basis size 16"):
+        SurfacePowerAlgebra(1, 2).dimension
+    with pytest.raises(SizeGuardError, match="handle-reduced basis size 16"):
+        reduced_monomials(SurfacePowerAlgebra(1, 2))
     monkeypatch.setenv("TCCONF_MAX_BASIS", "100000")
     assert SurfacePowerAlgebra(1, 2).dimension == 16
+    assert len(reduced_monomials(SurfacePowerAlgebra(1, 2))) == 16
 
 
 @pytest.mark.parametrize("value", ["abc", "", "-5", "1e5"])
@@ -225,17 +235,20 @@ def test_xy_pair_relations():
 
 
 def test_reduced_count_matches_enumeration_and_formula():
-    for (g, n) in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        alg = cached_surface(g, n)
-        reduced = reduced_letter_basis(alg)
-        # independent enumeration: count basis monomials with at most one
-        # letter outside {1, a(1), b(1)}
-        count = 0
-        for d in range(alg.top_degree + 1):
-            for m in alg.monomials_of_degree(d):
-                if sum(1 for c in m if c >= 3) <= 1:
-                    count += 1
-        assert len(reduced) == count == reduced_basis_count_formula(g, n)
+    for g in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4):
+            alg = cached_surface(g, n)
+            # independent enumeration: the ambient basis without the monomials
+            # of the CROSS_HANDLE ideal, in tuple order
+            killed = cross_handle_predicate(alg)
+            ambient = sorted(m for ms in alg.monomials_by_degree for m in ms)
+            kept = [m for m in ambient if not killed(m)]
+            assert reduced_monomials(alg) == kept
+            formula = 4**n if g == 1 else reduced_basis_count_formula(g, n)
+            assert len(kept) == reduced_basis_count(g, n) == formula
+            reduced = reduced_letter_basis(alg)
+            by_degree = [m for d in range(2 * n + 1) for m in kept if alg.monomial_degree(m) == d]
+            assert [next(iter(e.terms)) for e in reduced] == by_degree
 
 
 def test_shifted_basis_same_cardinality():
