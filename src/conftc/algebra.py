@@ -44,9 +44,13 @@ class GradedAlgebraBase:
     @cached_property
     def monomials_by_degree(self):
         """The basis monomials of each degree, in order."""
+        return self.group_by_degree(self._monomials())
+
+    def group_by_degree(self, monomials):
+        """The given monomials of each degree 0..top_degree, in their order."""
         by_deg = [[] for _ in range(self.top_degree + 1)]
         deg = self.monomial_degree
-        for m in self._monomials():
+        for m in monomials:
             by_deg[deg(m)].append(m)
         return [tuple(ms) for ms in by_deg]
 

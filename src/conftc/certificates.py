@@ -23,7 +23,7 @@ from math import prod
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from .errors import SizeGuardError, VerificationError, check_term_limit
 from .fields import GF2
-from .quotients import QuotientAlgebra, cached_quotient, cached_surface
+from .quotients import QuotientAlgebra, cached_quotient, cached_surface, ideal_span
 from .surfaces import shifted_basis_products
 
 DEFAULT_TERM_LIMIT = 10**6
@@ -749,22 +749,19 @@ class ZclSearchResult:
 
 
 def _search_space(target):
-    """Basis elements, tensor reducer and ambient algebra for a search target."""
-    if isinstance(target, QuotientAlgebra):
-        alg = target.parent
-        elements = [
-            Element.monomial(alg, m)
-            for d in range(1, target.max_degree + 1)
-            for m in target.standard_monomials(d)
-        ]
-        return alg, elements, target.tensor_normal_form, target.dimension
-    alg = target
+    """Basis elements, tensor reducer and ambient algebra for a search target.
+
+    A plain algebra is searched as its quotient by the zero ideal.
+    """
+    if not isinstance(target, QuotientAlgebra):
+        target = QuotientAlgebra(target, ideal_span(target, []))
+    alg = target.parent
     elements = [
         Element.monomial(alg, m)
         for d in range(1, alg.top_degree + 1)
-        for m in alg.monomials_of_degree(d)
+        for m in target.standard_monomials(d)
     ]
-    return alg, elements, lambda t: t, alg.dimension
+    return alg, elements, target.tensor_normal_form, target.dimension
 
 
 def zcl_search(target, s, strategy=None):

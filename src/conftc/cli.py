@@ -88,7 +88,10 @@ def _grid(config):
 
 def _warn_override(config, stream):
     # Name the basis the command lists: 'basis' and ring E list the ambient
-    # basis, the other commands only the handle-reduced one.
+    # basis, the other commands only the handle-reduced one.  'rp3' lists
+    # none, and --allow-large does not lift its stage limit.
+    if config.command == "rp3":
+        return
     ambient = config.command == "basis" or (
         config.command in ("certify", "search-zcl") and config.ring == "E"
     )
@@ -373,7 +376,8 @@ def build_parser():
     parser.add_argument("--strategy", choices=("EXHAUSTIVE_TINY", "GREEDY"), default=None,
                         help="search strategy for search-zcl (default: by dimension)")
     parser.add_argument("--allow-large", action="store_true",
-                        help="override the size guards (prints the guarded basis sizes)")
+                        help="override the size guards (prints the guarded basis sizes); "
+                        "does not lift the rp3 stage limit")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     return parser
 

@@ -1,31 +1,33 @@
 """Graded ideal spans and quotient algebras with normal forms.
 
-A :class:`QuotientAlgebra` is a parent algebra modulo a graded ideal held
-as per-degree row-reduced rows keyed by the parent's monomials, so the
-pivot order is the monomials' own order.  ``normal_form`` gives the unique
-representative on the standard (non-pivot) monomials, which enumerate the
-quotient basis; tensor elements reduce slotwise.  Quotients stack: a
-quotient may sit on a base, either the listed standard monomials of a
-monomial ideal (which needs no rows) or another quotient, and its own rows
-are kept in the base's normal form.
+Every :class:`QuotientAlgebra` has one shape: a parent algebra, an optional
+ordered listing ``kept`` of the standard monomials of a monomial ideal
+(``None`` keeps the parent's whole basis), and frozen per-degree row-reduced
+rows that hold only kept monomials.  The quotient is the parent modulo the
+monomials outside ``kept`` and the rows.  Rows are keyed by the parent's
+monomials, so the pivot order is the monomials' own order.  ``normal_form``
+drops the monomials outside ``kept`` and reduces by the rows, which gives
+the unique representative on the standard (kept, non-pivot) monomials; these
+enumerate the quotient basis.  Tensor elements reduce slotwise.
 
-:func:`ideal_span` builds rows.  On its own it eliminates every multiple of
-the generators by a monomial of the parent's listed basis (one
-multiplication pass suffices: any product of ring elements with a generator
-reduces to signed monomial multiples).  Over a base it multiplies by the
-base's standard monomials only and reduces each product to the base's normal
-form, which spans the same ideal modulo the base's.  Products go into the elimination
-in (degree, handle weight) blocks, with integer coefficients kept as int.
+:func:`ideal_span` builds the rows.  It eliminates every multiple of the
+generators by a kept monomial (by every basis monomial without ``kept``)
+and drops the product monomials outside ``kept`` as each product is formed.
+One multiplication pass suffices: any product of ring elements with a
+generator reduces to signed monomial multiples, and a multiple by a
+monomial outside ``kept`` lies in the monomial ideal.  Products go into the
+elimination in (degree, handle weight) blocks, with integer coefficients
+kept as int.
 
-The three cached quotients form a tower: 'A' (mixed index >= 2 products) is
-a monomial ideal and is listed, not eliminated; the certificate ring 'B'
-eliminates only the x_i y_j rows over 'A', so neither lists the (2g+2)^n
+The three cached quotients: 'A' (mixed index >= 2 products) is a monomial
+ideal, so it is its kept listing with no rows, and the certificate ring 'B'
+is the same listing with the x_i y_j rows; neither lists the (2g+2)^n
 ambient basis.  The base-axis quotient 'E' (the degree-2 pair relations, not
-monomial) lists it and eliminates over it, but only the diagonal-free
-multiples: the generator r_ij is the class of the diagonal of coordinates i
-and j, so r_ij u_i = r_ij u_j for every letter u (Totaro), and any multiple
-m r_ij equals a signed multiple whose multiplier carries the unit at
-coordinate i.
+monomial) keeps the ambient basis and eliminates in it, but only the
+diagonal-free multiples: the generator r_ij is the class of the diagonal of
+coordinates i and j, so r_ij u_i = r_ij u_j for every letter u (Totaro), and
+any multiple m r_ij equals a signed multiple whose multiplier carries the
+unit at coordinate i.
 """
 
 from __future__ import annotations
@@ -54,52 +56,27 @@ def _integral(c):
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
-def _monomial_stack(base):
-    """True when the base's normal form only drops monomials (no rows below)."""
-    while base is not None:
-        if base._has_rows:
-            return False
-        base = base.base
-    return True
+def ideal_span(algebra, generators, kept=None):
+    """Linear span of the kept-monomial multiples of the generators, modulo the rest.
 
-
-def ideal_span(algebra, generators, max_degree=None, base=None):
-    """Linear span of the basis-monomial multiples of the generators.
-
-    Generators must be homogeneous; the result is frozen.  ``max_degree``
-    caps the degrees that get populated (and the degrees the resulting
-    quotient can reduce in), which is sound because the ideal is graded.
+    Generators must be homogeneous; the result is frozen and holds every
+    degree of the algebra.  ``kept`` lists the standard monomials of a
+    monomial ideal: only they multiply the generators, and the product
+    monomials outside it are dropped, so the rows span the ideal modulo
+    the monomial one, ready for ``QuotientAlgebra(..., kept=kept)``.
+    Without ``kept`` every basis monomial multiplies and nothing is dropped.
 
     A :class:`~conftc.surfaces.RelationSet` with ``unit_coordinates``
     multiplies each generator only by monomials carrying the unit at its
     unit coordinate; a plain list of generators uses every multiplier.
 
-    With a ``base`` quotient the generators are multiplied by the base's
-    standard monomials only and every product is reduced to the base's
-    normal form: the rows span the ideal modulo the base's, ready to be
-    stacked on it.  Degrees are then capped at the base's as well.
-
     When the algebra has a ``monomial_weight`` and every generator is
     homogeneous for it, each product is inserted in its (degree, weight)
-    block; otherwise each degree is one block.
-
-    Unit coordinates and blocks are proven sound only for a base whose
-    normal form just drops monomials.  The normal form of a base with rows
-    can mix weights, and can bring a letter back to a unit coordinate, so
-    over such a base every multiplier is used, in one block per degree.
+    block; otherwise each degree is one block.  Dropping monomials keeps a
+    product in its block.
     """
     gens = list(getattr(generators, "generators", generators))
-    units = getattr(generators, "unit_coordinates", None)
-    top = algebra.top_degree if max_degree is None else min(max_degree, algebra.top_degree)
-    multipliers, reduce = algebra.monomials_of_degree, None
-    if base is not None:
-        if base.parent is not algebra:
-            raise ValueError("the base quotient has a different parent algebra")
-        top = min(top, base.max_degree)
-        multipliers, reduce = base.standard_monomials, base._reduce
-    monomial_base = _monomial_stack(base)
-    if units is None or not monomial_base:
-        units = (None,) * len(gens)
+    units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
     work = []
     for r, unit in zip(gens, units):
         if r.is_zero():
@@ -109,8 +86,13 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
         weights = {algebra.monomial_weight(m) for m in r.terms}
         work.append((r, unit, weights.pop() if len(weights) == 1 else None))
     weigh = None
-    if monomial_base and all(w is not None for _r, _u, w in work):
+    if all(w is not None for _r, _u, w in work):
         weigh = algebra.monomial_weight
+    if kept is None:
+        multipliers, keep = algebra.monomials_by_degree, None
+    else:
+        multipliers, keep = algebra.group_by_degree(kept), frozenset(kept)
+    top = algebra.top_degree
     space = GradedSubspace(range(top + 1), algebra.field)
     unit_letters = algebra.one
     mono_mul = algebra.mono_mul
@@ -118,111 +100,78 @@ def ideal_span(algebra, generators, max_degree=None, base=None):
         e = r.degree()
         rterms = [(mr, _integral(cr)) for mr, cr in r.terms.items()]
         for d in range(top - e + 1):
-            for m in multipliers(d):
+            for m in multipliers[d]:
                 if unit is not None and m[unit - 1] != unit_letters[unit - 1]:
                     continue
                 products = []
                 for mr, cr in rterms:
                     res = mono_mul(m, mr)
-                    if res is not None:
+                    if res is not None and (keep is None or res[0] in keep):
                         products.append((res[0], cr if res[1] > 0 else -cr))
                 vec = _add_terms({}, products)
-                if reduce is not None:
-                    vec = reduce(vec, d + e)
                 if vec:
                     space.insert(vec, d + e, None if weigh is None else weigh(m) + weight)
     return space.freeze()
 
 
 class QuotientAlgebra:
-    """A parent algebra modulo a per-degree row-reduced ideal span.
+    """A parent algebra modulo a monomial ideal and a row-reduced ideal span.
 
-    ``base`` stacks the quotient on a lower one: the standard monomials of
-    a monomial ideal (which then holds every other basis monomial), or
-    another quotient of the same parent.  The rows of ``ideal`` are keyed
-    by monomial and must be in the base's normal form; their degrees must
-    lie within the base's.  Without a base the standard monomials are
-    found in the parent's listed basis.
+    ``kept`` lists, in order, the standard monomials of the monomial ideal,
+    which holds every other basis monomial; ``None`` keeps the whole basis.
+    The rows of ``ideal`` are keyed by monomial, hold only kept monomials,
+    and cover every degree of the parent; :func:`ideal_span` with the same
+    ``kept`` builds them.
     """
 
-    def __init__(self, parent, ideal, label="CUSTOM", base=None):
+    def __init__(self, parent, ideal, label="CUSTOM", kept=None):
         if label not in QUOTIENT_LABELS:
             raise ValueError(f"unknown quotient label {label!r}")
         ideal.freeze()
+        if ideal.degrees() != list(range(parent.top_degree + 1)):
+            raise ValueError("ideal does not match the parent algebra's basis")
         self.parent = parent
         self.ideal = ideal
         self.label = label
-        self.base = None
-        # The standard monomials of a monomial base, the ones its normal form keeps.
-        self._kept = None
-        degrees = ideal.degrees()
-        if any(not 0 <= d <= parent.top_degree for d in degrees):
-            raise ValueError("ideal does not match the parent algebra's basis")
-        if base is None:
-            below = {d: parent.monomials_of_degree(d) for d in degrees}
-        elif isinstance(base, QuotientAlgebra):
-            if base.parent is not parent:
-                raise ValueError("the base quotient has a different parent algebra")
-            if any(d not in base._std for d in degrees):
-                raise ValueError("the ideal has degrees the base quotient lacks")
-            self.base = base
-            below = {d: base.standard_monomials(d) for d in degrees}
+        if kept is None:
+            self._kept, below = None, parent.monomials_by_degree
         else:
-            self._kept = frozenset(base)
-            below = {d: [] for d in degrees}
-            for m in base:
-                below.get(parent.monomial_degree(m), []).append(m)
+            self._kept, below = frozenset(kept), parent.group_by_degree(kept)
         self._has_rows = ideal.total_rank() > 0
-        self._std = {}
-        for d in degrees:
+        self._std = []
+        for d, monos in enumerate(below):
             pivots = set(ideal.pivots(d))
-            self._std[d] = tuple(m for m in below[d] if m not in pivots)
-            if len(self._std[d]) + len(pivots) != len(below[d]):
+            self._std.append(tuple(m for m in monos if m not in pivots))
+            if len(self._std[d]) + len(pivots) != len(monos):
                 raise ValueError("ideal does not match the parent algebra's basis")
         self._nf_mono = {}
 
-    @property
-    def max_degree(self):
-        return max(self._std)
-
     def standard_monomials(self, degree):
-        if degree not in self._std:
+        if not 0 <= degree < len(self._std):
             raise ValueError(f"degree out of range: {degree}")
         return self._std[degree]
 
     def dimensions_by_degree(self):
-        return [len(self._std[d]) for d in sorted(self._std)]
+        return [len(s) for s in self._std]
 
     @property
     def dimension(self):
-        return sum(len(s) for s in self._std.values())
+        return sum(self.dimensions_by_degree())
 
     # -- normal forms -----------------------------------------------------
-
-    def _reduce(self, vec, degree):
-        """Normal form of a monomial-keyed vector of one degree."""
-        if degree not in self._std:
-            raise ValueError(f"degree out of range: {degree}")
-        if self.base is not None:
-            vec = self.base._reduce(vec, degree)
-        elif self._kept is not None:
-            kept = self._kept
-            vec = {m: c for m, c in vec.items() if m in kept}
-        if self._has_rows:
-            vec = self.ideal.reduce(vec, degree)
-        return vec
 
     def normal_form(self, e):
         """The unique representative of e supported on standard monomials."""
         if e.algebra is not self.parent:
             raise ValueError("element does not belong to the parent algebra")
-        deg = self.parent.monomial_degree
+        kept, deg = self._kept, self.parent.monomial_degree
         parts = {}
         for m, c in e.terms.items():
-            parts.setdefault(deg(m), {})[m] = c
+            if kept is None or m in kept:
+                parts.setdefault(deg(m), {})[m] = c
         out = {}
         for d, vec in parts.items():
-            out.update(self._reduce(vec, d))
+            out.update(self.ideal.reduce(vec, d) if self._has_rows else vec)
         return Element(self.parent, out)
 
     def _nf_monomial(self, m):
@@ -241,25 +190,10 @@ class QuotientAlgebra:
 
         Zero exactly when the image in the tensor power of the quotient is
         zero (over a field the tensor power of a quotient is the slotwise
-        quotient of the tensor power).
+        quotient of the tensor power).  This is t times the unit tensor,
+        streamed; the unit has degree 0, so no Koszul sign arises.
         """
-        if t.algebra is not self.parent:
-            raise ValueError("tensor element does not belong to the parent algebra")
-        out = {}
-        for tup, c in t.terms.items():
-            partial = [((), c)]
-            for m in tup:
-                piece = self._nf_monomial(m)
-                if piece.is_zero():
-                    partial = []
-                    break
-                partial = [
-                    (pt + (m2,), pc * c2)
-                    for pt, pc in partial
-                    for m2, c2 in piece.terms.items()
-                ]
-            _add_terms(out, partial)
-        return TensorElement(self.parent, t.arity, out)
+        return self.stream_product(t, [(1, (Element.unit(self.parent),) * t.arity)])
 
     def _nf_times(self, pairs, e):
         """Normal form of (the sum of c*m over the pairs) times e, as a terms dict."""
@@ -362,30 +296,27 @@ class QuotientAlgebra:
         return Element(self.parent, out)
 
     def __repr__(self):
-        p = self.parent
-        return f"QuotientAlgebra({self.label}, genus={p.genus}, points={p.points})"
+        return f"QuotientAlgebra({self.label}, {self.parent!r})"
 
 
-def build_quotient(algebra, kind, max_degree=None):
+def build_quotient(algebra, kind):
     """Build the 'E', 'A' or 'B' quotient of a surface power algebra, uncached.
 
-    'A' lists its standard monomials (its ideal is monomial), 'B' stacks
-    the x_i y_j rows on 'A', and 'E' eliminates the diagonal-free multiples
-    of the pair relations in the listed ambient basis.  Only 'E' lists the
-    ambient basis.
+    'A' is the listing of its standard monomials (its ideal is monomial),
+    'B' the same listing with the x_i y_j rows, and 'E' eliminates the
+    diagonal-free multiples of the pair relations in the ambient basis.
+    Only 'E' lists the ambient basis.
     """
     if kind == "E":
-        span = ideal_span(algebra, totaro_relations(algebra), max_degree=max_degree)
+        span = ideal_span(algebra, totaro_relations(algebra))
         return QuotientAlgebra(algebra, span, "BASE_AXIS")
     if kind == "A":
-        span = ideal_span(algebra, [], max_degree=max_degree)
-        return QuotientAlgebra(
-            algebra, span, "HANDLE_REDUCED", base=reduced_monomials(algebra)
-        )
+        kept = reduced_monomials(algebra)
+        return QuotientAlgebra(algebra, ideal_span(algebra, [], kept), "HANDLE_REDUCED", kept)
     if kind == "B":
-        qa = build_quotient(algebra, "A", max_degree)
-        span = ideal_span(algebra, xy_pair_relations(algebra), base=qa)
-        return QuotientAlgebra(algebra, span, "CERTIFICATE", base=qa)
+        kept = reduced_monomials(algebra)
+        span = ideal_span(algebra, xy_pair_relations(algebra), kept)
+        return QuotientAlgebra(algebra, span, "CERTIFICATE", kept)
     raise ValueError(f"unknown quotient kind {kind!r}")
 
 
@@ -406,13 +337,13 @@ def cached_surface(genus, points, max_basis=None):
 
 
 @lru_cache(maxsize=None)
-def _quotient(genus, points, kind, max_basis, max_degree):
-    return build_quotient(cached_surface(genus, points, max_basis), kind, max_degree)
+def _quotient(genus, points, kind, max_basis):
+    return build_quotient(cached_surface(genus, points, max_basis), kind)
 
 
-def cached_quotient(genus, points, kind, max_basis=None, max_degree=None):
+def cached_quotient(genus, points, kind, max_basis=None):
     """The 'E', 'A' or 'B' quotient of the cached power algebra."""
-    return _quotient(genus, points, kind, basis_limit(max_basis), max_degree)
+    return _quotient(genus, points, kind, basis_limit(max_basis))
 
 
 # -- the genus chain -------------------------------------------------------

@@ -327,6 +327,17 @@ def test_allow_large_warns(capsys):
         )
 
 
+def test_allow_large_does_not_warn_for_rp3(capsys):
+    # rp3 lists no surface basis, and --allow-large does not lift its stage limit
+    code = main(["rp3", "--stages", "6", "--allow-large"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: stage count 6 exceeds the guarded range (tensor basis 4^6)\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["abc", "", "-5"])
 @pytest.mark.parametrize("command", ["certify", "basis"])
 def test_invalid_basis_limit_exits_two_with_one_line(command, value):

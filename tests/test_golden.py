@@ -1,0 +1,44 @@
+"""Pinned stdout of fixed CLI invocations.
+
+Each invocation runs in process through ``cli.main``; the sha256 of its
+stdout must equal the recorded digest.  The first four are the perfbench
+workloads.  A refactor that changes any output byte fails here, so a
+change that is meant to alter output must re-record the digests and say
+why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from conftc.cli import main
+
+GOLDEN = [
+    ("certify --genus 2 --points 5 --stages 3",
+     "c08dc563bbb6fa16fc6c390d561c9cf300d79efa0cfe9b25decf9c258e7e75d5"),
+    ("certify --genus 2 --points 5 --stages 3 --ring E",
+     "44ed3318532db307fa362959e4b5b78f131af93ac48eeb77dbe92d3944352bb6"),
+    ("table --genus 2,3,4 --points 1,2,3 --stages 2,3,4,5,6,7,8,9,10",
+     "b001f768def95acb298a2173b52952360326deadabdfbcae3bc311415639040f"),
+    ("lemmas --genus 2,3 --points 3,4",
+     "36743d7c7f2fa16ab2bd7c8c1abd930cc42b553e3891cd8ec0a0c25f7c7d8d1d"),
+    ("certify --genus 1,2,3 --points 1,2,3 --stages 2,3,4",
+     "ee79697604b97ad6cf0dcc81cf58a349276464a32b286499d26a1a51893b27c3"),
+    ("basis --genus 2,3 --points 2,3",
+     "4caad3c681344615eecb421f231486a212f6b18eefdb96de2859a7091a36e4b7"),
+    ("search-zcl --genus 1,2 --points 1,2 --stages 2,3",
+     "406c65530622b1c0d62cab5fa362603d93e678f9ed28d3713a61a23d6ac65a35"),
+    ("search-zcl --genus 1,2 --points 1,2 --stages 2,3 --ring E",
+     "6781d244a15f6d7efeac87af717baf35213bba632448f90c81581406d7a29ad6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_stdout_matches_the_recorded_digest(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -19,6 +19,7 @@ from conftc.quotients import (
 from conftc.surfaces import (
     SurfacePowerAlgebra,
     reduced_letter_basis,
+    reduced_monomials,
     shifted_basis_products,
     cross_handle_relations,
     xy_pair_relations,
@@ -214,16 +215,6 @@ def test_inhomogeneous_generator_rejected():
         ideal_span(alg, [alg.a(1) + alg.omega(1)])
 
 
-def test_degree_capped_ideal_raises_beyond_cap():
-    alg = cached_surface(2, 2)
-    gens = list(cross_handle_relations(alg))
-    space = ideal_span(alg, gens, max_degree=2)
-    q = QuotientAlgebra(alg, space)
-    assert q.max_degree == 2
-    with pytest.raises(ValueError, match="degree out of range"):
-        q.normal_form(alg.omega(1) * alg.a(2))
-
-
 def test_genus_embedding_maps_letters():
     src = cached_surface(1, 2)
     dst = cached_surface(2, 2)
@@ -260,27 +251,25 @@ TOWER_GRID = (
 )
 
 
-def ambient_quotient(alg, kind, max_degree):
+def ambient_quotient(alg, kind):
     """'A' or 'B' by eliminating every generator multiple in the ambient basis."""
     gens = list(cross_handle_relations(alg))
     if kind == "B":
         gens += list(xy_pair_relations(alg))
-    return QuotientAlgebra(alg, ideal_span(alg, gens, max_degree=max_degree))
+    return QuotientAlgebra(alg, ideal_span(alg, gens))
 
 
 @pytest.mark.parametrize("g,n", TOWER_GRID)
 def test_tower_matches_ambient_elimination(g, n):
     alg = cached_surface(g, n)
     for kind in ("A", "B"):
-        for cap in (None, 2, 3):
-            tower = cached_quotient(g, n, kind, max_degree=cap)
-            oracle = ambient_quotient(alg, kind, cap)
-            assert tower.max_degree == oracle.max_degree
-            for d in range(oracle.max_degree + 1):
-                assert tower.standard_monomials(d) == oracle.standard_monomials(d)
-                for m in alg.monomials_of_degree(d):
-                    e = Element.monomial(alg, m)
-                    assert tower.normal_form(e) == oracle.normal_form(e)
+        tower = cached_quotient(g, n, kind)
+        oracle = ambient_quotient(alg, kind)
+        for d in range(alg.top_degree + 1):
+            assert tower.standard_monomials(d) == oracle.standard_monomials(d)
+            for m in alg.monomials_of_degree(d):
+                e = Element.monomial(alg, m)
+                assert tower.normal_form(e) == oracle.normal_form(e)
 
 
 def count_mono_mul(monkeypatch):
@@ -320,14 +309,13 @@ E_GRID = (
 @pytest.mark.parametrize("g,n", E_GRID)
 def test_base_axis_matches_elimination_of_every_multiple(g, n):
     alg = cached_surface(g, n)
-    for cap in (None, 2, 3):
-        built = build_quotient(alg, "E", cap).ideal
-        # a plain list carries no unit coordinates: every multiplier is used
-        oracle = ideal_span(alg, list(totaro_relations(alg)), max_degree=cap)
-        assert built.degrees() == oracle.degrees()
-        for d in oracle.degrees():
-            assert built.pivots(d) == oracle.pivots(d)
-            assert rref_rows(built, d) == rref_rows(oracle, d)
+    built = build_quotient(alg, "E").ideal
+    # a plain list carries no unit coordinates: every multiplier is used
+    oracle = ideal_span(alg, list(totaro_relations(alg)))
+    assert built.degrees() == oracle.degrees()
+    for d in oracle.degrees():
+        assert built.pivots(d) == oracle.pivots(d)
+        assert rref_rows(built, d) == rref_rows(oracle, d)
 
 
 def count_inserts(monkeypatch):
@@ -367,18 +355,6 @@ def test_ideal_span_falls_back_to_one_block_per_degree():
                 for m in alg.monomials_of_degree(d - r.degree()):
                     reference.insert((Element.monomial(alg, m) * r).terms, d)
         assert rref_rows(space, d) == rref_rows(reference, d)
-    # over a base with rows of two weights: every standard multiplier, one block
-    base = QuotientAlgebra(alg, ideal_span(alg, [(alg.a(1) + alg.b(1)) * alg.omega(2) * 2]))
-    rels = totaro_relations(alg)
-    stacked = ideal_span(alg, rels, base=base)
-    reference = GradedSubspace(stacked.degrees(), alg.field)
-    for d in stacked.degrees():
-        for r in rels:
-            if d >= 2:
-                for m in base.standard_monomials(d - 2):
-                    vec = (Element.monomial(alg, m) * r).terms
-                    reference.insert(base._reduce(vec, d), d)
-        assert rref_rows(stacked, d) == rref_rows(reference, d)
     # an algebra without a weight; the pivot 2 takes the Fraction path
     trunc = TruncatedPolynomialAlgebra(RATIONALS, truncation=5, gen_degree=2)
     space = ideal_span(trunc, [Element.monomial(trunc, 2, 2)])
@@ -391,7 +367,12 @@ def test_stacked_ideal_keeps_only_the_rows_above_the_base():
     qa = cached_quotient(2, 3, "A")
     qb = cached_quotient(2, 3, "B")
     assert qa.ideal.total_rank() == 0
-    assert qb.base.label == "HANDLE_REDUCED"
+    # B's rows hold only A's standard monomials, the listing both keep
+    for d in qb.ideal.degrees():
+        standard = set(qa.standard_monomials(d))
+        assert set(qb.standard_monomials(d)) <= standard
+        for row in rref_rows(qb.ideal, d).values():
+            assert set(row) <= standard
     killed = cross_handle_predicate(alg)
     assert qa.dimension == sum(
         1 for ms in alg.monomials_by_degree for m in ms if not killed(m)
@@ -401,13 +382,24 @@ def test_stacked_ideal_keeps_only_the_rows_above_the_base():
 
 def test_stacking_validation():
     alg = cached_surface(2, 2)
-    qa2 = cached_quotient(2, 2, "A", max_degree=2)
-    with pytest.raises(ValueError, match="lacks"):
-        QuotientAlgebra(alg, ideal_span(alg, []), base=qa2)
-    with pytest.raises(ValueError, match="different parent"):
-        ideal_span(cached_surface(3, 2), [], base=qa2)
+    kept = reduced_monomials(alg)
+    # a1(2) a2(2) has two letters of index 2, so it is no kept monomial;
+    # without the listing it is the pivot of the row
+    rows = ideal_span(alg, [alg.a(1, 2) * alg.a(2, 2)])
+    assert rows.pivots(2) == [(3, 3)]
+    with pytest.raises(ValueError, match="does not match"):
+        QuotientAlgebra(alg, rows, kept=kept)
     with pytest.raises(ValueError, match="unknown quotient kind"):
         build_quotient(alg, "Z")
+
+
+def test_repr_names_the_parent():
+    assert repr(cached_quotient(2, 2, "B")) == (
+        "QuotientAlgebra(CERTIFICATE, SurfacePowerAlgebra(genus=2, points=2))"
+    )
+    trunc = TruncatedPolynomialAlgebra(RATIONALS, 4)
+    q = QuotientAlgebra(trunc, ideal_span(trunc, []))
+    assert repr(q) == f"QuotientAlgebra(CUSTOM, {trunc!r})"
 
 
 def test_cached_quotient_sees_a_changed_basis_limit(monkeypatch):
