@@ -9,16 +9,11 @@ topological complexity table of their configuration spaces.
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from .certificates import (
     Certificate,
-    bar,
-    bar_product_xs,
-    c_d_factors,
     evaluate_certificate,
     rp3_zcl_check,
     tc_upper_bound,
     tc_value,
-    tilde_product_ys,
     verify_lemma_identities,
-    y1i_product,
     zcl_search,
 )
 from .errors import ConfigurationError, ConftcError, SizeGuardError, VerificationError
@@ -58,12 +53,9 @@ __all__ = [
     "TensorElement",
     "TruncatedPolynomialAlgebra",
     "VerificationError",
-    "bar",
-    "bar_product_xs",
     "build_quotient",
     "reduced_letter_basis",
     "cross_handle_relations",
-    "c_d_factors",
     "cached_quotient",
     "cached_surface",
     "evaluate_certificate",
@@ -72,10 +64,8 @@ __all__ = [
     "rp3_zcl_check",
     "tc_upper_bound",
     "tc_value",
-    "tilde_product_ys",
     "totaro_relations",
     "verify_lemma_identities",
     "verify_subalgebra_chain",
-    "y1i_product",
     "zcl_search",
 ]

@@ -328,9 +328,11 @@ class TensorElement(_SparseCombination):
         """The sum of signed pure tensors sign * e_1 (x) ... (x) e_s.
 
         ``summands`` holds pairs ``(sign, (e_1, ..., e_s))`` of an int and
-        ``arity`` elements of ``algebra``.
+        ``arity`` elements of ``algebra``.  A unit slot, most slots of a
+        slot difference, extends the keys without a coefficient product.
         """
-        terms = {}
+        terms, one = {}, algebra.one
+        unit_terms = {one: algebra.field.one}
         for sign, elements in summands:
             if len(elements) != arity:
                 raise ValueError(f"expected {arity} tensor slots, got {len(elements)}")
@@ -338,22 +340,14 @@ class TensorElement(_SparseCombination):
             for e in elements:
                 if e.algebra is not algebra:
                     raise ValueError("elements belong to different algebras")
+                if e.terms == unit_terms:
+                    partial = [(t + (one,), c) for t, c in partial]
+                    continue
                 partial = [
                     (t + (m,), c * cm) for t, c in partial for m, cm in e.terms.items()
                 ]
             _add_terms(terms, partial)
         return cls(algebra, arity, terms)
-
-    @classmethod
-    def slot_embed(cls, element, arity, slot):
-        """element placed in the given slot (1-based), 1 elsewhere."""
-        if not 1 <= slot <= arity:
-            raise ValueError(f"slot {slot} out of range for arity {arity}")
-        alg = element.algebra
-        unit = Element.unit(alg)
-        return cls.of_elements(
-            [element if k == slot else unit for k in range(1, arity + 1)]
-        )
 
     @classmethod
     def from_text(cls, algebra, arity, text: str):
@@ -378,13 +372,14 @@ class TensorElement(_SparseCombination):
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
-    # -- products and degrees ---------------------------------------------
+    # -- products ---------------------------------------------------------
 
     def __mul__(self, other):
         """Slotwise product with the global Koszul sign.
 
         Moving the slot-k factor of ``other`` past the higher slots of
-        ``self`` contributes (-1)^{deg*deg} per crossing.
+        ``self`` contributes (-1)^{deg*deg} per crossing.  No library code
+        calls it: this is the expanded reference for ``stream_product``.
         """
         if not isinstance(other, TensorElement):
             return self.scaled(other)
@@ -415,12 +410,8 @@ class TensorElement(_SparseCombination):
                     products.append((tuple(slots), c if sign > 0 else -c))
         return self._like(_add_terms({}, products))
 
-    def degrees(self):
-        deg = self.algebra.monomial_degree
-        return tuple(sorted({sum(deg(m) for m in t) for t in self.terms}))
-
     def mu(self):
-        """Multiply the slots left to right inside the algebra."""
+        """Multiply the slots left to right; the expanded reference, called by no library code."""
         mul = self.algebra.mono_mul
         products = []
         for t, c in self.terms.items():
@@ -461,6 +452,10 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
         self.name = name
         self.one = 0
         self.top_degree = (truncation - 1) * gen_degree
+
+    def __repr__(self):
+        fields = (self.field, self.truncation, self.gen_degree, self.name)
+        return f"TruncatedPolynomialAlgebra{fields!r}"
 
     def is_monomial(self, m):
         return type(m) is int and 0 <= m < self.truncation

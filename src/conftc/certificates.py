@@ -31,10 +31,11 @@ DEFAULT_TERM_LIMIT = 10**6
 
 # -- factor construction ----------------------------------------------------
 #
-# A factor is held as a short list of signed pure tensors
-# (sign, (e_1, ..., e_s)) of algebra elements.  The certificate multiplies
-# and checks these summands without expanding them; the TensorElement
-# builders below expand them for the transcripts and the tests.
+# A factor exists only as a short list of signed pure tensors
+# (sign, (e_1, ..., e_s)) of algebra elements.  The certificate, search-zcl
+# and rp3 multiply and check these summands without expanding them
+# (``QuotientAlgebra.stream_product`` and ``mu_of_summands``); only a
+# certify transcript expands a factor, to print it.
 
 
 def slot_difference_summands(element, arity, slot):
@@ -47,12 +48,6 @@ def slot_difference_summands(element, arity, slot):
         return tuple(element if j == k else unit for j in range(1, arity + 1))
 
     return [(1, placed(1)), (-1, placed(slot))]
-
-
-def slot_difference(element, arity, slot):
-    """The basic zero divisor: element in slot 1 minus element in the given slot."""
-    summands = slot_difference_summands(element, arity, slot)
-    return TensorElement.of_summands(element.algebra, arity, summands)
 
 
 def bar_summands(u, s):
@@ -83,58 +78,6 @@ def bar_summands(u, s):
         (1 if (s + j) % 2 == 0 else -1, (u,) * (j - 1) + (unit,) + (u,) * (s - j))
         for j in range(1, s + 1)
     ]
-
-
-def bar(u, s):
-    """The closed form of ``bar_summands`` as one tensor element."""
-    return TensorElement.of_summands(u.algebra, s, bar_summands(u, s))
-
-
-def bar_product_xs(algebra, s):
-    """The product of bar(x_i, s) over all coordinates."""
-    acc = TensorElement.unit(algebra, s)
-    for i in range(1, algebra.points + 1):
-        acc = acc * bar(algebra.x(i), s)
-    return acc
-
-
-def tilde_product_ys(algebra, s):
-    """Product of the first-versus-last slot differences of the y_i."""
-    acc = TensorElement.unit(algebra, s)
-    for i in range(1, algebra.points + 1):
-        acc = acc * slot_difference(algebra.y(i), s, s)
-    return acc
-
-
-def y1i_product(algebra, s):
-    """Product of the first-versus-middle slot differences of y_1.
-
-    Empty (the unit tensor) for s = 2; for s >= 3 the expansion has s - 1
-    terms, each omitting y_1 from exactly one of the first s - 1 slots.
-    """
-    if s < 2:
-        raise ValueError("stages must be at least 2")
-    acc = TensorElement.unit(algebra, s)
-    for i in range(2, s):
-        acc = acc * slot_difference(algebra.y(1), s, i)
-    return acc
-
-
-def _c_d_summands(algebra, s):
-    if algebra.genus < 2:
-        raise ValueError("c and d require genus at least 2")
-    c = slot_difference_summands(algebra.a(1, 2), s, 2)
-    d = slot_difference_summands(algebra.b(1, 2), s, 2 if s == 2 else 3)
-    return c, d
-
-
-def c_d_factors(algebra, s):
-    """The two extra zero divisors available from the second dual pair.
-
-    c places a_1(2) in slots 1/2; d places b_1(2) in slots 1/2 for s = 2
-    and in slots 1/3 for s >= 3.
-    """
-    return tuple(TensorElement.of_summands(algebra, s, f) for f in _c_d_summands(algebra, s))
 
 
 @dataclass
@@ -168,10 +111,14 @@ class ZeroDivisorFactor:
 
 
 def certificate_factors(algebra, s):
-    """The ordered factor list: c, d, the y_{1,i}, then bar/tilde pairs."""
+    """The ordered factor list: c, d (genus >= 2), the y_{1,i}, then bar/tilde pairs.
+
+    c is a_1(2) in slots 1/2; d is b_1(2) in slots 1/2 (s = 2) or 1/3 (s >= 3).
+    """
     factors = []
     if algebra.genus >= 2:
-        c, d = _c_d_summands(algebra, s)
+        c = slot_difference_summands(algebra.a(1, 2), s, 2)
+        d = slot_difference_summands(algebra.b(1, 2), s, 2 if s == 2 else 3)
         factors.append(ZeroDivisorFactor("C", "c", c))
         factors.append(ZeroDivisorFactor("D", "d", d))
     for i in range(2, s):
@@ -373,7 +320,7 @@ class TcRecord:
         }
 
 
-def tc_value(genus, points, stages, certify=True, max_basis=None, allow_large=False):
+def tc_value(genus, points, stages, max_basis=None, allow_large=False):
     """Table entry for one grid cell, certificate-backed where feasible.
 
     ``certified`` is True exactly when a certificate was evaluated and
@@ -383,7 +330,7 @@ def tc_value(genus, points, stages, certify=True, max_basis=None, allow_large=Fa
     value = tc_upper_bound(genus, points, stages)
     certified = False
     note = "formula-only"
-    if certify and genus >= 1:
+    if genus >= 1:
         try:
             cert = evaluate_certificate(
                 genus, points, stages, ring="B", max_basis=max_basis, allow_large=allow_large
@@ -706,16 +653,17 @@ def rp3_algebra():
 
 
 def rp3_product(s):
-    """The product of the 3(s-1) basic zero divisors of the mod-2 check."""
-    alg = rp3_algebra()
+    """The product of the 3(s-1) basic zero divisors of the mod-2 check, streamed."""
+    q = _search_space(rp3_algebra())
+    alg = q.parent
     t = Element.monomial(alg, 1)
     acc = TensorElement.unit(alg, s)
     for slot in range(2, s + 1):
-        f = slot_difference(t, s, slot)
-        if not f.mu().is_zero():
+        f = slot_difference_summands(t, s, slot)
+        if not q.mu_of_summands(f).is_zero():
             raise VerificationError("slot difference is not a zero divisor")
         for _ in range(3):
-            acc = acc * f
+            acc = q.stream_product(acc, f)
     return acc
 
 
@@ -749,19 +697,10 @@ class ZclSearchResult:
 
 
 def _search_space(target):
-    """Basis elements, tensor reducer and ambient algebra for a search target.
-
-    A plain algebra is searched as its quotient by the zero ideal.
-    """
-    if not isinstance(target, QuotientAlgebra):
-        target = QuotientAlgebra(target, ideal_span(target, []))
-    alg = target.parent
-    elements = [
-        Element.monomial(alg, m)
-        for d in range(1, alg.top_degree + 1)
-        for m in target.standard_monomials(d)
-    ]
-    return alg, elements, target.tensor_normal_form, target.dimension
+    """The quotient a search multiplies in: a plain algebra modulo the zero ideal."""
+    if isinstance(target, QuotientAlgebra):
+        return target
+    return QuotientAlgebra(target, ideal_span(target, []))
 
 
 def zcl_search(target, s, strategy=None):
@@ -770,11 +709,14 @@ def zcl_search(target, s, strategy=None):
     Candidates are the slot differences of positive-degree basis elements;
     the exhaustive strategy is gated to total dimension at most 8, the
     greedy one extends a product while any candidate keeps it nonzero.
-    The returned bound is the length of a verified nonzero witness.
+    Each candidate is held as summands and streamed into the product
+    (``QuotientAlgebra.stream_product``).  The returned bound is the length
+    of a verified nonzero witness.
     """
     if s < 2:
         raise ValueError("stages must be at least 2")
-    alg, elements, reduce_tensor, dimension = _search_space(target)
+    q = _search_space(target)
+    alg, dimension = q.parent, q.dimension
     if strategy is None:
         strategy = "EXHAUSTIVE_TINY" if dimension <= 8 else "GREEDY"
     if strategy not in ("EXHAUSTIVE_TINY", "GREEDY"):
@@ -785,21 +727,23 @@ def zcl_search(target, s, strategy=None):
             estimate=dimension,
             limit=8,
         )
-    candidates = []
-    for e in elements:
-        for slot in range(2, s + 1):
-            t = reduce_tensor(slot_difference(e, s, slot))
-            if not t.is_zero():
-                candidates.append(((e.to_text(), slot), t))
     unit = TensorElement.unit(alg, s)
+    candidates = []
+    for d in range(1, alg.top_degree + 1):
+        for m in q.standard_monomials(d):
+            e = Element.monomial(alg, m)
+            for slot in range(2, s + 1):
+                f = slot_difference_summands(e, s, slot)
+                if q.stream_product(unit, f):
+                    candidates.append(((e.to_text(), slot), f))
     if strategy == "GREEDY":
         value = unit
         witness = []
         progress = True
         while progress:
             progress = False
-            for desc, t in candidates:
-                nv = reduce_tensor(value * t)
+            for desc, f in candidates:
+                nv = q.stream_product(value, f)
                 if not nv.is_zero():
                     value = nv
                     witness.append(desc)
@@ -816,7 +760,7 @@ def zcl_search(target, s, strategy=None):
             best["chain"] = list(chain)
             best["value"] = value
         for k in range(start, len(candidates)):
-            nv = reduce_tensor(value * candidates[k][1])
+            nv = q.stream_product(value, candidates[k][1])
             if nv.is_zero():
                 continue
             state = (k, frozenset(nv.terms.items()))

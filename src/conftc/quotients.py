@@ -1,10 +1,10 @@
 """Graded ideal spans and quotient algebras with normal forms.
 
 Every :class:`QuotientAlgebra` has one shape: a parent algebra, an optional
-ordered listing ``kept`` of the standard monomials of a monomial ideal
-(``None`` keeps the parent's whole basis), and frozen per-degree row-reduced
-rows that hold only kept monomials.  The quotient is the parent modulo the
-monomials outside ``kept`` and the rows.  Rows are keyed by the parent's
+listing ``kept`` of the standard monomials of a monomial ideal, by degree
+and in order (``None`` keeps the parent's whole basis), and frozen
+per-degree row-reduced rows that hold only kept monomials.  The quotient
+is the parent modulo the monomials outside ``kept`` and the rows.  Rows are keyed by the parent's
 monomials, so the pivot order is the monomials' own order.  ``normal_form``
 drops the monomials outside ``kept`` and reduces by the rows, which gives
 the unique representative on the standard (kept, non-pivot) monomials; these
@@ -61,10 +61,11 @@ def ideal_span(algebra, generators, kept=None):
 
     Generators must be homogeneous; the result is frozen and holds every
     degree of the algebra.  ``kept`` lists the standard monomials of a
-    monomial ideal: only they multiply the generators, and the product
-    monomials outside it are dropped, so the rows span the ideal modulo
-    the monomial one, ready for ``QuotientAlgebra(..., kept=kept)``.
-    Without ``kept`` every basis monomial multiplies and nothing is dropped.
+    monomial ideal, as :func:`kept_listing` gives them: only they multiply
+    the generators, and the product monomials outside it are dropped, so
+    the rows span the ideal modulo the monomial one, ready for
+    ``QuotientAlgebra(..., kept=kept)``.  Without ``kept`` every basis
+    monomial multiplies and nothing is dropped.
 
     A :class:`~conftc.surfaces.RelationSet` with ``unit_coordinates``
     multiplies each generator only by monomials carrying the unit at its
@@ -88,10 +89,7 @@ def ideal_span(algebra, generators, kept=None):
     weigh = None
     if all(w is not None for _r, _u, w in work):
         weigh = algebra.monomial_weight
-    if kept is None:
-        multipliers, keep = algebra.monomials_by_degree, None
-    else:
-        multipliers, keep = algebra.group_by_degree(kept), frozenset(kept)
+    multipliers = algebra.monomials_by_degree if kept is None else kept
     top = algebra.top_degree
     space = GradedSubspace(range(top + 1), algebra.field)
     unit_letters = algebra.one
@@ -106,7 +104,7 @@ def ideal_span(algebra, generators, kept=None):
                 products = []
                 for mr, cr in rterms:
                     res = mono_mul(m, mr)
-                    if res is not None and (keep is None or res[0] in keep):
+                    if res is not None and (kept is None or res[0] in kept[d + e]):
                         products.append((res[0], cr if res[1] > 0 else -cr))
                 vec = _add_terms({}, products)
                 if vec:
@@ -114,11 +112,17 @@ def ideal_span(algebra, generators, kept=None):
     return space.freeze()
 
 
+def kept_listing(algebra, monomials):
+    """Monomials as a ``kept`` listing: per degree, a dict keyed by them in order."""
+    return [dict.fromkeys(ms) for ms in algebra.group_by_degree(monomials)]
+
+
 class QuotientAlgebra:
     """A parent algebra modulo a monomial ideal and a row-reduced ideal span.
 
-    ``kept`` lists, in order, the standard monomials of the monomial ideal,
-    which holds every other basis monomial; ``None`` keeps the whole basis.
+    ``kept`` lists the standard monomials of the monomial ideal, which holds
+    every other basis monomial, as :func:`kept_listing` gives them; ``None``
+    keeps the whole basis.
     The rows of ``ideal`` are keyed by monomial, hold only kept monomials,
     and cover every degree of the parent; :func:`ideal_span` with the same
     ``kept`` builds them.
@@ -133,13 +137,10 @@ class QuotientAlgebra:
         self.parent = parent
         self.ideal = ideal
         self.label = label
-        if kept is None:
-            self._kept, below = None, parent.monomials_by_degree
-        else:
-            self._kept, below = frozenset(kept), parent.group_by_degree(kept)
+        self._kept = kept
         self._has_rows = ideal.total_rank() > 0
         self._std = []
-        for d, monos in enumerate(below):
+        for d, monos in enumerate(parent.monomials_by_degree if kept is None else kept):
             pivots = set(ideal.pivots(d))
             self._std.append(tuple(m for m in monos if m not in pivots))
             if len(self._std[d]) + len(pivots) != len(monos):
@@ -167,8 +168,9 @@ class QuotientAlgebra:
         kept, deg = self._kept, self.parent.monomial_degree
         parts = {}
         for m, c in e.terms.items():
-            if kept is None or m in kept:
-                parts.setdefault(deg(m), {})[m] = c
+            d = deg(m)
+            if kept is None or m in kept[d]:
+                parts.setdefault(d, {})[m] = c
         out = {}
         for d, vec in parts.items():
             out.update(self.ideal.reduce(vec, d) if self._has_rows else vec)
@@ -182,7 +184,7 @@ class QuotientAlgebra:
         return cached
 
     def multiply(self, e1, e2):
-        """Induced product: normal form of the parent product."""
+        """Induced product: normal form of the parent product (called by no library code)."""
         return self.normal_form(e1 * e2)
 
     def tensor_normal_form(self, t):
@@ -274,7 +276,10 @@ class QuotientAlgebra:
         return TensorElement(alg, s, out)
 
     def mu(self, t):
-        """Iterated multiplication of the slots, evaluated in the quotient."""
+        """``t.mu()`` in the quotient: the expanded reference for ``mu_of_summands``.
+
+        No library code calls it.
+        """
         return self.normal_form(t.mu())
 
     def mu_of_summands(self, summands):
@@ -310,14 +315,13 @@ def build_quotient(algebra, kind):
     if kind == "E":
         span = ideal_span(algebra, totaro_relations(algebra))
         return QuotientAlgebra(algebra, span, "BASE_AXIS")
+    if kind not in ("A", "B"):
+        raise ValueError(f"unknown quotient kind {kind!r}")
+    kept = kept_listing(algebra, reduced_monomials(algebra))
     if kind == "A":
-        kept = reduced_monomials(algebra)
         return QuotientAlgebra(algebra, ideal_span(algebra, [], kept), "HANDLE_REDUCED", kept)
-    if kind == "B":
-        kept = reduced_monomials(algebra)
-        span = ideal_span(algebra, xy_pair_relations(algebra), kept)
-        return QuotientAlgebra(algebra, span, "CERTIFICATE", kept)
-    raise ValueError(f"unknown quotient kind {kind!r}")
+    span = ideal_span(algebra, xy_pair_relations(algebra), kept)
+    return QuotientAlgebra(algebra, span, "CERTIFICATE", kept)
 
 
 # -- cached builders for the standard quotients ---------------------------

@@ -3,14 +3,17 @@
 Everything here is deliberately naive: dense Gaussian elimination over
 Fraction lists, schoolbook polynomial arithmetic, and brute combinatorial
 enumeration.  None of it shares code with the package's sparse kernel,
-except :func:`iterated_bar`, which multiplies out the defining product
-with the kernel's tensor arithmetic to check the closed form against it.
+except the tensor helpers at the end (:func:`slot_embed`,
+:func:`slot_difference`, :func:`expanded`, :func:`multiplied` and
+:func:`iterated_bar`), which build tensors from pure ones and multiply them
+out with the kernel's expanded tensor product, the reference that the
+package's streamed products are checked against.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from conftc.algebra import TensorElement
+from conftc.algebra import Element, TensorElement
 
 
 def dense_rows(vectors, keys=None):
@@ -176,17 +179,37 @@ def binomial_mod2_truncated_power(exponent, truncation):
     }
 
 
+def slot_embed(element, arity, slot):
+    """element placed in the given slot (1-based), 1 elsewhere."""
+    unit = Element.unit(element.algebra)
+    return TensorElement.of_elements([element if k == slot else unit for k in range(1, arity + 1)])
+
+
+def slot_difference(element, arity, slot):
+    """element in slot 1 minus element in the given slot."""
+    return slot_embed(element, arity, 1) - slot_embed(element, arity, slot)
+
+
+def expanded(summands):
+    """The tensor element of a nonempty list of signed pure tensors (sign, (e_1, ..., e_s))."""
+    elements = summands[0][1]
+    return TensorElement.of_summands(elements[0].algebra, len(elements), summands)
+
+
+def multiplied(algebra, arity, tensors):
+    """The product of the tensors, left to right, with the expanded tensor product."""
+    acc = TensorElement.unit(algebra, arity)
+    for t in tensors:
+        acc = acc * t
+    return acc
+
+
 def iterated_bar(u, s):
     """The product over slots 2..s of (u in slot 1 minus u in that slot).
 
     Multiplied out factor by factor with tensor products, for any u.
     """
-    acc = TensorElement.unit(u.algebra, s)
-    for slot in range(2, s + 1):
-        acc = acc * (
-            TensorElement.slot_embed(u, s, 1) - TensorElement.slot_embed(u, s, slot)
-        )
-    return acc
+    return multiplied(u.algebra, s, (slot_difference(u, s, slot) for slot in range(2, s + 1)))
 
 
 def cross_handle_predicate(algebra):

@@ -8,7 +8,7 @@ from conftc.errors import SizeGuardError
 from conftc.fields import GF2, RATIONALS
 from conftc.quotients import cached_surface
 
-from oracles import poly_pow
+from oracles import poly_pow, slot_embed
 
 
 def random_element(alg, rng, nterms=3):
@@ -99,18 +99,18 @@ def test_associativity_sampled():
 def test_tensor_multiply_no_crossing():
     alg = cached_surface(1, 1)
     u, v = alg.a(1), alg.b(1)
-    left = TensorElement.slot_embed(u, 2, 1) * TensorElement.slot_embed(v, 2, 2)
+    left = slot_embed(u, 2, 1) * slot_embed(v, 2, 2)
     assert left == TensorElement.of_elements([u, v])
 
 
 def test_tensor_multiply_single_crossing_sign():
     alg = cached_surface(1, 1)
     u, v = alg.a(1), alg.b(1)  # both odd
-    left = TensorElement.slot_embed(v, 2, 2) * TensorElement.slot_embed(u, 2, 1)
+    left = slot_embed(v, 2, 2) * slot_embed(u, 2, 1)
     assert left == TensorElement.of_elements([u, v]).scaled(-1)
     # even against odd: no sign
     w = alg.omega(1)
-    left = TensorElement.slot_embed(u, 2, 2) * TensorElement.slot_embed(w, 2, 1)
+    left = slot_embed(u, 2, 2) * slot_embed(w, 2, 1)
     assert left == TensorElement.of_elements([w, u])
 
 
@@ -172,7 +172,7 @@ def test_tensor_arity_mismatch():
 def test_mu_kills_slot_differences():
     alg = cached_surface(1, 2)
     u = alg.a(1) * alg.b(2)
-    t = TensorElement.slot_embed(u, 3, 1) - TensorElement.slot_embed(u, 3, 2)
+    t = slot_embed(u, 3, 1) - slot_embed(u, 3, 2)
     assert t.mu().is_zero()
 
 
@@ -195,9 +195,9 @@ def test_mu_is_linear_and_restores_slot_embeddings():
         e1, e2 = random_element(alg, rng), random_element(alg, rng)
         for s in (2, 3):
             k = rng.randint(1, s)
-            assert TensorElement.slot_embed(e1, s, k).mu() == e1
-            t1 = TensorElement.slot_embed(e1, s, 1)
-            t2 = TensorElement.slot_embed(e2, s, s)
+            assert slot_embed(e1, s, k).mu() == e1
+            t1 = slot_embed(e1, s, 1)
+            t2 = slot_embed(e2, s, s)
             assert (t1 + t2).mu() == t1.mu() + t2.mu()
             assert t1.scaled(3).mu() == t1.mu().scaled(3)
 
@@ -303,6 +303,11 @@ def test_of_summands_is_the_signed_sum_of_pure_tensors():
         - TensorElement.of_elements([one, y, x])
     )
     assert TensorElement.of_summands(alg, 3, summands) == expected
+    # a unit slot is appended without a product; a scaled unit still multiplies
+    negated = {(m, alg.one): -c for m, c in x.terms.items()}
+    assert TensorElement.of_summands(alg, 2, [(-1, (x, one))]).terms == negated
+    doubled = {(alg.one, m): 2 * c for m, c in x.terms.items()}
+    assert TensorElement.of_summands(alg, 2, [(1, (one.scaled(2), x))]).terms == doubled
     # opposite summands cancel without storing a zero
     cancel = TensorElement.of_summands(alg, 3, [(1, (x, one, y)), (-1, (x, one, y))])
     assert cancel.terms == {}

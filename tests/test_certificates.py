@@ -6,9 +6,7 @@ from conftc import certificates, quotients
 from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from conftc.certificates import (
     ZeroDivisorFactor,
-    bar,
-    bar_product_xs,
-    c_d_factors,
+    bar_summands,
     certificate_factors,
     evaluate_certificate,
     expected_survivors,
@@ -17,12 +15,10 @@ from conftc.certificates import (
     rp3_algebra,
     rp3_product,
     rp3_zcl_check,
-    slot_difference,
+    slot_difference_summands,
     tc_upper_bound,
     tc_value,
-    tilde_product_ys,
     verify_lemma_identities,
-    y1i_product,
     zcl_search,
 )
 from conftc.errors import SizeGuardError, VerificationError
@@ -33,8 +29,12 @@ from oracles import (
     binomial_mod2_truncated_power,
     dense_rank,
     dense_solve_in_span,
+    expanded,
     iterated_bar,
+    multiplied,
     omission_patterns,
+    slot_difference,
+    slot_embed,
 )
 from test_quotients import count_mono_mul
 
@@ -46,13 +46,22 @@ def chain_product(alg, indices, gen):
     return e
 
 
+def bar(u, s):
+    return expanded(bar_summands(u, s))
+
+
+def factor_product(alg, s, kind):
+    """The certificate factors of one kind, multiplied out in order."""
+    return multiplied(alg, s, [f.tensor for f in certificate_factors(alg, s) if f.kind == kind])
+
+
 # -- factor shapes -----------------------------------------------------------
 
 
 def test_bar_two_stages():
     alg = cached_surface(1, 2)
     u = alg.x(2)
-    assert bar(u, 2) == TensorElement.slot_embed(u, 2, 1) - TensorElement.slot_embed(u, 2, 2)
+    assert bar(u, 2) == slot_embed(u, 2, 1) - slot_embed(u, 2, 2)
 
 
 def test_bar_three_stages_term_count():
@@ -132,7 +141,7 @@ def test_bar_products_are_zero_divisors():
     alg = cached_surface(1, 2)
     for s in (2, 3):
         assert bar(alg.x(2), s).mu().is_zero()
-        assert bar_product_xs(alg, s).mu().is_zero()
+        assert factor_product(alg, s, "BAR").mu().is_zero()
 
 
 def _pattern_tensor(alg, pattern, gen):
@@ -154,7 +163,7 @@ def _solve_patterns(alg, patterns, target):
 @pytest.mark.parametrize("n,s", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
 def test_bar_product_support_matches_omission_patterns(n, s):
     alg = cached_surface(1, n)
-    target = bar_product_xs(alg, s)
+    target = factor_product(alg, s, "BAR")
     patterns = sorted(omission_patterns(n, s), key=lambda p: [sorted(J) for J in p])
     assert len(patterns) == s**n
     coeffs = _solve_patterns(alg, patterns, target)
@@ -176,7 +185,7 @@ def test_bar_product_hand_enumerated_support_two_points():
 def test_tilde_product_shapes():
     for (n, s) in ((1, 2), (2, 2), (2, 3), (3, 2)):
         alg = cached_surface(1, n)
-        t = tilde_product_ys(alg, s)
+        t = factor_product(alg, s, "TILDE")
         # middle slots carry no letters
         for tup in t.terms:
             for mid in tup[1:-1]:
@@ -208,20 +217,20 @@ def test_tilde_product_shapes():
 
 def test_tilde_single_point_two_stages():
     alg = cached_surface(1, 1)
-    t = tilde_product_ys(alg, 2)
+    t = factor_product(alg, 2, "TILDE")
     y = alg.y(1)
-    assert t == TensorElement.slot_embed(y, 2, 1) - TensorElement.slot_embed(y, 2, 2)
+    assert t == slot_embed(y, 2, 1) - slot_embed(y, 2, 2)
 
 
 def test_y1i_degenerates_for_two_stages():
     alg = cached_surface(1, 2)
-    assert y1i_product(alg, 2) == TensorElement.unit(alg, 2)
+    assert factor_product(alg, 2, "Y1I") == TensorElement.unit(alg, 2)
 
 
 @pytest.mark.parametrize("s,count", [(3, 2), (4, 3), (5, 4)])
 def test_y1i_support(s, count):
     alg = cached_surface(1, 1)
-    t = y1i_product(alg, s)
+    t = factor_product(alg, s, "Y1I")
     assert len(t.terms) == count
     b = next(iter(alg.y(1).terms))
     expected = set()
@@ -238,15 +247,26 @@ def test_c_d_placements():
     alg = cached_surface(2, 2)
     a12 = alg.a(1, 2)
     b12 = alg.b(1, 2)
-    c, d = c_d_factors(alg, 2)
-    assert c == TensorElement.slot_embed(a12, 2, 1) - TensorElement.slot_embed(a12, 2, 2)
-    assert d == TensorElement.slot_embed(b12, 2, 1) - TensorElement.slot_embed(b12, 2, 2)
-    c3, d3 = c_d_factors(alg, 3)
-    assert c3 == TensorElement.slot_embed(a12, 3, 1) - TensorElement.slot_embed(a12, 3, 2)
-    assert d3 == TensorElement.slot_embed(b12, 3, 1) - TensorElement.slot_embed(b12, 3, 3)
-    assert c.mu().is_zero() and d3.mu().is_zero()
-    with pytest.raises(ValueError, match="genus at least 2"):
-        c_d_factors(cached_surface(1, 2), 2)
+    for s, d_slot in ((2, 2), (3, 3)):
+        by_kind = {f.kind: f.tensor for f in certificate_factors(alg, s)}
+        assert by_kind["C"] == slot_embed(a12, s, 1) - slot_embed(a12, s, 2)
+        assert by_kind["D"] == slot_embed(b12, s, 1) - slot_embed(b12, s, d_slot)
+        assert by_kind["C"].mu().is_zero() and by_kind["D"].mu().is_zero()
+    # genus 1 has no second dual pair, so no c or d
+    kinds = {f.kind for f in certificate_factors(cached_surface(1, 2), 2)}
+    assert kinds == {"BAR", "TILDE"}
+
+
+def test_slot_difference_summands_expand_to_the_slot_difference():
+    alg = cached_surface(2, 2)
+    for e in (alg.x(2), alg.a(1, 2) * alg.b(2), alg.omega(1)):
+        for s in (2, 3, 4):
+            for slot in range(2, s + 1):
+                summands = slot_difference_summands(e, s, slot)
+                assert expanded(summands) == slot_difference(e, s, slot)
+    for slot in (0, 4):
+        with pytest.raises(ValueError, match="out of range for arity 3"):
+            slot_difference_summands(alg.x(1), 3, slot)
 
 
 def test_all_certificate_factors_are_zero_divisors_in_quotient():
@@ -440,17 +460,7 @@ def test_table_builds_no_factor_tensor(monkeypatch):
         built.append(self.label)
         raise AssertionError(f"factor {self.label} was expanded")
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            built.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     monkeypatch.setattr(ZeroDivisorFactor, "tensor", property(refuse))
-    for name in ("bar", "slot_difference", "c_d_factors"):
-        monkeypatch.setattr(certificates, name, counted(getattr(certificates, name)))
-    monkeypatch.setattr(TensorElement, "__mul__", counted(TensorElement.__mul__))
     for g in (2, 3, 4):
         for n in (1, 2, 3):
             for s in range(2, 11):
@@ -609,7 +619,9 @@ def test_rp3_factors_are_zero_divisors():
     t = Element.monomial(alg, 1)
     for s in (2, 3):
         for slot in range(2, s + 1):
-            assert slot_difference(t, s, slot).mu().is_zero()
+            f = expanded(slot_difference_summands(t, s, slot))
+            assert f == slot_difference(t, s, slot)
+            assert f.mu().is_zero()
 
 
 # -- the generic search ----------------------------------------------------------

@@ -5,6 +5,10 @@ stdout must equal the recorded digest.  The first four are the perfbench
 workloads.  A refactor that changes any output byte fails here, so a
 change that is meant to alter output must re-record the digests and say
 why.
+
+The invocations run with the expanded tensor product and ``mu``
+(``TensorElement.__mul__`` and ``.mu``) raising: every command, in both
+rings and with both search strategies, multiplies only streamed summands.
 """
 
 import contextlib
@@ -13,6 +17,7 @@ import io
 
 import pytest
 
+from conftc.algebra import TensorElement
 from conftc.cli import main
 
 GOLDEN = [
@@ -32,11 +37,24 @@ GOLDEN = [
      "406c65530622b1c0d62cab5fa362603d93e678f9ed28d3713a61a23d6ac65a35"),
     ("search-zcl --genus 1,2 --points 1,2 --stages 2,3 --ring E",
      "6781d244a15f6d7efeac87af717baf35213bba632448f90c81581406d7a29ad6"),
+    ("rp3 --stages 2,3,4,5",
+     "a19cb8dc23c163901eb651d14bff8fd50fd80507ab06b166d1b09fd5bf5ea101"),
+    ("search-zcl --genus 1,2 --points 1,2 --stages 2,3 --strategy GREEDY",
+     "12fbdee6fafeae780e234e1f00b80cc4b68761924fc91bc0f0517805e2c5f0e4"),
+    ("search-zcl --genus 1 --points 1 --stages 2,3,4 --strategy EXHAUSTIVE_TINY",
+     "eb98e8d9ec754696551b4f9c2a5ce054c24709a3376e3d50cf168f8121b936ea"),
+    ("search-zcl --genus 2 --points 3 --stages 3",
+     "9c40a42c1a3d72cb43368f3b8bd07ad6d01ae678033966af64290219dbcc4096"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
-def test_stdout_matches_the_recorded_digest(argv, digest):
+def test_stdout_matches_the_recorded_digest(monkeypatch, argv, digest):
+    def refuse(*args):
+        raise AssertionError("an expanded tensor product was formed")
+
+    monkeypatch.setattr(TensorElement, "__mul__", refuse)
+    monkeypatch.setattr(TensorElement, "mu", refuse)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv.split())

@@ -1,0 +1,111 @@
+"""Property tests: the streamed products against the expanded reference, and text round trips.
+
+Examples are generated by hypothesis with a fixed derivation
+(``derandomize=True``) and no example database, so every run draws the
+same examples.  Hypothesis also caches the literals it reads from local
+source files in its storage directory, by default ``.hypothesis`` in the
+working directory; that directory is moved to the system temporary
+directory, so a run writes nothing into the checkout.
+"""
+
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from conftc.algebra import Element, TensorElement
+from conftc.certificates import rp3_algebra
+from conftc.quotients import QuotientAlgebra, cached_quotient, cached_surface, ideal_span
+
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "conftc-hypothesis")
+REPEATABLE = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+GF2_ALGEBRA = rp3_algebra()
+GF2_ZERO_QUOTIENT = QuotientAlgebra(GF2_ALGEBRA, ideal_span(GF2_ALGEBRA, []))
+SPACES = [(g, n, ring) for g, n in ((1, 1), (1, 2), (2, 1), (2, 2)) for ring in ("B", "E")]
+SPACES.append("GF2")
+
+
+def quotient_of(space):
+    if space == "GF2":
+        return GF2_ZERO_QUOTIENT
+    g, n, ring = space
+    return cached_quotient(g, n, ring)
+
+
+def coefficient(data, field):
+    if field is GF2_ALGEBRA.field:
+        return field.one
+    return Fraction(data.draw(st.sampled_from([1, -1, 2, -3])), data.draw(st.integers(1, 3)))
+
+
+def element(data, alg, degree=None):
+    """A nonzero element, homogeneous of the given degree, or of mixed degree for None."""
+    if degree is None:
+        monos = [m for ms in alg.monomials_by_degree for m in ms]
+    else:
+        monos = alg.monomials_by_degree[degree]
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    return Element(alg, {m: coefficient(data, alg.field) for m in chosen})
+
+
+def homogeneous_element(data, alg):
+    # odd degree 1 first, where the Koszul signs arise, then the rest
+    degrees = [d for d, ms in enumerate(alg.monomials_by_degree) if ms]
+    return element(data, alg, data.draw(st.sampled_from(sorted(degrees, key=lambda d: d != 1))))
+
+
+def tensor(data, alg, arity):
+    """A tensor of a few terms of degree at most 2 per slot, in normal form or not.
+
+    Low degrees keep most products with a factor nonzero.
+    """
+    monos = [m for ms in alg.monomials_by_degree[:3] for m in ms]
+    keys = st.tuples(*[st.sampled_from(monos)] * arity)
+    chosen = data.draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    return TensorElement(alg, arity, {t: coefficient(data, alg.field) for t in chosen})
+
+
+def summands(data, alg, arity):
+    """One to three signed pure tensors of nonzero homogeneous elements."""
+    count = data.draw(st.integers(1, 3))
+    return [
+        (
+            data.draw(st.sampled_from([1, -1])),
+            tuple(homogeneous_element(data, alg) for _ in range(arity)),
+        )
+        for _ in range(count)
+    ]
+
+
+@REPEATABLE
+@given(st.data(), st.sampled_from(SPACES), st.integers(2, 4))
+def test_stream_product_equals_the_expanded_product(data, space, arity):
+    q = quotient_of(space)
+    alg = q.parent
+    t = tensor(data, alg, arity)
+    pure = summands(data, alg, arity)
+    expanded = TensorElement.of_summands(alg, arity, pure)
+    assert q.stream_product(t, pure) == q.tensor_normal_form(t * expanded)
+
+
+@REPEATABLE
+@given(st.data(), st.sampled_from(SPACES), st.integers(2, 4))
+def test_mu_of_summands_equals_mu_of_the_expanded_tensor(data, space, arity):
+    q = quotient_of(space)
+    alg = q.parent
+    pure = summands(data, alg, arity)
+    assert q.mu_of_summands(pure) == q.mu(TensorElement.of_summands(alg, arity, pure))
+
+
+@REPEATABLE
+@given(st.data(), st.sampled_from(SPACES), st.integers(1, 4))
+def test_text_round_trips(data, space, arity):
+    alg = quotient_of(space).parent
+    e = element(data, alg)
+    assert Element.from_text(alg, e.to_text()) == e
+    t = tensor(data, alg, arity)
+    assert TensorElement.from_text(alg, arity, t.to_text()) == t

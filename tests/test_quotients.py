@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
+from conftc.certificates import rp3_algebra
 from conftc.errors import SizeGuardError
 from conftc.fields import RATIONALS
 from conftc.linalg import GradedSubspace
@@ -14,6 +15,7 @@ from conftc.quotients import (
     cached_surface,
     genus_embedding,
     ideal_span,
+    kept_listing,
     verify_subalgebra_chain,
 )
 from conftc.surfaces import (
@@ -382,7 +384,7 @@ def test_stacked_ideal_keeps_only_the_rows_above_the_base():
 
 def test_stacking_validation():
     alg = cached_surface(2, 2)
-    kept = reduced_monomials(alg)
+    kept = kept_listing(alg, reduced_monomials(alg))
     # a1(2) a2(2) has two letters of index 2, so it is no kept monomial;
     # without the listing it is the pivot of the row
     rows = ideal_span(alg, [alg.a(1, 2) * alg.a(2, 2)])
@@ -400,6 +402,28 @@ def test_repr_names_the_parent():
     trunc = TruncatedPolynomialAlgebra(RATIONALS, 4)
     q = QuotientAlgebra(trunc, ideal_span(trunc, []))
     assert repr(q) == f"QuotientAlgebra(CUSTOM, {trunc!r})"
+    # the same in every run: no object address
+    assert repr(trunc) == "TruncatedPolynomialAlgebra(RATIONALS, 4, 1, 't')"
+    gf2 = rp3_algebra()
+    rp3 = QuotientAlgebra(gf2, ideal_span(gf2, []))
+    assert "0x" not in repr(rp3)
+    assert repr(rp3) == "QuotientAlgebra(CUSTOM, TruncatedPolynomialAlgebra(GF2, 4, 1, 't'))"
+
+
+def test_a_and_b_builds_group_their_listing_once(monkeypatch):
+    calls = []
+    group = SurfacePowerAlgebra.group_by_degree
+
+    def counted(self, monomials):
+        calls.append(self)
+        return group(self, monomials)
+
+    monkeypatch.setattr(SurfacePowerAlgebra, "group_by_degree", counted)
+    alg = SurfacePowerAlgebra(2, 3)
+    for kind in ("A", "B"):
+        calls.clear()
+        build_quotient(alg, kind)
+        assert calls == [alg], kind
 
 
 def test_cached_quotient_sees_a_changed_basis_limit(monkeypatch):
