@@ -1,11 +1,14 @@
 """Exact coefficient fields: the rationals and the two-element field.
 
-Scalars are plain values supporting ``+ - * /`` and truthiness (``bool(x)``
-is False exactly for zero): :class:`fractions.Fraction` for the rationals
-and :class:`Bit` for GF(2).  A :class:`Field` object tags which field an
-algebra works over and provides conversion, parsing and formatting; all
-arithmetic goes through the scalar operators so that linear algebra and
-element code stay field-agnostic.
+Scalars are plain values supporting ``+ - *`` and truthiness (``bool(x)``
+is False exactly for zero): a rational is an ``int`` when integral and a
+:class:`fractions.Fraction` otherwise, and GF(2) has :class:`Bit`.  A
+:class:`Field` object tags which field an algebra works over and provides
+conversion, parsing, formatting and ``inverse``, the only division (a
+``Fraction`` over the rationals, never a ``float``); all other arithmetic
+goes through the scalar operators so that linear algebra and element code
+stay field-agnostic.  ``Fraction(1) == 1`` and the two hash alike, so
+equality and text do not depend on which type holds an integral value.
 """
 
 from __future__ import annotations
@@ -31,11 +34,6 @@ class Bit:
 
     def __mul__(self, other):
         return Bit(self.v & other.v)
-
-    def __truediv__(self, other):
-        if not other.v:
-            raise ZeroDivisionError("division by zero in GF(2)")
-        return Bit(self.v)
 
     def __bool__(self):
         return bool(self.v)
@@ -64,6 +62,10 @@ class Field:
     def parse(self, text):
         raise NotImplementedError
 
+    def inverse(self, c):
+        """The multiplicative inverse of a nonzero scalar."""
+        raise NotImplementedError
+
     def format(self, c) -> str:
         raise NotImplementedError
 
@@ -88,10 +90,14 @@ class RationalField(Field):
     tag = "RATIONALS"
 
     def from_int(self, k):
-        return Fraction(k)
+        return int(k)
 
     def parse(self, text):
-        return Fraction(text)
+        c = Fraction(text)
+        return c.numerator if c.denominator == 1 else c
+
+    def inverse(self, c):
+        return Fraction(1, c)
 
     def format(self, c) -> str:
         return str(c)
@@ -105,6 +111,11 @@ class BinaryField(Field):
 
     def parse(self, text):
         return Bit(int(text))
+
+    def inverse(self, c):
+        if not c:
+            raise ZeroDivisionError("division by zero in GF(2)")
+        return c
 
     def format(self, c) -> str:
         return str(c.v)

@@ -21,9 +21,11 @@ Blocks speed up building a span only; ``reduce``, ``pivots`` and ``rank``
 work by degree.
 
 Integer entries stay ``int``: a row whose pivot is +1 or -1 is normalized
-by a sign change, and any other pivot by ``field.one / pivot``, which turns
-the row into rationals.  Every operation is exact, and the reduced rows are
-the same values whichever scalar types went in.
+by a sign change, and any other pivot by multiplying with
+``field.inverse(pivot)``, a ``Fraction`` over the rationals, which turns
+that row into ``Fraction`` entries.  No entry is ever a ``float``.  Every
+operation is exact, and the reduced rows are the same values whichever
+scalar types went in.
 
 Subspaces are mutable while being built and are meant to be frozen
 afterwards; a frozen subspace only ever reads its rows.
@@ -95,7 +97,7 @@ class GradedSubspace:
         elif lead == -1:
             row = {i: -c for i, c in r.items()}
         else:
-            inv = self.field.one / lead
+            inv = self.field.inverse(lead)
             row = {i: c * inv for i, c in r.items()}
         peers = self._blocks[degree].setdefault(block, [])
         for other in peers:

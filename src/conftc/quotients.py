@@ -16,8 +16,7 @@ and drops the product monomials outside ``kept`` as each product is formed.
 One multiplication pass suffices: any product of ring elements with a
 generator reduces to signed monomial multiples, and a multiple by a
 monomial outside ``kept`` lies in the monomial ideal.  Products go into the
-elimination in (degree, handle weight) blocks, with integer coefficients
-kept as int.
+elimination in (degree, handle weight) blocks.
 
 The three cached quotients: 'A' (mixed index >= 2 products) is a monomial
 ideal, so it is its kept listing with no rows, and the certificate ring 'B'
@@ -33,7 +32,6 @@ unit at coordinate i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Element, TensorElement, _add_terms
@@ -49,11 +47,6 @@ from .surfaces import (
 )
 
 QUOTIENT_LABELS = ("BASE_AXIS", "HANDLE_REDUCED", "CERTIFICATE", "CUSTOM")
-
-
-def _integral(c):
-    """An integer-valued rational as ``int``, so elimination rows stay integral."""
-    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def ideal_span(algebra, generators, kept=None):
@@ -75,6 +68,9 @@ def ideal_span(algebra, generators, kept=None):
     homogeneous for it, each product is inserted in its (degree, weight)
     block; otherwise each degree is one block.  Dropping monomials keeps a
     product in its block.
+
+    Integral rationals are ``int``, so integral generators give integer rows
+    except where a pivot other than +1 or -1 is inverted (:mod:`conftc.linalg`).
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
@@ -96,7 +92,7 @@ def ideal_span(algebra, generators, kept=None):
     mono_mul = algebra.mono_mul
     for r, unit, weight in work:
         e = r.degree()
-        rterms = [(mr, _integral(cr)) for mr, cr in r.terms.items()]
+        rterms = list(r.terms.items())
         for d in range(top - e + 1):
             for m in multipliers[d]:
                 if unit is not None and m[unit - 1] != unit_letters[unit - 1]:
@@ -145,7 +141,7 @@ class QuotientAlgebra:
             self._std.append(tuple(m for m in monos if m not in pivots))
             if len(self._std[d]) + len(pivots) != len(monos):
                 raise ValueError("ideal does not match the parent algebra's basis")
-        self._nf_mono = {}
+        self._pieces = {}  # terms of e, as a frozenset -> {m: nf(m*e) as a list}
 
     def standard_monomials(self, degree):
         if not 0 <= degree < len(self._std):
@@ -176,13 +172,6 @@ class QuotientAlgebra:
             out.update(self.ideal.reduce(vec, d) if self._has_rows else vec)
         return Element(self.parent, out)
 
-    def _nf_monomial(self, m):
-        cached = self._nf_mono.get(m)
-        if cached is None:
-            cached = self.normal_form(Element.monomial(self.parent, m))
-            self._nf_mono[m] = cached
-        return cached
-
     def multiply(self, e1, e2):
         """Induced product: normal form of the parent product (called by no library code)."""
         return self.normal_form(e1 * e2)
@@ -197,16 +186,54 @@ class QuotientAlgebra:
         """
         return self.stream_product(t, [(1, (Element.unit(self.parent),) * t.arity)])
 
-    def _nf_times(self, pairs, e):
+    def _slot_rows(self, summands, arity=None):
+        """Each summand as ``(sign, [(e, parity, piece table of e), ...])``.
+
+        Each distinct element is checked and its table found once, before
+        any piece is read.  With ``arity`` every summand must have that many
+        slots, and ``parity`` is the degree parity of e (else None).
+        """
+        seen, rows = {}, []
+        for sign, elements in summands:
+            if arity is not None and len(elements) != arity:
+                raise ValueError(f"expected {arity} tensor slots, got {len(elements)}")
+            row = []
+            for e in elements:
+                entry = seen.get(id(e))
+                if entry is None:
+                    if e.algebra is not self.parent:
+                        raise ValueError("element does not belong to the parent algebra")
+                    table = self._pieces.setdefault(frozenset(e.terms.items()), {})
+                    odd = None if arity is None else e.degree() & 1
+                    entry = seen[id(e)] = (e, odd, table)
+                row.append(entry)
+            rows.append((sign, row))
+        return rows
+
+    def _new_piece(self, table, m, e):
+        """Store and return nf(m*e) as a list of (monomial, coefficient).
+
+        The tables live in the quotient and are keyed by the value of e, so
+        a piece is computed once for all calls and all equal elements.
+        """
+        mul = self.parent.mono_mul
+        products = []
+        for m2, c2 in e.terms.items():
+            r = mul(m, m2)
+            if r is not None:
+                products.append((r[0], c2 if r[1] > 0 else -c2))
+        nf = self.normal_form(Element(self.parent, _add_terms({}, products)))
+        piece = table[m] = list(nf.terms.items())
+        return piece
+
+    def _nf_times(self, pairs, e, table):
         """Normal form of (the sum of c*m over the pairs) times e, as a terms dict."""
-        mul, nf = self.parent.mono_mul, self._nf_monomial
         products = []
         for m, c in pairs:
-            for m2, c2 in e.terms.items():
-                r = mul(m, m2)
-                if r is not None:
-                    cc = c * c2 if r[1] > 0 else -(c * c2)
-                    products += [(m3, cc * c3) for m3, c3 in nf(r[0]).terms.items()]
+            piece = table.get(m)
+            if piece is None:
+                piece = self._new_piece(table, m, e)
+            products += [(m3, c * c3) for m3, c3 in piece]
         return _add_terms({}, products)
 
     def stream_product(self, t, summands, term_limit=None):
@@ -224,8 +251,8 @@ class QuotientAlgebra:
         in ``TensorElement.__mul__``.  The normal form is slotwise and
         linear, so the result equals ``tensor_normal_form(t * F)`` for the
         expanded sum F, term for term, but F is never built.  Each piece
-        nf(t_k e_k) is computed once per (monomial, element), and a summand
-        is skipped as soon as one of its pieces is zero.
+        nf(t_k e_k) is computed once per quotient (see ``_new_piece``), and
+        a summand is skipped as soon as one of its pieces is zero.
 
         ``term_limit`` bounds the tensor terms held: each summand's expanded
         product and the accumulated result.  Past it, SizeGuardError.
@@ -234,21 +261,8 @@ class QuotientAlgebra:
         if t.algebra is not alg:
             raise ValueError("tensor element does not belong to the parent algebra")
         s = t.arity
-        # Each distinct slot element once: its degree parity and its pieces.
-        slots, rows = {}, []
-        for sign, elements in summands:
-            if len(elements) != s:
-                raise ValueError(f"expected {s} tensor slots, got {len(elements)}")
-            row = []
-            for e in elements:
-                entry = slots.get(id(e))
-                if entry is None:
-                    if e.algebra is not alg:
-                        raise ValueError("element does not belong to the parent algebra")
-                    entry = slots[id(e)] = (e, e.degree() & 1, {})
-                row.append(entry)
-            rows.append((sign < 0, row))
-        deg, one = alg.monomial_degree, alg.field.one
+        rows = [(sign < 0, row) for sign, row in self._slot_rows(summands, s)]
+        deg = alg.monomial_degree
         out = {}
         for tup, c in t.terms.items():
             # above[k]: parity of the total degree of the slots after k
@@ -257,11 +271,11 @@ class QuotientAlgebra:
                 above[k - 1] = above[k] ^ (deg(tup[k]) & 1)
             for negative, row in rows:
                 pieces = []
-                for k, (e, odd, cache) in enumerate(row):
+                for k, (e, odd, table) in enumerate(row):
                     m = tup[k]
-                    piece = cache.get(m)
+                    piece = table.get(m)
                     if piece is None:
-                        piece = cache[m] = list(self._nf_times(((m, one),), e).items())
+                        piece = self._new_piece(table, m, e)
                     if not piece:
                         break
                     pieces.append(piece)
@@ -291,10 +305,10 @@ class QuotientAlgebra:
         """
         out = {}
         start = {self.parent.one: self.parent.field.one}
-        for sign, elements in summands:
+        for sign, row in self._slot_rows(summands):
             p = start
-            for e in elements:
-                p = self._nf_times(p.items(), e)
+            for e, _odd, table in row:
+                p = self._nf_times(p.items(), e, table)
                 if not p:
                     break
             _add_terms(out, ((m, c if sign > 0 else -c) for m, c in p.items()))

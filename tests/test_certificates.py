@@ -124,17 +124,57 @@ def test_bar_refuses_where_the_closed_form_fails():
         bar(t, 3)
 
 
+def fresh_quotient(monkeypatch, g, n, ring="B"):
+    """Have the certificate code use a newly built quotient for this cell.
+
+    Its piece table starts empty, so counted work does not depend on what
+    earlier tests computed in the cached quotient.
+    """
+    q = quotients.build_quotient(cached_surface(g, n), ring)
+    cached = certificates.cached_quotient
+
+    def cell_quotient(genus, points, kind, max_basis=None):
+        if (genus, points, kind) == (g, n, ring):
+            return q
+        return cached(genus, points, kind, max_basis)
+
+    monkeypatch.setattr(certificates, "cached_quotient", cell_quotient)
+    return q
+
+
 def test_bar_work_counts(monkeypatch):
     alg = cached_surface(2, 3)
-    cached_quotient(2, 3, "B")
+    fresh_quotient(monkeypatch, 2, 3)
     calls = count_mono_mul(monkeypatch)
     bar(alg.x(2), 10)
     # only the check that x_2 squares to zero multiplies monomials
     assert calls[0] <= len(alg.x(2).terms) ** 2
+    calls[0] = 0
     evaluate_certificate(2, 3, 10)
-    # 528 calls streamed; multiplying the accumulator by the expanded
-    # factors cost 52,532, and multiplying out each bar 316,311 before that
-    assert calls[0] <= 600
+    # 73 calls, each piece once; 528 with a piece table per call, 52,532
+    # multiplying the accumulator by the expanded factors, and 316,311
+    # multiplying out each bar before that
+    assert calls[0] <= 80
+
+
+def test_a_second_evaluation_reuses_every_piece(monkeypatch):
+    q = fresh_quotient(monkeypatch, 2, 3)
+    evaluate_certificate(2, 3, 10)
+    calls = count_mono_mul(monkeypatch)
+    # outside the quotient: the bar squares and the expected survivor chains
+    certificate_factors(q.parent, 10)
+    expected_survivors(q, 10)
+    outside = calls[0]
+    calls[0] = 0
+    evaluate_certificate(2, 3, 10)
+    assert calls[0] == outside
+
+
+@pytest.mark.parametrize("ring", ["B", "E"])
+@pytest.mark.parametrize("g,n,s", [(2, 3, 5), (1, 2, 4), (3, 2, 3)])
+def test_certificate_results_hold_int_coefficients(ring, g, n, s):
+    result = evaluate_certificate(g, n, s, ring=ring).result
+    assert result and all(type(c) is int for c in result.terms.values())
 
 
 def test_bar_products_are_zero_divisors():

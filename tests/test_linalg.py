@@ -258,6 +258,31 @@ def test_blocks_give_the_same_rows_as_one_block():
         assert rref_rows(whole, 0) == rref_rows(split, 0)
 
 
+def test_rational_scalars_are_int_unless_a_fraction_is_needed():
+    assert type(RATIONALS.from_int(3)) is int and RATIONALS.one == 1
+    assert type(RATIONALS.parse("4/2")) is int and RATIONALS.parse("4/2") == 2
+    assert type(RATIONALS.parse("-7")) is int
+    assert RATIONALS.parse("1/3") == Fraction(1, 3)
+    assert type(RATIONALS.parse("1/3")) is Fraction
+    assert RATIONALS.inverse(-3) == Fraction(-1, 3)
+    assert type(RATIONALS.inverse(1)) is Fraction
+    assert GF2.inverse(GF2.one) == GF2.one
+    with pytest.raises(ZeroDivisionError):
+        GF2.inverse(GF2.zero)
+
+
+def test_pivot_three_stores_exact_fractions():
+    s = space()
+    assert s.insert({0: 3, 2: 1, 5: -2}, 0)
+    assert s.insert({1: -3, 2: 6}, 0)
+    rows = rref_rows(s, 0, one=1)
+    assert rows == {0: {0: 1, 2: Fraction(1, 3), 5: Fraction(-2, 3)}, 1: {1: 1, 2: -2}}
+    # 0.5 == Fraction(1, 2), so equality alone would not catch a float
+    entries = [c for row in rows.values() for c in row.values()]
+    entries += s.reduce({0: 1, 1: 2, 3: 1}, 0).values()
+    assert all(type(c) in (int, Fraction) for c in entries)
+
+
 def test_rational_round_trip():
     rng = random.Random(11)
     for _ in range(100):

@@ -39,7 +39,10 @@ def quotient_of(space):
 def coefficient(data, field):
     if field is GF2_ALGEBRA.field:
         return field.one
-    return Fraction(data.draw(st.sampled_from([1, -1, 2, -3])), data.draw(st.integers(1, 3)))
+    # integral values as int and the rest as Fraction, as the field keeps them,
+    # so products mix the two
+    c = Fraction(data.draw(st.sampled_from([1, -1, 2, -3])), data.draw(st.integers(1, 3)))
+    return c.numerator if c.denominator == 1 else c
 
 
 def element(data, alg, degree=None):

@@ -286,6 +286,31 @@ def count_mono_mul(monkeypatch):
     return calls
 
 
+def test_streamed_products_refuse_elements_of_another_algebra():
+    q = cached_quotient(2, 3, "B")
+    foreign = SurfacePowerAlgebra(3, 3).a(2, 3)
+    with pytest.raises(ValueError, match="element does not belong to the parent algebra"):
+        q.mu_of_summands([(1, (foreign, foreign))])
+    with pytest.raises(ValueError, match="element does not belong to the parent algebra"):
+        q.stream_product(TensorElement.unit(q.parent, 2), [(1, (foreign, foreign))])
+    # also behind a summand that vanishes before reaching it
+    x = q.parent.x(1)
+    with pytest.raises(ValueError, match="element does not belong to the parent algebra"):
+        q.mu_of_summands([(1, (x, x, foreign))])
+
+
+def test_equal_elements_built_separately_share_one_piece_table(monkeypatch):
+    alg = cached_surface(2, 3)
+    q = build_quotient(alg, "B")
+    t = TensorElement.of_elements([alg.y(1), alg.x(2), alg.a(1, 2)])
+    summands = [(1, (alg.x(3), Element.unit(alg), alg.y(2))), (-1, (alg.y(3),) * 3)]
+    first = (q.stream_product(t, summands), q.mu_of_summands(summands))
+    again = [(1, (alg.x(3), Element.unit(alg), alg.y(2))), (-1, (alg.y(3),) * 3)]
+    calls = count_mono_mul(monkeypatch)
+    assert (q.stream_product(t, again), q.mu_of_summands(again)) == first
+    assert calls[0] == 0
+
+
 def test_tower_build_work_counts(monkeypatch):
     alg = SurfacePowerAlgebra(2, 4)
     calls = count_mono_mul(monkeypatch)
