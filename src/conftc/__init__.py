@@ -25,7 +25,6 @@ from .quotients import (
     cached_quotient,
     cached_surface,
     ideal_span,
-    verify_subalgebra_chain,
 )
 from .surfaces import (
     RelationSet,
@@ -66,6 +65,5 @@ __all__ = [
     "tc_value",
     "totaro_relations",
     "verify_lemma_identities",
-    "verify_subalgebra_chain",
     "zcl_search",
 ]

@@ -17,7 +17,7 @@ arbitrary finite algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
 
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
@@ -266,17 +266,32 @@ def evaluate_certificate(
     )
 
 
-def ring_agreement(genus, points, stages, max_basis=None):
-    """Check that the base-axis evaluation maps slotwise onto the small ring.
+def certificate_record(cert):
+    """The ``certify`` record of an evaluated certificate, with its transcript.
 
-    Returns (ok, certificate_in_B, certificate_in_E).
+    Each factor's text is its expanded tensor, refused past the term limit
+    the certificate was evaluated under.
     """
-    cert_b = evaluate_certificate(genus, points, stages, ring="B", max_basis=max_basis)
-    cert_e = evaluate_certificate(genus, points, stages, ring="E", max_basis=max_basis)
-    qb = cached_quotient(genus, points, "B", max_basis)
-    mapped = qb.tensor_normal_form(cert_e.result)
-    ok = cert_b.nonzero and cert_e.nonzero and mapped == cert_b.result
-    return ok, cert_b, cert_e
+    return {
+        "genus": cert.genus,
+        "n": cert.points,
+        "s": cert.stages,
+        "ring": cert.ring,
+        "factor_count": cert.factor_count,
+        "nonzero": cert.nonzero,
+        "support_matches_expected": cert.support_matches_expected,
+        "closed_form_match": cert.closed_form_match,
+        "factors": [
+            {
+                "kind": f.kind,
+                "label": f.label,
+                "count": f.count,
+                "tensor": f.to_text(cert.term_limit),
+            }
+            for f in cert.factors
+        ],
+        "result": cert.result.to_text(),
+    }
 
 
 # -- the TC table -------------------------------------------------------------
@@ -652,9 +667,15 @@ def rp3_algebra():
     return TruncatedPolynomialAlgebra(GF2, truncation=4, gen_degree=1, name="t")
 
 
+@lru_cache(maxsize=None)
+def _rp3_quotient():
+    """One quotient of the mod-2 algebra per process, so its pieces serve every stage count."""
+    return _search_space(rp3_algebra())
+
+
 def rp3_product(s):
     """The product of the 3(s-1) basic zero divisors of the mod-2 check, streamed."""
-    q = _search_space(rp3_algebra())
+    q = _rp3_quotient()
     alg = q.parent
     t = Element.monomial(alg, 1)
     acc = TensorElement.unit(alg, s)

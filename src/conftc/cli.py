@@ -8,7 +8,8 @@ cup-length search).  Output is JSON (default), CSV (table only) or text,
 deterministic byte-for-byte for a fixed configuration.
 
 Exit codes: 0 when all requested verifications pass, 1 on a verification
-failure, 2 on a guard refusal, a usage error or an invalid setting.
+failure, 2 on a guard refusal, a usage error, an invalid setting or an
+output that cannot be written (an unopenable ``--out`` file, a closed stdout).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .certificates import (
+    certificate_record,
     evaluate_certificate,
     rp3_zcl_check,
     tc_value,
@@ -138,28 +140,7 @@ def _run_certify(config):
         ok = ok and cert.closed_form_match is not False
         if not ok:
             failures += 1
-        records.append(
-            {
-                "genus": g,
-                "n": n,
-                "s": s,
-                "ring": cert.ring,
-                "factor_count": cert.factor_count,
-                "nonzero": cert.nonzero,
-                "support_matches_expected": cert.support_matches_expected,
-                "closed_form_match": cert.closed_form_match,
-                "factors": [
-                    {
-                        "kind": f.kind,
-                        "label": f.label,
-                        "count": f.count,
-                        "tensor": f.to_text(cert.term_limit),
-                    }
-                    for f in cert.factors
-                ],
-                "result": cert.result.to_text(),
-            }
-        )
+        records.append(certificate_record(cert))
     return records, failures
 
 
@@ -407,7 +388,18 @@ def main(argv=None) -> int:
     except ValueError as e:
         parser.error(str(e))
     if not args.out:
-        return run(config, sys.stdout)
+        try:
+            code = run(config, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError as e:
+            # The reader closed stdout.  Point it at the null device, so that
+            # the flush at interpreter exit has nothing left to fail on.
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write to stdout: {e.strerror}", file=sys.stderr)
+            return 2
+        return code
     # The file is opened only once the run has produced output, so a refused
     # or failed run leaves no file behind and an existing one untouched.
     buffer = io.StringIO()

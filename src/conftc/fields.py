@@ -4,8 +4,9 @@ Scalars are plain values supporting ``+ - *`` and truthiness (``bool(x)``
 is False exactly for zero): a rational is an ``int`` when integral and a
 :class:`fractions.Fraction` otherwise, and GF(2) has :class:`Bit`.  A
 :class:`Field` object tags which field an algebra works over and provides
-conversion, parsing, formatting and ``inverse``, the only division (a
-``Fraction`` over the rationals, never a ``float``); all other arithmetic
+conversion, parsing, formatting, ``canonical`` (a scalar in the type the
+field keeps it in) and ``inverse``, the only division (a ``Fraction`` over
+the rationals, never a ``float``); all other arithmetic
 goes through the scalar operators so that linear algebra and element code
 stay field-agnostic.  ``Fraction(1) == 1`` and the two hash alike, so
 equality and text do not depend on which type holds an integral value.
@@ -66,6 +67,10 @@ class Field:
         """The multiplicative inverse of a nonzero scalar."""
         raise NotImplementedError
 
+    def canonical(self, c):
+        """The scalar c held as the field holds it (an integral rational as ``int``)."""
+        return c
+
     def format(self, c) -> str:
         raise NotImplementedError
 
@@ -93,11 +98,13 @@ class RationalField(Field):
         return int(k)
 
     def parse(self, text):
-        c = Fraction(text)
-        return c.numerator if c.denominator == 1 else c
+        return self.canonical(Fraction(text))
 
     def inverse(self, c):
         return Fraction(1, c)
+
+    def canonical(self, c):
+        return c.numerator if c.denominator == 1 else c
 
     def format(self, c) -> str:
         return str(c)

@@ -22,10 +22,12 @@ work by degree.
 
 Integer entries stay ``int``: a row whose pivot is +1 or -1 is normalized
 by a sign change, and any other pivot by multiplying with
-``field.inverse(pivot)``, a ``Fraction`` over the rationals, which turns
-that row into ``Fraction`` entries.  No entry is ever a ``float``.  Every
-operation is exact, and the reduced rows are the same values whichever
-scalar types went in.
+``field.inverse(pivot)``, a ``Fraction`` over the rationals.  The stored
+rows hold each integral entry as ``int`` (``field.canonical``), both in a
+row normalized by an inverse and in the rows that ``insert``
+back-substitutes into, so only entries that are not integral are
+``Fraction``.  No entry is ever a ``float``.  Every operation is exact, and
+the reduced rows are the same values whichever scalar types went in.
 
 Subspaces are mutable while being built and are meant to be frozen
 afterwards; a frozen subspace only ever reads its rows.
@@ -92,13 +94,14 @@ class GradedSubspace:
             return False
         pivot = min(r)
         lead = r[pivot]
+        canonical = self.field.canonical
         if lead == 1:
             row = r
         elif lead == -1:
             row = {i: -c for i, c in r.items()}
         else:
             inv = self.field.inverse(lead)
-            row = {i: c * inv for i, c in r.items()}
+            row = {i: canonical(c * inv) for i, c in r.items()}
         peers = self._blocks[degree].setdefault(block, [])
         for other in peers:
             c = other.get(pivot)
@@ -106,6 +109,10 @@ class GradedSubspace:
                 updated = vec_scaled_sub(other, c, row)
                 other.clear()
                 other.update(updated)
+                for i in row:
+                    v = other.get(i)
+                    if v is not None:
+                        other[i] = canonical(v)
         peers.append(row)
         self._rows[degree][pivot] = row
         return True

@@ -31,8 +31,9 @@ unit at coordinate i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .algebra import Element, TensorElement, _add_terms
 from .errors import check_term_limit
@@ -40,7 +41,6 @@ from .linalg import GradedSubspace
 from .surfaces import (
     SurfacePowerAlgebra,
     basis_limit,
-    cross_handle_relations,
     reduced_monomials,
     xy_pair_relations,
     totaro_relations,
@@ -142,6 +142,7 @@ class QuotientAlgebra:
             if len(self._std[d]) + len(pivots) != len(monos):
                 raise ValueError("ideal does not match the parent algebra's basis")
         self._pieces = {}  # terms of e, as a frozenset -> {m: nf(m*e) as a list}
+        self._parity = {}  # monomial -> its degree parity
 
     def standard_monomials(self, degree):
         if not 0 <= degree < len(self._std):
@@ -190,10 +191,11 @@ class QuotientAlgebra:
         """Each summand as ``(sign, [(e, parity, piece table of e), ...])``.
 
         Each distinct element is checked and its table found once, before
-        any piece is read.  With ``arity`` every summand must have that many
-        slots, and ``parity`` is the degree parity of e (else None).
+        any piece is read, and equal elements share one entry.  With
+        ``arity`` every summand must have that many slots, and ``parity`` is
+        the degree parity of e (else None).
         """
-        seen, rows = {}, []
+        seen, by_value, rows = {}, {}, []
         for sign, elements in summands:
             if arity is not None and len(elements) != arity:
                 raise ValueError(f"expected {arity} tensor slots, got {len(elements)}")
@@ -203,9 +205,12 @@ class QuotientAlgebra:
                 if entry is None:
                     if e.algebra is not self.parent:
                         raise ValueError("element does not belong to the parent algebra")
-                    table = self._pieces.setdefault(frozenset(e.terms.items()), {})
-                    odd = None if arity is None else e.degree() & 1
-                    entry = seen[id(e)] = (e, odd, table)
+                    value = frozenset(e.terms.items())
+                    entry = by_value.get(value)
+                    if entry is None:
+                        odd = None if arity is None else e.degree() & 1
+                        entry = by_value[value] = (e, odd, self._pieces.setdefault(value, {}))
+                    seen[id(e)] = entry
                 row.append(entry)
             rows.append((sign, row))
         return rows
@@ -252,23 +257,32 @@ class QuotientAlgebra:
         linear, so the result equals ``tensor_normal_form(t * F)`` for the
         expanded sum F, term for term, but F is never built.  Each piece
         nf(t_k e_k) is computed once per quotient (see ``_new_piece``), and
-        a summand is skipped as soon as one of its pieces is zero.
+        a summand is skipped as soon as one of its pieces is zero.  The
+        degree parities of the slots of t are read from a per-quotient cache.
 
         ``term_limit`` bounds the tensor terms held: each summand's expanded
-        product and the accumulated result.  Past it, SizeGuardError.
+        product, checked once per summand from its piece lengths (the first
+        slot prefix past the limit is the one refused), and the accumulated
+        result.  Past it, SizeGuardError.
         """
         alg = self.parent
         if t.algebra is not alg:
             raise ValueError("tensor element does not belong to the parent algebra")
         s = t.arity
         rows = [(sign < 0, row) for sign, row in self._slot_rows(summands, s)]
-        deg = alg.monomial_degree
+        deg, parity = alg.monomial_degree, self._parity
         out = {}
         for tup, c in t.terms.items():
             # above[k]: parity of the total degree of the slots after k
             above = [0] * s
+            suffix = 0
             for k in range(s - 1, 0, -1):
-                above[k - 1] = above[k] ^ (deg(tup[k]) & 1)
+                m = tup[k]
+                bit = parity.get(m)
+                if bit is None:
+                    bit = parity[m] = deg(m) & 1
+                suffix ^= bit
+                above[k - 1] = suffix
             for negative, row in rows:
                 pieces = []
                 for k, (e, odd, table) in enumerate(row):
@@ -281,11 +295,17 @@ class QuotientAlgebra:
                     pieces.append(piece)
                     negative ^= odd & above[k]
                 else:
-                    partial = [((), -c if negative else c)]
-                    for piece in pieces:
-                        partial = [(pt + (m2,), pc * c2) for pt, pc in partial for m2, c2 in piece]
-                        check_term_limit(len(partial), term_limit, "a streamed summand product")
-                    _add_terms(out, partial)
+                    if term_limit is not None:
+                        size = 1
+                        for piece in pieces:
+                            size *= len(piece)
+                            if size > term_limit:
+                                break
+                        check_term_limit(size, term_limit, "a streamed summand product")
+                    coefficient = -c if negative else c
+                    for choice in product(*pieces):
+                        monomials, coefficients = zip(*choice)
+                        _add_terms(out, [(monomials, prod(coefficients, start=coefficient))])
                     check_term_limit(len(out), term_limit, "the streamed product")
         return TensorElement(alg, s, out)
 
@@ -299,20 +319,35 @@ class QuotientAlgebra:
     def mu_of_summands(self, summands):
         """``mu`` of a sum of signed pure tensors, without expanding it.
 
-        mu(sign * e_1 (x) ... (x) e_s) = sign * e_1 ... e_s: each summand is
-        multiplied left to right with a normal form after every step, and
-        stops at the first zero.
+        mu(sign * e_1 (x) ... (x) e_s) = sign * e_1 ... e_s.  Slots holding
+        exactly the unit are dropped (a summand of units keeps one), the
+        summands are grouped by the elements that remain, and each group's
+        signs are added in the field.  Only a group with a nonzero net is
+        multiplied, left to right with a normal form after every step, and
+        stops at the first zero.  So the two summands of a slot difference
+        cancel outright, and so do the s summands of bar(u, s) for even s.
+        Every element is checked to belong to the parent, also in a group
+        that cancels.
         """
+        alg = self.parent
+        field = alg.field
+        rows = self._slot_rows(summands)
+        unit = self._pieces.get(frozenset([(alg.one, field.one)]))
+        zero, plus, minus = field.zero, field.from_int(1), field.from_int(-1)
+        groups = {}  # the remaining entries, by identity -> [entries, net sign]
+        for sign, row in rows:
+            rest = [entry for entry in row if entry[2] is not unit] or row[:1]
+            group = groups.setdefault(tuple(map(id, rest)), [rest, zero])
+            group[1] += minus if sign < 0 else plus
         out = {}
-        start = {self.parent.one: self.parent.field.one}
-        for sign, row in self._slot_rows(summands):
-            p = start
-            for e, _odd, table in row:
-                p = self._nf_times(p.items(), e, table)
+        for rest, net in groups.values():
+            p = {alg.one: net} if net else {}
+            for e, _odd, table in rest:
                 if not p:
                     break
-            _add_terms(out, ((m, c if sign > 0 else -c) for m, c in p.items()))
-        return Element(self.parent, out)
+                p = self._nf_times(p.items(), e, table)
+            _add_terms(out, p.items())
+        return Element(alg, out)
 
     def __repr__(self):
         return f"QuotientAlgebra({self.label}, {self.parent!r})"
@@ -362,70 +397,3 @@ def _quotient(genus, points, kind, max_basis):
 def cached_quotient(genus, points, kind, max_basis=None):
     """The 'E', 'A' or 'B' quotient of the cached power algebra."""
     return _quotient(genus, points, kind, basis_limit(max_basis))
-
-
-# -- the genus chain -------------------------------------------------------
-
-
-def genus_embedding(src, dst):
-    """Element map induced by the identity on generators between genera.
-
-    Letters a_i(p), b_i(p) keep their meaning; the top class of the source
-    goes to the top class of the target.
-    """
-    if src.points != dst.points or src.genus > dst.genus:
-        raise ValueError("no generator-preserving map between these algebras")
-    src_omega = 2 * src.genus + 1
-    dst_omega = 2 * dst.genus + 1
-
-    def map_element(e):
-        if e.algebra is not src:
-            raise ValueError("element does not belong to the source algebra")
-        terms = {}
-        for m, c in e.terms.items():
-            mm = tuple(dst_omega if cde == src_omega else cde for cde in m)
-            terms[mm] = c
-        return Element(dst, terms)
-
-    return map_element
-
-
-@dataclass
-class ChainCheck:
-    source_genus: int
-    target_genus: int
-    relation_label: str
-    index: int
-    ok: bool
-
-
-@dataclass
-class ChainReport:
-    genus: int
-    points: int
-    checks: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.checks)
-
-
-def verify_subalgebra_chain(genus, points, max_basis=None):
-    """Check the generator maps between consecutive certificate rings.
-
-    Every defining relation of the source ring must normal-form to zero
-    in the target ring; failures are reported per relation.
-    """
-    if genus < 2:
-        raise ValueError("the chain check needs a target genus of at least 2")
-    report = ChainReport(genus, points)
-    for h in range(1, genus):
-        src = cached_surface(h, points, max_basis)
-        dst = cached_surface(h + 1, points, max_basis)
-        target = cached_quotient(h + 1, points, "B", max_basis)
-        embed = genus_embedding(src, dst)
-        for rels in (cross_handle_relations(src), xy_pair_relations(src)):
-            for k, r in enumerate(rels):
-                ok = target.normal_form(embed(r)).is_zero()
-                report.checks.append(ChainCheck(h, h + 1, rels.label, k, ok))
-    return report

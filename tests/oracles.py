@@ -3,17 +3,24 @@
 Everything here is deliberately naive: dense Gaussian elimination over
 Fraction lists, schoolbook polynomial arithmetic, and brute combinatorial
 enumeration.  None of it shares code with the package's sparse kernel,
-except the tensor helpers at the end (:func:`slot_embed`,
-:func:`slot_difference`, :func:`expanded`, :func:`multiplied` and
-:func:`iterated_bar`), which build tensors from pure ones and multiply them
-out with the kernel's expanded tensor product, the reference that the
-package's streamed products are checked against.
+except the tensor helpers (:func:`slot_embed`, :func:`slot_difference`,
+:func:`expanded`, :func:`multiplied` and :func:`iterated_bar`), which build
+tensors from pure ones and multiply them out with the kernel's expanded
+tensor product, the reference that the package's streamed products are
+checked against, and the cross-checks at the end, which compare the
+package's own quotients with each other: the certificate in ``E`` against
+the one in ``B`` (:func:`ring_agreement`), and the certificate rings of
+consecutive genera (:func:`verify_subalgebra_chain`).
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from conftc.algebra import Element, TensorElement
+from conftc.certificates import evaluate_certificate
+from conftc.quotients import cached_quotient, cached_surface
+from conftc.surfaces import cross_handle_relations, xy_pair_relations
 
 
 def dense_rows(vectors, keys=None):
@@ -223,3 +230,83 @@ def cross_handle_predicate(algebra):
     if algebra.genus == 1:
         return lambda m: False
     return lambda m: sum(1 for c in m if c >= 3) >= 2
+
+
+def ring_agreement(genus, points, stages, max_basis=None):
+    """Check that the base-axis evaluation maps slotwise onto the small ring.
+
+    Returns (ok, certificate_in_B, certificate_in_E).
+    """
+    cert_b = evaluate_certificate(genus, points, stages, ring="B", max_basis=max_basis)
+    cert_e = evaluate_certificate(genus, points, stages, ring="E", max_basis=max_basis)
+    qb = cached_quotient(genus, points, "B", max_basis)
+    mapped = qb.tensor_normal_form(cert_e.result)
+    ok = cert_b.nonzero and cert_e.nonzero and mapped == cert_b.result
+    return ok, cert_b, cert_e
+
+
+# -- the genus chain -------------------------------------------------------
+
+
+def genus_embedding(src, dst):
+    """Element map induced by the identity on generators between genera.
+
+    Letters a_i(p), b_i(p) keep their meaning; the top class of the source
+    goes to the top class of the target.
+    """
+    if src.points != dst.points or src.genus > dst.genus:
+        raise ValueError("no generator-preserving map between these algebras")
+    src_omega = 2 * src.genus + 1
+    dst_omega = 2 * dst.genus + 1
+
+    def map_element(e):
+        if e.algebra is not src:
+            raise ValueError("element does not belong to the source algebra")
+        terms = {}
+        for m, c in e.terms.items():
+            mm = tuple(dst_omega if cde == src_omega else cde for cde in m)
+            terms[mm] = c
+        return Element(dst, terms)
+
+    return map_element
+
+
+@dataclass
+class ChainCheck:
+    source_genus: int
+    target_genus: int
+    relation_label: str
+    index: int
+    ok: bool
+
+
+@dataclass
+class ChainReport:
+    genus: int
+    points: int
+    checks: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return all(c.ok for c in self.checks)
+
+
+def verify_subalgebra_chain(genus, points, max_basis=None):
+    """Check the generator maps between consecutive certificate rings.
+
+    Every defining relation of the source ring must normal-form to zero
+    in the target ring; failures are reported per relation.
+    """
+    if genus < 2:
+        raise ValueError("the chain check needs a target genus of at least 2")
+    report = ChainReport(genus, points)
+    for h in range(1, genus):
+        src = cached_surface(h, points, max_basis)
+        dst = cached_surface(h + 1, points, max_basis)
+        target = cached_quotient(h + 1, points, "B", max_basis)
+        embed = genus_embedding(src, dst)
+        for rels in (cross_handle_relations(src), xy_pair_relations(src)):
+            for k, r in enumerate(rels):
+                ok = target.normal_form(embed(r)).is_zero()
+                report.checks.append(ChainCheck(h, h + 1, rels.label, k, ok))
+    return report

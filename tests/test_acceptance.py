@@ -13,7 +13,6 @@ from conftc.certificates import (
     certificate_factors,
     evaluate_certificate,
     omega_chain_elements,
-    ring_agreement,
     rp3_algebra,
     rp3_zcl_check,
     slot_difference_summands,
@@ -28,7 +27,7 @@ from conftc.surfaces import (
     shifted_basis_products,
 )
 
-from oracles import expanded, poly_pow
+from oracles import expanded, poly_pow, ring_agreement
 
 GRID = [
     (g, n, s) for g in (1, 2, 3) for n in (1, 2, 3) for s in (2, 3, 4)

@@ -11,7 +11,6 @@ from conftc.certificates import (
     evaluate_certificate,
     expected_survivors,
     omega_chain_elements,
-    ring_agreement,
     rp3_algebra,
     rp3_product,
     rp3_zcl_check,
@@ -33,6 +32,7 @@ from oracles import (
     iterated_bar,
     multiplied,
     omission_patterns,
+    ring_agreement,
     slot_difference,
     slot_embed,
 )
@@ -168,6 +168,39 @@ def test_a_second_evaluation_reuses_every_piece(monkeypatch):
     calls[0] = 0
     evaluate_certificate(2, 3, 10)
     assert calls[0] == outside
+
+
+def test_cancelling_zero_divisor_checks_multiply_nothing(monkeypatch):
+    # Once the unit slots are dropped, the two summands of a slot difference,
+    # and the s summands of bar(u, s) at even s, are one group whose signs
+    # add to zero.  At odd s that group is left with a net sign, and its
+    # product stops at u*u = 0: one piece nf(u) and one nf(m*u) per term m of u.
+    alg = cached_surface(2, 3)
+    u = alg.x(2)
+    checks = {
+        s: [slot_difference_summands(u, s, slot) for slot in range(2, s + 1)]
+        + [bar_summands(u, s)]
+        for s in (2, 3, 4, 9, 10)
+    }
+    fresh = {s: quotients.build_quotient(alg, "B") for s in checks}
+    mono_mul = count_mono_mul(monkeypatch)
+    normal_forms = [0]
+    normal_form = quotients.QuotientAlgebra.normal_form
+
+    def counting(self, e):
+        normal_forms[0] += 1
+        return normal_form(self, e)
+
+    monkeypatch.setattr(quotients.QuotientAlgebra, "normal_form", counting)
+    for s, summand_lists in checks.items():
+        mono_mul[0] = normal_forms[0] = 0
+        for summands in summand_lists:
+            assert fresh[s].mu_of_summands(summands).is_zero()
+        if s % 2 == 0:
+            assert (mono_mul[0], normal_forms[0]) == (0, 0), s
+        else:
+            assert normal_forms[0] == 1 + len(u.terms), s
+            assert mono_mul[0] == len(u.terms) + len(u.terms) ** 2, s
 
 
 @pytest.mark.parametrize("ring", ["B", "E"])
@@ -486,11 +519,29 @@ def test_stream_product_expands_only_summands_without_a_zero_piece(monkeypatch):
         pairs += len(acc.terms) * len(f.summands)
         skipped += len(acc.terms) * len(f.summands) - survivors
         checked.clear()
-        acc = q.stream_product(acc, f.summands)
-        # one accumulator check per summand product added, one partial check per slot
+        acc = q.stream_product(acc, f.summands, 10**6)
+        # one accumulator check and one summand-product check per summand added
         assert checked.count("the streamed product") == survivors, f.label
-        assert checked.count("a streamed summand product") == survivors * s, f.label
+        assert checked.count("a streamed summand product") == survivors, f.label
     assert acc and 0 < skipped < pairs
+
+
+def test_stream_product_refuses_the_first_slot_prefix_past_the_limit():
+    # pieces of 2, 3 and 1 terms: the summand's slot prefixes hold 2, 6 and 6
+    alg = cached_surface(2, 2)
+    q = quotients.QuotientAlgebra(alg, quotients.ideal_span(alg, []))
+    e2 = alg.a(1) + alg.b(1)
+    e3 = alg.a(1) + alg.b(1) + alg.a(2)
+    unit = TensorElement.unit(alg, 3)
+    summand = [(1, (e2, e3, Element.unit(alg)))]
+    assert len(q.stream_product(unit, summand, 6).terms) == 6
+    for limit, held in ((5, 6), (1, 2)):
+        with pytest.raises(
+            SizeGuardError,
+            match=f"a streamed summand product holds {held} tensor terms, "
+            f"which exceeds the limit {limit}",
+        ):
+            q.stream_product(unit, summand, limit)
 
 
 def test_table_builds_no_factor_tensor(monkeypatch):

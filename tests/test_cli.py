@@ -261,13 +261,28 @@ def test_unopenable_out_file_exits_two_with_one_line(tmp_path):
     assert not bad.parent.exists()
 
 
-def _cli(*args):
+def _cli(*args, stdout=subprocess.PIPE):
     src = str(Path(conftc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "conftc.cli", *args], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "conftc.cli", *args],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
     )
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = _cli("table", "--genus", "2", "--points", "1,2", "--stages", "2,3", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write to stdout: Broken pipe"]
 
 
 def test_out_file_is_written_only_after_output(tmp_path):

@@ -223,6 +223,20 @@ def test_pivot_two_gives_the_fraction_row():
     assert all(type(c) is Fraction for c in ints.reduce({1: 1}, 0).values())
 
 
+def test_pivot_two_with_even_entries_gives_an_int_row():
+    s = space()
+    s.insert({0: 1, 1: 1, 3: 1}, 0)
+    # pivot 2 with even entries; the first row is back-substituted
+    s.insert({1: 2, 2: 4, 3: -6}, 0)
+    rows = rref_rows(s, 0, one=1)
+    assert rows == {0: {0: 1, 2: -2, 3: 4}, 1: {1: 1, 2: 2, 3: -3}}
+    assert all(type(c) is int for row in rows.values() for c in row.values())
+    # Fraction input with integral values is stored the same way
+    t = space()
+    t.insert({1: Fraction(2), 2: Fraction(4)}, 0)
+    assert all(type(c) is int for c in rref_rows(t, 0, one=1)[1].values())
+
+
 def test_unit_pivots_keep_integer_rows():
     s = space()
     s.insert({2: -1, 4: 3, 6: -2}, 0)

@@ -12,6 +12,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -101,6 +102,48 @@ def test_mu_of_summands_equals_mu_of_the_expanded_tensor(data, space, arity):
     q = quotient_of(space)
     alg = q.parent
     pure = summands(data, alg, arity)
+    assert q.mu_of_summands(pure) == q.mu(TensorElement.of_summands(alg, arity, pure))
+
+
+def merging_summands(data, alg, arity):
+    """Summands whose groups, once the unit slots are dropped, repeat.
+
+    Slots come from a small pool: the unit (twice, as separate objects), a
+    scaled unit over the rationals, which is not dropped, and two
+    homogeneous elements.  Each drawn sequence is repeated one to four
+    times with drawn signs, so a group can cancel (opposite signs, or an
+    even count over GF(2)) or add up.  A repeat may move the units to other
+    slots, keeping the rest in order, and may rebuild its elements as
+    equal copies.
+    """
+    units = [Element.unit(alg), Element.unit(alg)]
+    pool = units + [homogeneous_element(data, alg), homogeneous_element(data, alg)]
+    if alg.field is not GF2_ALGEBRA.field:
+        pool.append(units[0].scaled(data.draw(st.sampled_from([2, -1, Fraction(1, 2)]))))
+    out = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = [data.draw(st.sampled_from(pool)) for _ in range(arity)]
+        for _ in range(data.draw(st.integers(1, 4))):
+            repeat = list(slots)
+            if data.draw(st.booleans()):
+                rest = [e for e in slots if e.terms != units[0].terms]
+                places = sorted(data.draw(st.permutations(range(arity)))[: len(rest)])
+                repeat = [data.draw(st.sampled_from(units))] * arity
+                for k, e in zip(places, rest):
+                    repeat[k] = e
+            if data.draw(st.booleans()):
+                repeat = [Element(alg, dict(e.terms)) for e in repeat]
+            out.append((data.draw(st.sampled_from([1, -1])), tuple(repeat)))
+    return out
+
+
+@pytest.mark.parametrize("spaces", [SPACES[:-1], ["GF2"]], ids=["rationals", "GF2"])
+@REPEATABLE
+@given(data=st.data(), arity=st.integers(1, 4))
+def test_merged_mu_of_summands_equals_mu_of_the_expanded_tensor(spaces, data, arity):
+    q = quotient_of(data.draw(st.sampled_from(spaces)))
+    alg = q.parent
+    pure = merging_summands(data, alg, arity)
     assert q.mu_of_summands(pure) == q.mu(TensorElement.of_summands(alg, arity, pure))
 
 

@@ -13,10 +13,8 @@ from conftc.quotients import (
     build_quotient,
     cached_quotient,
     cached_surface,
-    genus_embedding,
     ideal_span,
     kept_listing,
-    verify_subalgebra_chain,
 )
 from conftc.surfaces import (
     SurfacePowerAlgebra,
@@ -28,7 +26,7 @@ from conftc.surfaces import (
     totaro_relations,
 )
 
-from oracles import cross_handle_predicate, dense_rank
+from oracles import cross_handle_predicate, dense_rank, genus_embedding, verify_subalgebra_chain
 from test_linalg import rref_rows
 
 
