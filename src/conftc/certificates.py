@@ -203,7 +203,8 @@ def evaluate_certificate(
     Each factor is streamed into the accumulator summand by summand
     (``QuotientAlgebra.stream_product``), so it is never expanded; this is
     sound because the quotient map is a ring map applied slotwise.  Every
-    factor is checked to be a zero divisor from its summands as well.
+    factor is checked to be a zero divisor from its summands as well; both
+    read the factor's ``slot_rows``, prepared once.
     ``term_limit`` (default 10^6; ``allow_large`` lifts it) bounds the
     tensor terms held at any time: the accumulator, each summand's
     product, and each factor's transcript text.
@@ -218,14 +219,15 @@ def evaluate_certificate(
     algebra = cached_surface(genus, points, max_basis)
     q = cached_quotient(genus, points, ring, max_basis)
     factors = certificate_factors(algebra, stages)
-    for f in factors:
-        if not q.mu_of_summands(f.summands).is_zero():
+    rows = [q.slot_rows(f.summands, stages) for f in factors]
+    for f, f_rows in zip(factors, rows):
+        if not q.mu_of_summands(f_rows).is_zero():
             raise VerificationError(
                 f"factor {f.label} is not a zero divisor in {q.label}"
             )
     acc = TensorElement.unit(algebra, stages)
-    for f in factors:
-        acc = q.stream_product(acc, f.summands, limit)
+    for f_rows in rows:
+        acc = q.stream_product(acc, f_rows, limit)
     factor_count = sum(f.count for f in factors)
     expected_count = stages * (points + 1) - (2 if genus == 1 else 0)
     if factor_count != expected_count:
@@ -680,7 +682,7 @@ def rp3_product(s):
     t = Element.monomial(alg, 1)
     acc = TensorElement.unit(alg, s)
     for slot in range(2, s + 1):
-        f = slot_difference_summands(t, s, slot)
+        f = q.slot_rows(slot_difference_summands(t, s, slot), s)
         if not q.mu_of_summands(f).is_zero():
             raise VerificationError("slot difference is not a zero divisor")
         for _ in range(3):

@@ -17,8 +17,9 @@ grading finer than degree.  ``insert(v, degree, block)`` then
 back-substitutes the new row only into the rows of its own block, which
 keeps the reduced echelon form because rows of other blocks have no entry
 at its pivot.  Without a block every row of the degree is one block.
-Blocks speed up building a span only; ``reduce``, ``pivots`` and ``rank``
-work by degree.
+Blocks speed up building a span, and let it be built one block at a time
+(``quotients.IdealSpan`` does so on demand); ``reduce``, ``pivots`` and
+``rank`` work by degree.
 
 Integer entries stay ``int``: a row whose pivot is +1 or -1 is normalized
 by a sign change, and any other pivot by multiplying with

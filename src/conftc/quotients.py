@@ -2,21 +2,26 @@
 
 Every :class:`QuotientAlgebra` has one shape: a parent algebra, an optional
 listing ``kept`` of the standard monomials of a monomial ideal, by degree
-and in order (``None`` keeps the parent's whole basis), and frozen
-per-degree row-reduced rows that hold only kept monomials.  The quotient
-is the parent modulo the monomials outside ``kept`` and the rows.  Rows are keyed by the parent's
-monomials, so the pivot order is the monomials' own order.  ``normal_form``
-drops the monomials outside ``kept`` and reduces by the rows, which gives
-the unique representative on the standard (kept, non-pivot) monomials; these
-enumerate the quotient basis.  Tensor elements reduce slotwise.
+and in order (``None`` keeps the parent's whole basis), and an
+:class:`IdealSpan` of row-reduced rows that hold only kept monomials.  The
+quotient is the parent modulo the monomials outside ``kept`` and the rows.
+Rows are keyed by the parent's monomials, so the pivot order is the
+monomials' own order.  ``normal_form`` drops the monomials outside ``kept``
+and reduces by the rows, which gives the unique representative on the
+standard (kept, non-pivot) monomials; these enumerate the quotient basis.
+Tensor elements reduce slotwise.
 
-:func:`ideal_span` builds the rows.  It eliminates every multiple of the
-generators by a kept monomial (by every basis monomial without ``kept``)
-and drops the product monomials outside ``kept`` as each product is formed.
-One multiplication pass suffices: any product of ring elements with a
+:func:`ideal_span` returns the rows of every multiple of the generators by
+a kept monomial (by every basis monomial without ``kept``), with the
+product monomials outside ``kept`` dropped as each product is formed.  One
+multiplication pass suffices: any product of ring elements with a
 generator reduces to signed monomial multiples, and a multiple by a
-monomial outside ``kept`` lies in the monomial ideal.  Products go into the
-elimination in (degree, handle weight) blocks.
+monomial outside ``kept`` lies in the monomial ideal.  The rows are
+eliminated on demand, one (degree, handle weight) block at a time: a normal
+form eliminates only the blocks its monomials lie in, and the standard
+monomials and dimensions of a degree eliminate all of its blocks.  A
+certificate reads a few dozen normal-form pieces, so it builds a small part
+of the rows; asking for every block gives the whole span.
 
 The three cached quotients: 'A' (mixed index >= 2 products) is a monomial
 ideal, so it is its kept listing with no rows, and the certificate ring 'B'
@@ -50,13 +55,12 @@ QUOTIENT_LABELS = ("BASE_AXIS", "HANDLE_REDUCED", "CERTIFICATE", "CUSTOM")
 
 
 def ideal_span(algebra, generators, kept=None):
-    """Linear span of the kept-monomial multiples of the generators, modulo the rest.
+    """The span of the kept-monomial multiples of the generators, modulo the rest.
 
-    Generators must be homogeneous; the result is frozen and holds every
-    degree of the algebra.  ``kept`` lists the standard monomials of a
-    monomial ideal, as :func:`kept_listing` gives them: only they multiply
-    the generators, and the product monomials outside it are dropped, so
-    the rows span the ideal modulo the monomial one, ready for
+    Generators must be homogeneous.  ``kept`` lists the standard monomials
+    of a monomial ideal, as :func:`kept_listing` gives them: only they
+    multiply the generators, and the product monomials outside it are
+    dropped, so the rows span the ideal modulo the monomial one, ready for
     ``QuotientAlgebra(..., kept=kept)``.  Without ``kept`` every basis
     monomial multiplies and nothing is dropped.
 
@@ -64,13 +68,9 @@ def ideal_span(algebra, generators, kept=None):
     multiplies each generator only by monomials carrying the unit at its
     unit coordinate; a plain list of generators uses every multiplier.
 
-    When the algebra has a ``monomial_weight`` and every generator is
-    homogeneous for it, each product is inserted in its (degree, weight)
-    block; otherwise each degree is one block.  Dropping monomials keeps a
-    product in its block.
-
-    Integral rationals are ``int``, so integral generators give integer rows
-    except where a pivot other than +1 or -1 is inverted (:mod:`conftc.linalg`).
+    Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
+    each block of its rows the first time it is read.  Without ``kept`` the
+    algebra's basis is listed now, under its guard.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
@@ -82,30 +82,122 @@ def ideal_span(algebra, generators, kept=None):
             raise ValueError(f"inhomogeneous generator: {r.to_text()}")
         weights = {algebra.monomial_weight(m) for m in r.terms}
         work.append((r, unit, weights.pop() if len(weights) == 1 else None))
-    weigh = None
-    if all(w is not None for _r, _u, w in work):
-        weigh = algebra.monomial_weight
-    multipliers = algebra.monomials_by_degree if kept is None else kept
-    top = algebra.top_degree
-    space = GradedSubspace(range(top + 1), algebra.field)
-    unit_letters = algebra.one
-    mono_mul = algebra.mono_mul
-    for r, unit, weight in work:
-        e = r.degree()
-        rterms = list(r.terms.items())
-        for d in range(top - e + 1):
-            for m in multipliers[d]:
-                if unit is not None and m[unit - 1] != unit_letters[unit - 1]:
-                    continue
+    return IdealSpan(algebra, work, kept)
+
+
+class IdealSpan:
+    """Reduced echelon rows of an ideal span, each block eliminated on first use.
+
+    When the algebra has a ``monomial_weight`` and every generator is
+    homogeneous for it, a block is one (degree, weight) pair; otherwise it
+    is one degree.  Products add weights and dropping monomials keeps a
+    product in its block, so the rows of block (D, w) come only from a
+    generator r times the multipliers of block (D - deg r, w - weight r),
+    and no two blocks share a column.  Each block is therefore eliminated
+    on its own, with the multiples inserted in the same order as over the
+    whole degree.  The reduced echelon form over a fixed column order is
+    unique, so the rows do not depend on which blocks were asked for first.
+
+    ``reduce`` eliminates the blocks of its vector's monomials first;
+    ``pivots``, ``rank`` and ``total_rank`` eliminate every block of the
+    degrees they read.  The multipliers of a degree are grouped by weight,
+    and by the unit coordinates in use, on first need.
+    """
+
+    def __init__(self, algebra, work, kept=None):
+        self.algebra = algebra
+        self.kept = kept
+        self.field = algebra.field
+        self.generators = [r for r, _unit, _weight in work]
+        self._top = algebra.top_degree
+        self._space = GradedSubspace(range(self._top + 1), self.field)
+        self._work = [(list(r.terms.items()), r.degree(), weight, unit) for r, unit, weight in work]
+        self._weigh = None
+        if all(weight is not None for _r, _unit, weight in work):
+            self._weigh = algebra.monomial_weight
+        self._units = list(dict.fromkeys(unit for *_, unit in self._work))
+        self._multipliers = algebra.monomials_by_degree if kept is None else kept
+        self._groups = {}  # multiplier degree -> {unit coordinate: {weight: [m]}}
+        self._built = set()  # (degree, weight) blocks eliminated
+        self._whole = set() if work else set(range(self._top + 1))  # degrees fully eliminated
+
+    def _check_degree(self, degree):
+        if not 0 <= degree <= self._top:
+            raise ValueError(f"degree out of range: {degree}")
+
+    def _grouped(self, d):
+        """The multipliers of degree d by unit coordinate and then weight, in order."""
+        groups = self._groups.get(d)
+        if groups is None:
+            groups = self._groups[d] = {unit: {} for unit in self._units}
+            weigh, one = self._weigh, self.algebra.one
+            for m in self._multipliers[d]:
+                weight = None if weigh is None else weigh(m)
+                for unit, by_weight in groups.items():
+                    if unit is None or m[unit - 1] == one[unit - 1]:
+                        by_weight.setdefault(weight, []).append(m)
+        return groups
+
+    def _eliminate(self, degree, weight):
+        """Insert every multiple that lands in block (degree, weight)."""
+        self._built.add((degree, weight))
+        target = None if self.kept is None else self.kept[degree]
+        mono_mul, insert = self.algebra.mono_mul, self._space.insert
+        for rterms, e, rweight, unit in self._work:
+            if degree < e:
+                continue
+            by_weight = self._grouped(degree - e)[unit]
+            for m in by_weight.get(None if weight is None else weight - rweight, ()):
                 products = []
                 for mr, cr in rterms:
                     res = mono_mul(m, mr)
-                    if res is not None and (kept is None or res[0] in kept[d + e]):
+                    if res is not None and (target is None or res[0] in target):
                         products.append((res[0], cr if res[1] > 0 else -cr))
                 vec = _add_terms({}, products)
                 if vec:
-                    space.insert(vec, d + e, None if weigh is None else weigh(m) + weight)
-    return space.freeze()
+                    insert(vec, degree, weight)
+
+    def _eliminate_degree(self, degree):
+        self._check_degree(degree)
+        if degree in self._whole:
+            return
+        blocks = {}
+        for _rterms, e, rweight, unit in self._work:
+            if degree >= e:
+                for w in self._grouped(degree - e)[unit]:
+                    blocks[None if w is None else w + rweight] = None
+        for weight in blocks:
+            if (degree, weight) not in self._built:
+                self._eliminate(degree, weight)
+        self._whole.add(degree)
+
+    def reduce(self, v, degree):
+        """Normal form of v against the rows of the given degree (see ``GradedSubspace.reduce``)."""
+        if degree not in self._whole:
+            self._check_degree(degree)
+            weigh, built = self._weigh, self._built
+            for m in v:
+                block = (degree, None if weigh is None else weigh(m))
+                if block not in built:
+                    self._eliminate(*block)
+        return self._space.reduce(v, degree)
+
+    def pivots(self, degree):
+        """Sorted pivot monomials of the given degree."""
+        self._eliminate_degree(degree)
+        return self._space.pivots(degree)
+
+    def rank(self, degree):
+        self._eliminate_degree(degree)
+        return self._space.rank(degree)
+
+    def total_rank(self):
+        for degree in range(self._top + 1):
+            self._eliminate_degree(degree)
+        return self._space.total_rank()
+
+    def degrees(self):
+        return list(range(self._top + 1))
 
 
 def kept_listing(algebra, monomials):
@@ -113,44 +205,52 @@ def kept_listing(algebra, monomials):
     return [dict.fromkeys(ms) for ms in algebra.group_by_degree(monomials)]
 
 
+class SlotRows(list):
+    """Summands prepared by :meth:`QuotientAlgebra.slot_rows` for one quotient and arity."""
+
+    __slots__ = ("quotient", "arity")
+
+
 class QuotientAlgebra:
     """A parent algebra modulo a monomial ideal and a row-reduced ideal span.
 
     ``kept`` lists the standard monomials of the monomial ideal, which holds
     every other basis monomial, as :func:`kept_listing` gives them; ``None``
-    keeps the whole basis.
-    The rows of ``ideal`` are keyed by monomial, hold only kept monomials,
-    and cover every degree of the parent; :func:`ideal_span` with the same
-    ``kept`` builds them.
+    keeps the whole basis.  ``ideal`` is the :class:`IdealSpan` that
+    :func:`ideal_span` built for the same parent and ``kept``; its rows hold
+    only kept monomials.  Normal forms eliminate the blocks of rows they
+    read, and the standard monomials of a degree (with the dimensions) are
+    found on first use.  An ideal without generators has no rows, and its
+    normal form only drops the monomials outside ``kept``.
     """
 
     def __init__(self, parent, ideal, label="CUSTOM", kept=None):
         if label not in QUOTIENT_LABELS:
             raise ValueError(f"unknown quotient label {label!r}")
-        ideal.freeze()
-        if ideal.degrees() != list(range(parent.top_degree + 1)):
-            raise ValueError("ideal does not match the parent algebra's basis")
+        if ideal.algebra is not parent or ideal.kept != kept:
+            raise ValueError("ideal does not match the parent algebra and kept listing")
         self.parent = parent
         self.ideal = ideal
         self.label = label
         self._kept = kept
-        self._has_rows = ideal.total_rank() > 0
-        self._std = []
-        for d, monos in enumerate(parent.monomials_by_degree if kept is None else kept):
-            pivots = set(ideal.pivots(d))
-            self._std.append(tuple(m for m in monos if m not in pivots))
-            if len(self._std[d]) + len(pivots) != len(monos):
-                raise ValueError("ideal does not match the parent algebra's basis")
+        self._has_rows = bool(ideal.generators)
+        self._std = [None] * (parent.top_degree + 1)  # standard monomials, on first use
         self._pieces = {}  # terms of e, as a frozenset -> {m: nf(m*e) as a list}
         self._parity = {}  # monomial -> its degree parity
 
     def standard_monomials(self, degree):
+        """The kept monomials of the degree that are no pivot, in order."""
         if not 0 <= degree < len(self._std):
             raise ValueError(f"degree out of range: {degree}")
-        return self._std[degree]
+        std = self._std[degree]
+        if std is None:
+            kept = self.parent.monomials_by_degree if self._kept is None else self._kept
+            pivots = set(self.ideal.pivots(degree)) if self._has_rows else ()
+            std = self._std[degree] = tuple(m for m in kept[degree] if m not in pivots)
+        return std
 
     def dimensions_by_degree(self):
-        return [len(s) for s in self._std]
+        return [len(self.standard_monomials(d)) for d in range(len(self._std))]
 
     @property
     def dimension(self):
@@ -187,15 +287,23 @@ class QuotientAlgebra:
         """
         return self.stream_product(t, [(1, (Element.unit(self.parent),) * t.arity)])
 
-    def _slot_rows(self, summands, arity=None):
+    def slot_rows(self, summands, arity=None):
         """Each summand as ``(sign, [(e, parity, piece table of e), ...])``.
 
         Each distinct element is checked and its table found once, before
         any piece is read, and equal elements share one entry.  With
         ``arity`` every summand must have that many slots, and ``parity`` is
-        the degree parity of e (else None).
+        the degree parity of e (else None).  ``stream_product`` and
+        ``mu_of_summands`` take the returned :class:`SlotRows` in place of
+        the summands, so a factor that both read is prepared once.  Rows
+        passed in come back unchanged, once checked to be this quotient's
+        with this arity.
         """
-        seen, by_value, rows = {}, {}, []
+        if type(summands) is SlotRows:
+            if summands.quotient is not self or arity not in (None, summands.arity):
+                raise ValueError("slot rows were prepared for another quotient or arity")
+            return summands
+        seen, by_value, rows = {}, {}, SlotRows()
         for sign, elements in summands:
             if arity is not None and len(elements) != arity:
                 raise ValueError(f"expected {arity} tensor slots, got {len(elements)}")
@@ -213,6 +321,7 @@ class QuotientAlgebra:
                     seen[id(e)] = entry
                 row.append(entry)
             rows.append((sign, row))
+        rows.quotient, rows.arity = self, arity
         return rows
 
     def _new_piece(self, table, m, e):
@@ -245,7 +354,8 @@ class QuotientAlgebra:
         """Slotwise normal form of t times a sum of signed pure tensors.
 
         ``summands`` holds pairs ``(sign, (e_1, ..., e_s))`` of an int sign
-        and s homogeneous elements of the parent.  For a term
+        and s homogeneous elements of the parent, or is their
+        ``slot_rows(summands, s)``.  For a term
         t_1 (x) ... (x) t_s of t with coefficient c, the product with one
         summand is
 
@@ -269,7 +379,7 @@ class QuotientAlgebra:
         if t.algebra is not alg:
             raise ValueError("tensor element does not belong to the parent algebra")
         s = t.arity
-        rows = [(sign < 0, row) for sign, row in self._slot_rows(summands, s)]
+        rows = [(sign < 0, row) for sign, row in self.slot_rows(summands, s)]
         deg, parity = alg.monomial_degree, self._parity
         out = {}
         for tup, c in t.terms.items():
@@ -327,11 +437,11 @@ class QuotientAlgebra:
         stops at the first zero.  So the two summands of a slot difference
         cancel outright, and so do the s summands of bar(u, s) for even s.
         Every element is checked to belong to the parent, also in a group
-        that cancels.
+        that cancels.  ``summands`` may also be their ``slot_rows``.
         """
         alg = self.parent
         field = alg.field
-        rows = self._slot_rows(summands)
+        rows = self.slot_rows(summands)
         unit = self._pieces.get(frozenset([(alg.one, field.one)]))
         zero, plus, minus = field.zero, field.from_int(1), field.from_int(-1)
         groups = {}  # the remaining entries, by identity -> [entries, net sign]

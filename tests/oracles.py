@@ -7,18 +7,21 @@ except the tensor helpers (:func:`slot_embed`, :func:`slot_difference`,
 :func:`expanded`, :func:`multiplied` and :func:`iterated_bar`), which build
 tensors from pure ones and multiply them out with the kernel's expanded
 tensor product, the reference that the package's streamed products are
-checked against, and the cross-checks at the end, which compare the
-package's own quotients with each other: the certificate in ``E`` against
-the one in ``B`` (:func:`ring_agreement`), and the certificate rings of
-consecutive genera (:func:`verify_subalgebra_chain`).
+checked against, :func:`eager_ideal_span`, which inserts every generator
+multiple into a ``GradedSubspace`` up front and is the reference for the
+package's on-demand blocks, and the cross-checks at the end, which compare
+the package's own quotients with each other: the certificate in ``E``
+against the one in ``B`` (:func:`ring_agreement`), and the certificate
+rings of consecutive genera (:func:`verify_subalgebra_chain`).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from conftc.algebra import Element, TensorElement
+from conftc.algebra import Element, TensorElement, _add_terms
 from conftc.certificates import evaluate_certificate
+from conftc.linalg import GradedSubspace
 from conftc.quotients import cached_quotient, cached_surface
 from conftc.surfaces import cross_handle_relations, xy_pair_relations
 
@@ -230,6 +233,45 @@ def cross_handle_predicate(algebra):
     if algebra.genus == 1:
         return lambda m: False
     return lambda m: sum(1 for c in m if c >= 3) >= 2
+
+
+def eager_ideal_span(algebra, generators, kept=None):
+    """Every block of ``quotients.ideal_span(algebra, generators, kept)``, eliminated at once.
+
+    The elimination loop as it ran before the blocks were built on demand:
+    each generator times each usable multiplier of each degree, in listing
+    order, inserted into its (degree, weight) block, or its degree when a
+    generator is not weight-homogeneous.  Returns a frozen ``GradedSubspace``.
+    """
+    gens = list(getattr(generators, "generators", generators))
+    units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
+    work = []
+    for r, unit in zip(gens, units):
+        if r.is_zero():
+            continue
+        weights = {algebra.monomial_weight(m) for m in r.terms}
+        work.append((r, unit, weights.pop() if len(weights) == 1 else None))
+    weigh = None
+    if all(w is not None for _r, _u, w in work):
+        weigh = algebra.monomial_weight
+    multipliers = algebra.monomials_by_degree if kept is None else kept
+    top = algebra.top_degree
+    space = GradedSubspace(range(top + 1), algebra.field)
+    for r, unit, weight in work:
+        e = r.degree()
+        for d in range(top - e + 1):
+            for m in multipliers[d]:
+                if unit is not None and m[unit - 1] != algebra.one[unit - 1]:
+                    continue
+                products = []
+                for mr, cr in r.terms.items():
+                    res = algebra.mono_mul(m, mr)
+                    if res is not None and (kept is None or res[0] in kept[d + e]):
+                        products.append((res[0], cr if res[1] > 0 else -cr))
+                vec = _add_terms({}, products)
+                if vec:
+                    space.insert(vec, d + e, None if weigh is None else weigh(m) + weight)
+    return space.freeze()
 
 
 def ring_agreement(genus, points, stages, max_basis=None):

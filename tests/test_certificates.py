@@ -36,7 +36,7 @@ from oracles import (
     slot_difference,
     slot_embed,
 )
-from test_quotients import count_mono_mul
+from test_quotients import count_inserts, count_mono_mul
 
 
 def chain_product(alg, indices, gen):
@@ -124,13 +124,26 @@ def test_bar_refuses_where_the_closed_form_fails():
         bar(t, 3)
 
 
-def fresh_quotient(monkeypatch, g, n, ring="B"):
+def eliminated_quotient(alg, ring="B"):
+    """A newly built quotient with every block of its rows eliminated.
+
+    Its piece table starts empty, and later counts hold the product's work
+    only, not the elimination's.
+    """
+    q = quotients.build_quotient(alg, ring)
+    q.ideal.total_rank()
+    return q
+
+
+def fresh_quotient(monkeypatch, g, n, ring="B", eliminate=True):
     """Have the certificate code use a newly built quotient for this cell.
 
-    Its piece table starts empty, so counted work does not depend on what
-    earlier tests computed in the cached quotient.
+    Its piece table starts empty and, with ``eliminate``, its rows are all
+    eliminated, so counted work does not depend on what earlier tests
+    computed in the cached quotient.
     """
-    q = quotients.build_quotient(cached_surface(g, n), ring)
+    alg = cached_surface(g, n)
+    q = eliminated_quotient(alg, ring) if eliminate else quotients.build_quotient(alg, ring)
     cached = certificates.cached_quotient
 
     def cell_quotient(genus, points, kind, max_basis=None):
@@ -155,6 +168,42 @@ def test_bar_work_counts(monkeypatch):
     # multiplying the accumulator by the expanded factors, and 316,311
     # multiplying out each bar before that
     assert calls[0] <= 80
+
+
+def test_a_certificate_eliminates_part_of_b(monkeypatch):
+    q = fresh_quotient(monkeypatch, 2, 5, eliminate=False)
+    inserts = count_inserts(monkeypatch)
+    evaluate_certificate(2, 5, 3)
+    read = inserts[0]
+    inserts[0] = 0
+    # the dimension eliminates the other blocks; 5,184 inserts build all of B
+    assert q.dimension == 434
+    assert 0 < 2 * read < read + inserts[0] == 5184
+
+
+def test_each_factor_is_prepared_once_and_its_rows_serve_both_products(monkeypatch):
+    q = fresh_quotient(monkeypatch, 2, 3)
+    prepared = []
+    slot_rows = quotients.QuotientAlgebra.slot_rows
+
+    def counting(self, summands, arity=None):
+        if type(summands) is not quotients.SlotRows:
+            prepared.append(arity)
+        return slot_rows(self, summands, arity)
+
+    monkeypatch.setattr(quotients.QuotientAlgebra, "slot_rows", counting)
+    evaluate_certificate(2, 3, 4)
+    assert prepared == [4] * len(certificate_factors(q.parent, 4))
+    alg = q.parent
+    summands = bar_summands(alg.x(2), 3)
+    rows = q.slot_rows(summands, 3)
+    t = TensorElement.of_elements([alg.y(1), alg.x(3), alg.a(1, 2)])
+    assert q.stream_product(t, rows) == q.stream_product(t, summands)
+    assert q.mu_of_summands(rows) == q.mu_of_summands(summands)
+    with pytest.raises(ValueError, match="another quotient or arity"):
+        q.stream_product(TensorElement.unit(alg, 2), rows)
+    with pytest.raises(ValueError, match="another quotient or arity"):
+        cached_quotient(2, 3, "E").mu_of_summands(rows)
 
 
 def test_a_second_evaluation_reuses_every_piece(monkeypatch):
@@ -182,7 +231,7 @@ def test_cancelling_zero_divisor_checks_multiply_nothing(monkeypatch):
         + [bar_summands(u, s)]
         for s in (2, 3, 4, 9, 10)
     }
-    fresh = {s: quotients.build_quotient(alg, "B") for s in checks}
+    fresh = {s: eliminated_quotient(alg) for s in checks}
     mono_mul = count_mono_mul(monkeypatch)
     normal_forms = [0]
     normal_form = quotients.QuotientAlgebra.normal_form

@@ -45,6 +45,10 @@ GOLDEN = [
      "eb98e8d9ec754696551b4f9c2a5ce054c24709a3376e3d50cf168f8121b936ea"),
     ("search-zcl --genus 2 --points 3 --stages 3",
      "9c40a42c1a3d72cb43368f3b8bd07ad6d01ae678033966af64290219dbcc4096"),
+    ("certify --genus 2 --points 7 --stages 2",
+     "a5b5a0f3c3143f596501fc20ec9a5ffa3c6cfa18936e5c8a1bddce765f0f0678"),
+    ("certify --genus 1 --points 7 --stages 3",
+     "f67d0819d9e147f0735aea5b29e720ce12c8b5bfeb4064de0088b29cf27e40d3"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Property tests: the streamed products against the expanded reference, and text round trips.
+"""Property tests: streamed products and on-demand rows against their references, and text round trips.
 
 Examples are generated by hypothesis with a fixed derivation
 (``derandomize=True``) and no example database, so every run draws the
@@ -10,6 +10,7 @@ directory, so a run writes nothing into the checkout.
 
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,17 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from conftc.algebra import Element, TensorElement
 from conftc.certificates import rp3_algebra
-from conftc.quotients import QuotientAlgebra, cached_quotient, cached_surface, ideal_span
+from conftc.quotients import (
+    QuotientAlgebra,
+    build_quotient,
+    cached_quotient,
+    cached_surface,
+    ideal_span,
+)
+from conftc.surfaces import totaro_relations, xy_pair_relations
+
+from oracles import eager_ideal_span
+from test_linalg import rref_rows
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "conftc-hypothesis")
 REPEATABLE = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -155,3 +166,56 @@ def test_text_round_trips(data, space, arity):
     assert Element.from_text(alg, e.to_text()) == e
     t = tensor(data, alg, arity)
     assert TensorElement.from_text(alg, arity, t.to_text()) == t
+
+
+# -- rows built block by block against the eager elimination ---------------
+
+LAZY_SPACES = [
+    (g, n, ring)
+    for g, n in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3))
+    for ring in ("B", "E")
+]
+LAZY_SPACES.append((2, 5, "B"))
+
+
+@lru_cache(maxsize=None)
+def eager_rows(g, n, ring):
+    """The oracle's span for the quotient's ideal, with every block eliminated up front."""
+    alg = cached_surface(g, n)
+    gens = totaro_relations(alg) if ring == "E" else xy_pair_relations(alg)
+    return eager_ideal_span(alg, gens, cached_quotient(g, n, ring).ideal.kept)
+
+
+def eager_normal_form(span, kept, e):
+    """Drop the monomials outside ``kept``, then reduce each degree by the span."""
+    parts = {}
+    for m, c in e.terms.items():
+        d = e.algebra.monomial_degree(m)
+        if kept is None or m in kept[d]:
+            parts.setdefault(d, {})[m] = c
+    out = {}
+    for d, vec in parts.items():
+        out.update(span.reduce(vec, d))
+    return Element(e.algebra, out)
+
+
+@pytest.mark.parametrize("g,n,ring", LAZY_SPACES)
+@settings(REPEATABLE, max_examples=5)
+@given(data=st.data())
+def test_rows_built_on_demand_equal_the_eager_rows(g, n, ring, data):
+    # A new quotient per example: its blocks are eliminated in the order the
+    # drawn elements reach them, then degree by degree in a drawn order.
+    alg = cached_surface(g, n)
+    q = build_quotient(alg, ring)
+    kept = q.ideal.kept
+    oracle = eager_rows(g, n, ring)
+    ambient = [m for ms in alg.monomials_by_degree for m in ms]
+    listed = ambient if kept is None else [m for ms in kept for m in ms]
+    monomials = st.one_of(st.sampled_from(listed), st.sampled_from(ambient))
+    for _ in range(data.draw(st.integers(1, 4))):
+        chosen = data.draw(st.lists(monomials, min_size=1, max_size=6, unique=True))
+        e = Element(alg, {m: coefficient(data, alg.field) for m in chosen})
+        assert q.normal_form(e) == eager_normal_form(oracle, kept, e)
+    for d in data.draw(st.permutations(range(alg.top_degree + 1))):
+        assert q.ideal.pivots(d) == oracle.pivots(d)
+        assert rref_rows(q.ideal, d) == rref_rows(oracle, d)

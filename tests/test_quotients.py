@@ -312,12 +312,13 @@ def test_equal_elements_built_separately_share_one_piece_table(monkeypatch):
 def test_tower_build_work_counts(monkeypatch):
     alg = SurfacePowerAlgebra(2, 4)
     calls = count_mono_mul(monkeypatch)
-    build_quotient(alg, "A")
+    # total_rank eliminates every block of the lazily built rows
+    build_quotient(alg, "A").ideal.total_rank()
     assert calls[0] == 0
-    build_quotient(alg, "B")
+    build_quotient(alg, "B").ideal.total_rank()
     tower = calls[0]
     calls[0] = 0
-    ideal_span(alg, list(cross_handle_relations(alg)) + list(xy_pair_relations(alg)))
+    ideal_span(alg, list(cross_handle_relations(alg)) + list(xy_pair_relations(alg))).total_rank()
     ambient = calls[0]
     assert 0 < 4 * tower <= ambient
 
@@ -360,12 +361,13 @@ def test_base_axis_build_work_counts(monkeypatch):
     calls = count_mono_mul(monkeypatch)
     inserts = count_inserts(monkeypatch)
     ambient = ideal_span(alg, list(totaro_relations(alg)))
+    assert ambient.total_rank() == 725
     assert calls[0] == 46068
     calls[0] = inserts[0] = 0
     built = build_quotient(alg, "E")
+    assert built.ideal.total_rank() == 725
     assert 4 * calls[0] <= 46068
     assert inserts[0] <= 1296
-    assert built.ideal.total_rank() == ambient.total_rank() == 725
 
 
 def test_ideal_span_falls_back_to_one_block_per_degree():
