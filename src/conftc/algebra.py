@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import SizeGuardError
+from .errors import DEFAULT_MAX_BASIS, SizeGuardError
 
 
 class GradedAlgebraBase:
@@ -84,8 +84,8 @@ class GradedAlgebraBase:
         raise NotImplementedError
 
     def monomial_weight(self, m):
-        """A grading finer than degree that products add, or None if there is none."""
-        return None
+        """A grading finer than degree that products add; 0 (trivial) by default."""
+        return 0
 
     def monomial_word(self, m) -> str:
         raise NotImplementedError
@@ -439,7 +439,7 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
     def __init__(self, field, truncation, gen_degree=1, name="t", max_basis=None):
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
-        limit = 10**5 if max_basis is None else max_basis
+        limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
         if truncation > limit:
             raise SizeGuardError(
                 f"basis size {truncation} exceeds the limit {limit}",

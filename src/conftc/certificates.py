@@ -12,6 +12,10 @@ The module also houses the identity suites backing the quotient
 construction, the mod-2 truncated-polynomial check for the genus-0
 ingredient, and a small best-effort search for cup-length witnesses in
 arbitrary finite algebras.
+
+The entry points take one guard switch, ``allow_large``.  Off, the
+quotients they build are held to the basis guard and the products to
+``errors.DEFAULT_TERM_LIMIT`` tensor terms; on, both guards are lifted.
 """
 
 from __future__ import annotations
@@ -21,12 +25,10 @@ from functools import cached_property, lru_cache
 from math import prod
 
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
-from .errors import SizeGuardError, VerificationError, check_term_limit
+from .errors import DEFAULT_TERM_LIMIT, SizeGuardError, VerificationError, check_term_limit
 from .fields import GF2
 from .quotients import QuotientAlgebra, cached_quotient, cached_surface, ideal_span
 from .surfaces import shifted_basis_products
-
-DEFAULT_TERM_LIMIT = 10**6
 
 
 # -- factor construction ----------------------------------------------------
@@ -189,15 +191,7 @@ class Certificate:
     term_limit: int | None = None
 
 
-def evaluate_certificate(
-    genus,
-    points,
-    stages,
-    ring="B",
-    max_basis=None,
-    allow_large=False,
-    term_limit=None,
-):
+def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
     """Multiply the certificate factors with normal forms applied throughout.
 
     Each factor is streamed into the accumulator summand by summand
@@ -205,9 +199,9 @@ def evaluate_certificate(
     sound because the quotient map is a ring map applied slotwise.  Every
     factor is checked to be a zero divisor from its summands as well; both
     read the factor's ``slot_rows``, prepared once.
-    ``term_limit`` (default 10^6; ``allow_large`` lifts it) bounds the
-    tensor terms held at any time: the accumulator, each summand's
-    product, and each factor's transcript text.
+    The term limit (``errors.DEFAULT_TERM_LIMIT``) bounds the tensor terms
+    held at any time: the accumulator, each summand's product, and each
+    factor's transcript text.  ``allow_large`` lifts it and the basis guard.
     """
     if stages < 2:
         raise ValueError("stages must be at least 2")
@@ -215,9 +209,9 @@ def evaluate_certificate(
         raise ValueError("certificates require genus at least 1")
     if ring not in ("B", "E"):
         raise ValueError(f"unknown ring {ring!r}; expected 'B' or 'E'")
-    limit = None if allow_large else (DEFAULT_TERM_LIMIT if term_limit is None else term_limit)
-    algebra = cached_surface(genus, points, max_basis)
-    q = cached_quotient(genus, points, ring, max_basis)
+    limit = None if allow_large else DEFAULT_TERM_LIMIT
+    algebra = cached_surface(genus, points, allow_large)
+    q = cached_quotient(genus, points, ring, allow_large)
     factors = certificate_factors(algebra, stages)
     rows = [q.slot_rows(f.summands, stages) for f in factors]
     for f, f_rows in zip(factors, rows):
@@ -229,7 +223,7 @@ def evaluate_certificate(
     for f_rows in rows:
         acc = q.stream_product(acc, f_rows, limit)
     factor_count = sum(f.count for f in factors)
-    expected_count = stages * (points + 1) - (2 if genus == 1 else 0)
+    expected_count = tc_upper_bound(genus, points, stages)
     if factor_count != expected_count:
         raise VerificationError(
             f"factor count {factor_count} does not match the claimed bound "
@@ -337,7 +331,7 @@ class TcRecord:
         }
 
 
-def tc_value(genus, points, stages, max_basis=None, allow_large=False):
+def tc_value(genus, points, stages, allow_large=False):
     """Table entry for one grid cell, certificate-backed where feasible.
 
     ``certified`` is True exactly when a certificate was evaluated and
@@ -349,9 +343,7 @@ def tc_value(genus, points, stages, max_basis=None, allow_large=False):
     note = "formula-only"
     if genus >= 1:
         try:
-            cert = evaluate_certificate(
-                genus, points, stages, ring="B", max_basis=max_basis, allow_large=allow_large
-            )
+            cert = evaluate_certificate(genus, points, stages, allow_large=allow_large)
         except SizeGuardError:
             note = "guard-skipped"
         else:
@@ -416,7 +408,7 @@ def _is_special(choice):
     return kind == "w" or p >= 2
 
 
-def verify_lemma_identities(genus, points, max_basis=None):
+def verify_lemma_identities(genus, points, allow_large=False):
     """Run every identity and vanishing claim of the two product lemmas.
 
     Works in the intermediate quotient; the pairwise cases need at least
@@ -428,8 +420,8 @@ def verify_lemma_identities(genus, points, max_basis=None):
         raise ValueError("the identity suites require genus at least 2")
     if points < 2:
         raise ValueError("the identity suites require at least 2 points")
-    alg = cached_surface(genus, points, max_basis)
-    qa = cached_quotient(genus, points, "A", max_basis)
+    alg = cached_surface(genus, points, allow_large)
+    qa = cached_quotient(genus, points, "A", allow_large)
     report = LemmaReport(genus, points)
 
     def vanishes(e):
@@ -723,7 +715,7 @@ def _search_space(target):
     """The quotient a search multiplies in: a plain algebra modulo the zero ideal."""
     if isinstance(target, QuotientAlgebra):
         return target
-    return QuotientAlgebra(target, ideal_span(target, []))
+    return QuotientAlgebra(ideal_span(target, []))
 
 
 def zcl_search(target, s, strategy=None):

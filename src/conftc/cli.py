@@ -108,17 +108,10 @@ def _warn_override(config, stream):
         )
 
 
-def _max_basis(config):
-    # The --allow-large flag lifts the basis guards outright.
-    return (1 << 62) if config.allow_large else None
-
-
 def _run_table(config):
     records, failures = [], 0
     for g, n, s in _grid(config):
-        rec = tc_value(
-            g, n, s, max_basis=_max_basis(config), allow_large=config.allow_large
-        )
+        rec = tc_value(g, n, s, allow_large=config.allow_large)
         if rec.note == "failed":
             failures += 1
         records.append(rec.as_dict())
@@ -128,14 +121,7 @@ def _run_table(config):
 def _run_certify(config):
     records, failures = [], 0
     for g, n, s in _grid(config):
-        cert = evaluate_certificate(
-            g,
-            n,
-            s,
-            ring=config.ring,
-            max_basis=_max_basis(config),
-            allow_large=config.allow_large,
-        )
+        cert = evaluate_certificate(g, n, s, ring=config.ring, allow_large=config.allow_large)
         ok = cert.nonzero and cert.support_matches_expected is not False
         ok = ok and cert.closed_form_match is not False
         if not ok:
@@ -148,10 +134,10 @@ def _run_basis(config):
     records = []
     for g in sorted(config.genus):
         for n in sorted(config.points):
-            alg = cached_surface(g, n, _max_basis(config))
+            alg = cached_surface(g, n, config.allow_large)
             dims = alg.dimensions_by_degree()  # lists the ambient basis, under its guard
-            qa = cached_quotient(g, n, "A", _max_basis(config))
-            qe = cached_quotient(g, n, "E", _max_basis(config))
+            qa = cached_quotient(g, n, "A", config.allow_large)
+            qe = cached_quotient(g, n, "E", config.allow_large)
             reduced = reduced_letter_basis(alg)
             shifted = [e for _, e in shifted_basis_products(alg)]
             records.append(
@@ -189,7 +175,7 @@ def _run_lemmas(config):
     records, failures = [], 0
     for g in sorted(config.genus):
         for n in sorted(config.points):
-            rep = verify_lemma_identities(g, n, _max_basis(config))
+            rep = verify_lemma_identities(g, n, config.allow_large)
             if not rep.ok:
                 failures += 1
             records.append(
@@ -222,7 +208,7 @@ def _run_rp3(config):
 def _run_search(config):
     records = []
     for g, n, s in _grid(config):
-        target = cached_quotient(g, n, config.ring, _max_basis(config))
+        target = cached_quotient(g, n, config.ring, config.allow_large)
         result = zcl_search(target, s, config.strategy)
         records.append(
             {

@@ -1,4 +1,16 @@
-"""Exception types shared across the package, and the tensor-term guard."""
+"""Exception types shared across the package, and the size-guard policy.
+
+Two guards bound a request: the basis guard (``basis_limit``) on every
+monomial basis listed, and the tensor-term guard (``check_term_limit``)
+on the tensor terms a certificate holds.  Their default limits live here.
+Above the algebra constructors one switch, ``allow_large``, lifts both.
+"""
+
+import os
+
+DEFAULT_MAX_BASIS = 10**5
+DEFAULT_TERM_LIMIT = 10**6
+MAX_BASIS_ENV = "TCCONF_MAX_BASIS"
 
 
 class ConftcError(Exception):
@@ -24,6 +36,29 @@ class ConfigurationError(ConftcError):
 
 class VerificationError(ConftcError):
     """A machine check that is expected to succeed came back false."""
+
+
+def basis_limit(max_basis=None):
+    """The basis guard: ``max_basis``, else TCCONF_MAX_BASIS, else 10^5.
+
+    The environment is read on every call, so callers that cache on the
+    limit see a changed setting.  A value that is not a nonnegative
+    integer raises :class:`ConfigurationError`.
+    """
+    if max_basis is not None:
+        return max_basis
+    text = os.environ.get(MAX_BASIS_ENV)
+    if text is None:
+        return DEFAULT_MAX_BASIS
+    try:
+        limit = int(text)
+        if limit < 0:
+            raise ValueError
+    except ValueError:
+        raise ConfigurationError(
+            f"{MAX_BASIS_ENV} must be a nonnegative integer, got {text!r}"
+        ) from None
+    return limit
 
 
 def check_term_limit(count, limit, what):

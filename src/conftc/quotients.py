@@ -1,10 +1,10 @@
 """Graded ideal spans and quotient algebras with normal forms.
 
-Every :class:`QuotientAlgebra` has one shape: a parent algebra, an optional
-listing ``kept`` of the standard monomials of a monomial ideal, by degree
-and in order (``None`` keeps the parent's whole basis), and an
-:class:`IdealSpan` of row-reduced rows that hold only kept monomials.  The
-quotient is the parent modulo the monomials outside ``kept`` and the rows.
+Every :class:`QuotientAlgebra` is built from one :class:`IdealSpan`, which
+holds its parent algebra, an optional listing ``kept`` of the standard
+monomials of a monomial ideal, by degree and in order (``None`` keeps the
+parent's whole basis), and row-reduced rows that hold only kept monomials.
+The quotient is the parent modulo the monomials outside ``kept`` and the rows.
 Rows are keyed by the parent's monomials, so the pivot order is the
 monomials' own order.  ``normal_form`` drops the monomials outside ``kept``
 and reduces by the rows, which gives the unique representative on the
@@ -38,14 +38,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import inf, prod
 
 from .algebra import Element, TensorElement, _add_terms
-from .errors import check_term_limit
+from .errors import basis_limit, check_term_limit
 from .linalg import GradedSubspace
 from .surfaces import (
     SurfacePowerAlgebra,
-    basis_limit,
     reduced_monomials,
     xy_pair_relations,
     totaro_relations,
@@ -60,17 +59,18 @@ def ideal_span(algebra, generators, kept=None):
     Generators must be homogeneous.  ``kept`` lists the standard monomials
     of a monomial ideal, as :func:`kept_listing` gives them: only they
     multiply the generators, and the product monomials outside it are
-    dropped, so the rows span the ideal modulo the monomial one, ready for
-    ``QuotientAlgebra(..., kept=kept)``.  Without ``kept`` every basis
-    monomial multiplies and nothing is dropped.
+    dropped, so the rows span the ideal modulo the monomial one.  Without
+    ``kept`` every basis monomial multiplies and nothing is dropped.
 
     A :class:`~conftc.surfaces.RelationSet` with ``unit_coordinates``
     multiplies each generator only by monomials carrying the unit at its
     unit coordinate; a plain list of generators uses every multiplier.
 
     Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
-    each block of its rows the first time it is read.  Without ``kept`` the
-    algebra's basis is listed now, under its guard.
+    each block of its rows the first time it is read.  Its blocks follow
+    the algebra's ``monomial_weight``, or weigh every monomial 0 (one block
+    per degree) when a generator is not homogeneous for it.  Without
+    ``kept`` the algebra's basis is listed now, under its guard.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
@@ -80,18 +80,21 @@ def ideal_span(algebra, generators, kept=None):
             continue
         if not r.is_homogeneous():
             raise ValueError(f"inhomogeneous generator: {r.to_text()}")
-        weights = {algebra.monomial_weight(m) for m in r.terms}
-        work.append((r, unit, weights.pop() if len(weights) == 1 else None))
+        work.append((r, unit))
     return IdealSpan(algebra, work, kept)
+
+
+def _no_weight(m):
+    return 0
 
 
 class IdealSpan:
     """Reduced echelon rows of an ideal span, each block eliminated on first use.
 
-    When the algebra has a ``monomial_weight`` and every generator is
-    homogeneous for it, a block is one (degree, weight) pair; otherwise it
-    is one degree.  Products add weights and dropping monomials keeps a
-    product in its block, so the rows of block (D, w) come only from a
+    A block is one (degree, weight) pair of the algebra's
+    ``monomial_weight``, or of the weight 0 for every monomial when a
+    generator is not homogeneous for it.  Products add weights and dropping
+    monomials keeps a product in its block, so the rows of block (D, w) come only from a
     generator r times the multipliers of block (D - deg r, w - weight r),
     and no two blocks share a column.  Each block is therefore eliminated
     on its own, with the multiples inserted in the same order as over the
@@ -108,13 +111,17 @@ class IdealSpan:
         self.algebra = algebra
         self.kept = kept
         self.field = algebra.field
-        self.generators = [r for r, _unit, _weight in work]
+        self.generators = [r for r, _unit in work]
         self._top = algebra.top_degree
         self._space = GradedSubspace(range(self._top + 1), self.field)
-        self._work = [(list(r.terms.items()), r.degree(), weight, unit) for r, unit, weight in work]
-        self._weigh = None
-        if all(weight is not None for _r, _unit, weight in work):
-            self._weigh = algebra.monomial_weight
+        weigh = algebra.monomial_weight
+        if any(len({weigh(m) for m in r.terms}) > 1 for r in self.generators):
+            weigh = _no_weight
+        self._work = [
+            (list(r.terms.items()), r.degree(), weigh(next(iter(r.terms))), unit)
+            for r, unit in work
+        ]
+        self._weigh = weigh
         self._units = list(dict.fromkeys(unit for *_, unit in self._work))
         self._multipliers = algebra.monomials_by_degree if kept is None else kept
         self._groups = {}  # multiplier degree -> {unit coordinate: {weight: [m]}}
@@ -132,7 +139,7 @@ class IdealSpan:
             groups = self._groups[d] = {unit: {} for unit in self._units}
             weigh, one = self._weigh, self.algebra.one
             for m in self._multipliers[d]:
-                weight = None if weigh is None else weigh(m)
+                weight = weigh(m)
                 for unit, by_weight in groups.items():
                     if unit is None or m[unit - 1] == one[unit - 1]:
                         by_weight.setdefault(weight, []).append(m)
@@ -147,7 +154,7 @@ class IdealSpan:
             if degree < e:
                 continue
             by_weight = self._grouped(degree - e)[unit]
-            for m in by_weight.get(None if weight is None else weight - rweight, ()):
+            for m in by_weight.get(weight - rweight, ()):
                 products = []
                 for mr, cr in rterms:
                     res = mono_mul(m, mr)
@@ -165,7 +172,7 @@ class IdealSpan:
         for _rterms, e, rweight, unit in self._work:
             if degree >= e:
                 for w in self._grouped(degree - e)[unit]:
-                    blocks[None if w is None else w + rweight] = None
+                    blocks[w + rweight] = None
         for weight in blocks:
             if (degree, weight) not in self._built:
                 self._eliminate(degree, weight)
@@ -177,7 +184,7 @@ class IdealSpan:
             self._check_degree(degree)
             weigh, built = self._weigh, self._built
             for m in v:
-                block = (degree, None if weigh is None else weigh(m))
+                block = (degree, weigh(m))
                 if block not in built:
                     self._eliminate(*block)
         return self._space.reduce(v, degree)
@@ -214,27 +221,25 @@ class SlotRows(list):
 class QuotientAlgebra:
     """A parent algebra modulo a monomial ideal and a row-reduced ideal span.
 
+    ``ideal`` is the :class:`IdealSpan` that :func:`ideal_span` built; the
+    quotient takes its parent algebra and its ``kept`` listing from it.
     ``kept`` lists the standard monomials of the monomial ideal, which holds
     every other basis monomial, as :func:`kept_listing` gives them; ``None``
-    keeps the whole basis.  ``ideal`` is the :class:`IdealSpan` that
-    :func:`ideal_span` built for the same parent and ``kept``; its rows hold
-    only kept monomials.  Normal forms eliminate the blocks of rows they
-    read, and the standard monomials of a degree (with the dimensions) are
-    found on first use.  An ideal without generators has no rows, and its
+    keeps the whole basis.  The rows hold only kept monomials.  Normal forms
+    eliminate the blocks of rows they read, and the standard monomials of a
+    degree (with the dimensions) are found on first use.  An ideal without generators has no rows, and its
     normal form only drops the monomials outside ``kept``.
     """
 
-    def __init__(self, parent, ideal, label="CUSTOM", kept=None):
+    def __init__(self, ideal, label="CUSTOM"):
         if label not in QUOTIENT_LABELS:
             raise ValueError(f"unknown quotient label {label!r}")
-        if ideal.algebra is not parent or ideal.kept != kept:
-            raise ValueError("ideal does not match the parent algebra and kept listing")
-        self.parent = parent
+        self.parent = ideal.algebra
         self.ideal = ideal
         self.label = label
-        self._kept = kept
+        self._kept = ideal.kept
         self._has_rows = bool(ideal.generators)
-        self._std = [None] * (parent.top_degree + 1)  # standard monomials, on first use
+        self._std = [None] * (self.parent.top_degree + 1)  # standard monomials, on first use
         self._pieces = {}  # terms of e, as a frozenset -> {m: nf(m*e) as a list}
         self._parity = {}  # monomial -> its degree parity
 
@@ -472,21 +477,21 @@ def build_quotient(algebra, kind):
     Only 'E' lists the ambient basis.
     """
     if kind == "E":
-        span = ideal_span(algebra, totaro_relations(algebra))
-        return QuotientAlgebra(algebra, span, "BASE_AXIS")
+        return QuotientAlgebra(ideal_span(algebra, totaro_relations(algebra)), "BASE_AXIS")
     if kind not in ("A", "B"):
         raise ValueError(f"unknown quotient kind {kind!r}")
     kept = kept_listing(algebra, reduced_monomials(algebra))
     if kind == "A":
-        return QuotientAlgebra(algebra, ideal_span(algebra, [], kept), "HANDLE_REDUCED", kept)
-    span = ideal_span(algebra, xy_pair_relations(algebra), kept)
-    return QuotientAlgebra(algebra, span, "CERTIFICATE", kept)
+        return QuotientAlgebra(ideal_span(algebra, [], kept), "HANDLE_REDUCED")
+    return QuotientAlgebra(ideal_span(algebra, xy_pair_relations(algebra), kept), "CERTIFICATE")
 
 
 # -- cached builders for the standard quotients ---------------------------
 #
-# The cache keys hold the resolved basis guard, so a changed TCCONF_MAX_BASIS
-# takes effect on the next call instead of being masked by an earlier build.
+# The algebra cache key holds the resolved basis guard (unbounded under
+# ``allow_large``), and the quotient cache key holds the algebra, so a
+# changed TCCONF_MAX_BASIS takes effect on the next call, and a build with
+# the guard lifted is never served to a guarded call.
 
 
 @lru_cache(maxsize=None)
@@ -494,16 +499,16 @@ def _surface(genus, points, max_basis):
     return SurfacePowerAlgebra(genus, points, max_basis=max_basis)
 
 
-def cached_surface(genus, points, max_basis=None):
-    """One shared algebra instance per (genus, points, guard) triple."""
-    return _surface(genus, points, basis_limit(max_basis))
+def cached_surface(genus, points, allow_large=False):
+    """One shared algebra instance per (genus, points, resolved guard)."""
+    return _surface(genus, points, inf if allow_large else basis_limit())
 
 
 @lru_cache(maxsize=None)
-def _quotient(genus, points, kind, max_basis):
-    return build_quotient(cached_surface(genus, points, max_basis), kind)
+def _quotient(algebra, kind):
+    return build_quotient(algebra, kind)
 
 
-def cached_quotient(genus, points, kind, max_basis=None):
+def cached_quotient(genus, points, kind, allow_large=False):
     """The 'E', 'A' or 'B' quotient of the cached power algebra."""
-    return _quotient(genus, points, kind, basis_limit(max_basis))
+    return _quotient(cached_surface(genus, points, allow_large), kind)

@@ -15,17 +15,20 @@ The encoding makes tuple order agree with the fixed enumeration
 This module also builds the derived generator families (the x/y change of
 letters in coordinate 1), the relation sets feeding the quotient layer,
 and the restricted monomial bases of the first quotient.
+
+Each basis an algebra lists (the ambient one and the handle-reduced one)
+is held to its ``max_basis``: the limit given when it is made, else the
+one ``errors.basis_limit`` reads from TCCONF_MAX_BASIS or its default.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from dataclasses import dataclass
 
 from .algebra import Element, GradedAlgebraBase
-from .errors import ConfigurationError, SizeGuardError
+from .errors import SizeGuardError, basis_limit
 from .fields import RATIONALS
 
 UNIT = 0
@@ -44,32 +47,6 @@ def omega_letter(genus):
 
 
 _LETTER_RE = re.compile(r"([ab])(\d+)\((\d+)\)$|w(\d+)$")
-
-DEFAULT_MAX_BASIS = 10**5
-MAX_BASIS_ENV = "TCCONF_MAX_BASIS"
-
-
-def basis_limit(max_basis=None):
-    """The ambient basis guard: ``max_basis``, else TCCONF_MAX_BASIS, else 10^5.
-
-    The environment is read on every call, so callers that cache on the
-    limit see a changed setting.  A value that is not a nonnegative
-    integer raises :class:`ConfigurationError`.
-    """
-    if max_basis is not None:
-        return max_basis
-    text = os.environ.get(MAX_BASIS_ENV)
-    if text is None:
-        return DEFAULT_MAX_BASIS
-    try:
-        limit = int(text)
-        if limit < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigurationError(
-            f"{MAX_BASIS_ENV} must be a nonnegative integer, got {text!r}"
-        ) from None
-    return limit
 
 
 class SurfacePowerAlgebra(GradedAlgebraBase):

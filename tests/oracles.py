@@ -274,14 +274,14 @@ def eager_ideal_span(algebra, generators, kept=None):
     return space.freeze()
 
 
-def ring_agreement(genus, points, stages, max_basis=None):
+def ring_agreement(genus, points, stages, allow_large=False):
     """Check that the base-axis evaluation maps slotwise onto the small ring.
 
     Returns (ok, certificate_in_B, certificate_in_E).
     """
-    cert_b = evaluate_certificate(genus, points, stages, ring="B", max_basis=max_basis)
-    cert_e = evaluate_certificate(genus, points, stages, ring="E", max_basis=max_basis)
-    qb = cached_quotient(genus, points, "B", max_basis)
+    cert_b = evaluate_certificate(genus, points, stages, ring="B", allow_large=allow_large)
+    cert_e = evaluate_certificate(genus, points, stages, ring="E", allow_large=allow_large)
+    qb = cached_quotient(genus, points, "B", allow_large)
     mapped = qb.tensor_normal_form(cert_e.result)
     ok = cert_b.nonzero and cert_e.nonzero and mapped == cert_b.result
     return ok, cert_b, cert_e
@@ -333,7 +333,7 @@ class ChainReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_subalgebra_chain(genus, points, max_basis=None):
+def verify_subalgebra_chain(genus, points, allow_large=False):
     """Check the generator maps between consecutive certificate rings.
 
     Every defining relation of the source ring must normal-form to zero
@@ -343,9 +343,9 @@ def verify_subalgebra_chain(genus, points, max_basis=None):
         raise ValueError("the chain check needs a target genus of at least 2")
     report = ChainReport(genus, points)
     for h in range(1, genus):
-        src = cached_surface(h, points, max_basis)
-        dst = cached_surface(h + 1, points, max_basis)
-        target = cached_quotient(h + 1, points, "B", max_basis)
+        src = cached_surface(h, points, allow_large)
+        dst = cached_surface(h + 1, points, allow_large)
+        target = cached_quotient(h + 1, points, "B", allow_large)
         embed = genus_embedding(src, dst)
         for rels in (cross_handle_relations(src), xy_pair_relations(src)):
             for k, r in enumerate(rels):

@@ -146,10 +146,10 @@ def fresh_quotient(monkeypatch, g, n, ring="B", eliminate=True):
     q = eliminated_quotient(alg, ring) if eliminate else quotients.build_quotient(alg, ring)
     cached = certificates.cached_quotient
 
-    def cell_quotient(genus, points, kind, max_basis=None):
+    def cell_quotient(genus, points, kind, allow_large=False):
         if (genus, points, kind) == (g, n, ring):
             return q
-        return cached(genus, points, kind, max_basis)
+        return cached(genus, points, kind, allow_large)
 
     monkeypatch.setattr(certificates, "cached_quotient", cell_quotient)
     return q
@@ -578,7 +578,7 @@ def test_stream_product_expands_only_summands_without_a_zero_piece(monkeypatch):
 def test_stream_product_refuses_the_first_slot_prefix_past_the_limit():
     # pieces of 2, 3 and 1 terms: the summand's slot prefixes hold 2, 6 and 6
     alg = cached_surface(2, 2)
-    q = quotients.QuotientAlgebra(alg, quotients.ideal_span(alg, []))
+    q = quotients.QuotientAlgebra(quotients.ideal_span(alg, []))
     e2 = alg.a(1) + alg.b(1)
     e3 = alg.a(1) + alg.b(1) + alg.a(2)
     unit = TensorElement.unit(alg, 3)
@@ -641,19 +641,34 @@ def test_certificate_validation():
         evaluate_certificate(2, 2, 2, ring="X")
 
 
-def test_certificate_term_guard():
+def test_certificate_term_guard(monkeypatch):
     # at (2, 2, 3) the accumulator and the streamed products hold at most 4
     # tensor terms, so the limit 4 passes and 3 is refused
-    with pytest.raises(SizeGuardError, match="exceeds the limit 3"):
-        evaluate_certificate(2, 2, 3, term_limit=3)
-    with pytest.raises(SizeGuardError, match="exceeds the limit 0"):
-        evaluate_certificate(2, 2, 3, term_limit=0)
-    assert evaluate_certificate(2, 2, 3, term_limit=4).term_limit == 4
-    cert = evaluate_certificate(2, 2, 3, term_limit=3, allow_large=True)
+    for limit in (3, 0):
+        monkeypatch.setattr(certificates, "DEFAULT_TERM_LIMIT", limit)
+        with pytest.raises(SizeGuardError, match=f"exceeds the limit {limit}"):
+            evaluate_certificate(2, 2, 3)
+    monkeypatch.setattr(certificates, "DEFAULT_TERM_LIMIT", 4)
+    assert evaluate_certificate(2, 2, 3).term_limit == 4
+    monkeypatch.setattr(certificates, "DEFAULT_TERM_LIMIT", 3)
+    cert = evaluate_certificate(2, 2, 3, allow_large=True)
     assert cert.nonzero and cert.term_limit is None
+    monkeypatch.undo()
     # the former term estimate refused these cells
     assert evaluate_certificate(2, 5, 6).nonzero
     assert evaluate_certificate(2, 3, 14).nonzero
+
+
+def test_allow_large_lifts_the_basis_guard_for_its_call_only(monkeypatch):
+    # E lists the 6^5 = 7776 ambient monomials at (2, 5)
+    monkeypatch.setenv("TCCONF_MAX_BASIS", "1000")
+    with pytest.raises(SizeGuardError, match="ambient basis size 7776 .* limit 1000"):
+        evaluate_certificate(2, 5, 3, ring="E")
+    cert = evaluate_certificate(2, 5, 3, ring="E", allow_large=True)
+    assert cert.nonzero and cert.term_limit is None
+    # the lifted build is cached apart, so a guarded call is still refused
+    with pytest.raises(SizeGuardError, match="ambient basis size 7776 .* limit 1000"):
+        evaluate_certificate(2, 5, 3, ring="E")
 
 
 @pytest.mark.parametrize("g,n,s", [(1, 2, 2), (1, 1, 3), (2, 3, 3), (3, 2, 4)])

@@ -36,7 +36,7 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "conftc-hypothesis")
 REPEATABLE = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 GF2_ALGEBRA = rp3_algebra()
-GF2_ZERO_QUOTIENT = QuotientAlgebra(GF2_ALGEBRA, ideal_span(GF2_ALGEBRA, []))
+GF2_ZERO_QUOTIENT = QuotientAlgebra(ideal_span(GF2_ALGEBRA, []))
 SPACES = [(g, n, ring) for g, n in ((1, 1), (1, 2), (2, 1), (2, 2)) for ring in ("B", "E")]
 SPACES.append("GF2")
 

@@ -14,12 +14,10 @@ from conftc.quotients import (
     cached_quotient,
     cached_surface,
     ideal_span,
-    kept_listing,
 )
 from conftc.surfaces import (
     SurfacePowerAlgebra,
     reduced_letter_basis,
-    reduced_monomials,
     shifted_basis_products,
     cross_handle_relations,
     xy_pair_relations,
@@ -38,7 +36,7 @@ def test_empty_ideal_is_zero_subspace():
     alg = cached_surface(1, 2)
     space = ideal_span(alg, [])
     assert space.total_rank() == 0
-    q = QuotientAlgebra(alg, space)
+    q = QuotientAlgebra(space)
     e = alg.a(1) * alg.b(2) + alg.omega(1)
     assert q.normal_form(e) == e
     assert q.dimension == alg.dimension
@@ -195,16 +193,9 @@ def test_quotient_label_and_algebra_validation():
     alg = cached_surface(1, 1)
     space = ideal_span(alg, [])
     with pytest.raises(ValueError, match="unknown quotient label"):
-        QuotientAlgebra(alg, space, label="NOPE")
+        QuotientAlgebra(space, label="NOPE")
     other = cached_surface(1, 2)
-    other_space = ideal_span(other, [])
-    with pytest.raises(ValueError, match="does not match"):
-        QuotientAlgebra(alg, other_space)
-    # same degrees, but a pivot a1(2) that is no degree-1 monomial of genus 1
-    genus_two = cached_surface(2, 1)
-    with pytest.raises(ValueError, match="does not match"):
-        QuotientAlgebra(alg, ideal_span(genus_two, [genus_two.a(1, 2)]))
-    q = QuotientAlgebra(alg, space, label="CUSTOM")
+    q = QuotientAlgebra(space, label="CUSTOM")
     with pytest.raises(ValueError, match="does not belong"):
         q.normal_form(Element.unit(other))
 
@@ -256,7 +247,7 @@ def ambient_quotient(alg, kind):
     gens = list(cross_handle_relations(alg))
     if kind == "B":
         gens += list(xy_pair_relations(alg))
-    return QuotientAlgebra(alg, ideal_span(alg, gens))
+    return QuotientAlgebra(ideal_span(alg, gens))
 
 
 @pytest.mark.parametrize("g,n", TOWER_GRID)
@@ -409,13 +400,10 @@ def test_stacked_ideal_keeps_only_the_rows_above_the_base():
 
 def test_stacking_validation():
     alg = cached_surface(2, 2)
-    kept = kept_listing(alg, reduced_monomials(alg))
-    # a1(2) a2(2) has two letters of index 2, so it is no kept monomial;
-    # without the listing it is the pivot of the row
+    # a1(2) a2(2) has two letters of index 2, so it is no kept monomial of
+    # A; without a kept listing it is the pivot of the row
     rows = ideal_span(alg, [alg.a(1, 2) * alg.a(2, 2)])
     assert rows.pivots(2) == [(3, 3)]
-    with pytest.raises(ValueError, match="does not match"):
-        QuotientAlgebra(alg, rows, kept=kept)
     with pytest.raises(ValueError, match="unknown quotient kind"):
         build_quotient(alg, "Z")
 
@@ -425,12 +413,12 @@ def test_repr_names_the_parent():
         "QuotientAlgebra(CERTIFICATE, SurfacePowerAlgebra(genus=2, points=2))"
     )
     trunc = TruncatedPolynomialAlgebra(RATIONALS, 4)
-    q = QuotientAlgebra(trunc, ideal_span(trunc, []))
+    q = QuotientAlgebra(ideal_span(trunc, []))
     assert repr(q) == f"QuotientAlgebra(CUSTOM, {trunc!r})"
     # the same in every run: no object address
     assert repr(trunc) == "TruncatedPolynomialAlgebra(RATIONALS, 4, 1, 't')"
     gf2 = rp3_algebra()
-    rp3 = QuotientAlgebra(gf2, ideal_span(gf2, []))
+    rp3 = QuotientAlgebra(ideal_span(gf2, []))
     assert "0x" not in repr(rp3)
     assert repr(rp3) == "QuotientAlgebra(CUSTOM, TruncatedPolynomialAlgebra(GF2, 4, 1, 't'))"
 

@@ -1,13 +1,12 @@
 import pytest
 
-from conftc.errors import ConfigurationError, SizeGuardError
+from conftc.errors import ConfigurationError, SizeGuardError, basis_limit
 from conftc.quotients import cached_surface
 from conftc.surfaces import (
     RelationSet,
     SurfacePowerAlgebra,
     a_letter,
     b_letter,
-    basis_limit,
     reduced_basis_count,
     reduced_letter_basis,
     reduced_monomials,
