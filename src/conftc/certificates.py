@@ -28,7 +28,7 @@ from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from .errors import DEFAULT_TERM_LIMIT, SizeGuardError, VerificationError, check_term_limit
 from .fields import GF2
 from .quotients import QuotientAlgebra, cached_quotient, cached_surface, ideal_span
-from .surfaces import shifted_basis_products
+from .surfaces import UNIT, a_letter, b_letter, shifted_basis_products
 
 
 # -- factor construction ----------------------------------------------------
@@ -335,8 +335,8 @@ def tc_value(genus, points, stages, allow_large=False):
     """Table entry for one grid cell, certificate-backed where feasible.
 
     ``certified`` is True exactly when a certificate was evaluated and
-    came back nonzero with the right factor count; genus 0 is always
-    formula-only.
+    came back nonzero (``evaluate_certificate`` has already checked that
+    its factor count is ``value``); genus 0 is always formula-only.
     """
     value = tc_upper_bound(genus, points, stages)
     certified = False
@@ -347,7 +347,7 @@ def tc_value(genus, points, stages, allow_large=False):
         except SizeGuardError:
             note = "guard-skipped"
         else:
-            if cert.nonzero and cert.factor_count == value:
+            if cert.nonzero:
                 certified = True
                 note = "certified"
             else:
@@ -394,18 +394,9 @@ class LemmaReport:
 
 
 def _letter_family(algebra, t):
-    """All nonunit x/y/w letters at coordinate t, with display labels."""
-    out = []
-    for p in range(1, algebra.genus + 1):
-        out.append((f"x{t}({p})", ("x", p), algebra.x(t, p)))
-        out.append((f"y{t}({p})", ("y", p), algebra.y(t, p)))
-    out.append((f"w{t}", ("w", 0), algebra.omega(t)))
-    return out
-
-
-def _is_special(choice):
-    kind, p = choice
-    return kind == "w" or p >= 2
+    """Every nonunit shifted letter at coordinate t: (display label, letter code, element)."""
+    labels = [f"{k}{t}({p})" for p in range(1, algebra.genus + 1) for k in "xy"] + [f"w{t}"]
+    return [(lab, c, algebra.shifted_letter(t, c)) for c, lab in enumerate(labels, start=1)]
 
 
 def verify_lemma_identities(genus, points, allow_large=False):
@@ -441,6 +432,8 @@ def verify_lemma_identities(genus, points, allow_large=False):
         add(name, True, f"{count} instances")
 
     shifted_products = shifted_basis_products(alg)
+    special = alg.special
+    X1, Y1 = a_letter(1), b_letter(1)  # the codes of x(1) and y(1)
 
     # First lemma: products against x_j y_j.
     for j in range(2, points + 1):
@@ -449,26 +442,26 @@ def verify_lemma_identities(genus, points, allow_large=False):
             f"lemma1(i) j={j}",
             (
                 (f"v with letter at {j}", e * r)
-                for combo, e in shifted_products
-                if combo[j - 1][0] != "1"
+                for m, e in shifted_products
+                if m[j - 1] != UNIT
             ),
         )
         aggregate(
             f"lemma1(ii) j={j}",
             (
                 ("v with special first letter", e * r)
-                for combo, e in shifted_products
-                if _is_special(combo[0]) and combo[0][0] != "1"
+                for m, e in shifted_products
+                if special[m[0]]
             ),
         )
         aggregate(
             f"lemma1(iii) j={j}",
             (
                 ("v with plain first letter and a special elsewhere", e * r)
-                for combo, e in shifted_products
-                if combo[0] in (("x", 1), ("y", 1))
+                for m, e in shifted_products
+                if m[0] in (X1, Y1)
                 and any(
-                    _is_special(combo[k - 1])
+                    special[m[k - 1]]
                     for k in range(2, points + 1)
                     if k != j
                 )
@@ -491,8 +484,8 @@ def verify_lemma_identities(genus, points, allow_large=False):
                 f"lemma1(vi) j={j} k={k}",
                 (
                     (lab, z * r - (z * y1 * alg.x(j) - z * x1 * alg.y(j)))
-                    for lab, choice, z in _letter_family(alg, k)
-                    if _is_special(choice)
+                    for lab, c, z in _letter_family(alg, k)
+                    if special[c]
                 ),
             )
 
@@ -509,59 +502,59 @@ def verify_lemma_identities(genus, points, allow_large=False):
             fam_j = _letter_family(alg, j)
             fam_1 = _letter_family(alg, 1)
 
-            def expect_i(choice, z):
-                if choice == ("y", 1):
+            def expect_i(c, z):
+                if c == Y1:
                     return -(wi * yj) + w1 * yj - y1 * xi * yj + x1 * yi * yj
-                if _is_special(choice):
+                if special[c]:
                     return -(z * x1 * yj)
                 return None  # must vanish
 
-            def expect_j(choice, z):
-                if choice == ("x", 1):
+            def expect_j(c, z):
+                if c == X1:
                     return -(xi * wj) + xi * w1 + y1 * xi * xj - x1 * xi * yj
-                if _is_special(choice):
+                if special[c]:
                     return -(z * xi * y1)
                 return None
 
             pair = f"(i={i},j={j})"
             add(
                 f"lemma2(1)(i) {pair}",
-                vanishes(yi * r - expect_i(("y", 1), yi)),
+                vanishes(yi * r - expect_i(Y1, yi)),
             )
             aggregate(
                 f"lemma2(1)(ii) {pair}",
                 (
-                    (lab, z * r - expect_i(choice, z))
-                    for lab, choice, z in fam_i
-                    if _is_special(choice)
+                    (lab, z * r - expect_i(c, z))
+                    for lab, c, z in fam_i
+                    if special[c]
                 ),
             )
             aggregate(
                 f"lemma2(1) others vanish {pair}",
                 (
                     (lab, z * r)
-                    for lab, choice, z in fam_i
-                    if choice == ("x", 1)
+                    for lab, c, z in fam_i
+                    if c == X1
                 ),
             )
             add(
                 f"lemma2(2)(iii) {pair}",
-                vanishes(xj * r - expect_j(("x", 1), xj)),
+                vanishes(xj * r - expect_j(X1, xj)),
             )
             aggregate(
                 f"lemma2(2)(iv) {pair}",
                 (
-                    (lab, z * r - expect_j(choice, z))
-                    for lab, choice, z in fam_j
-                    if _is_special(choice)
+                    (lab, z * r - expect_j(c, z))
+                    for lab, c, z in fam_j
+                    if special[c]
                 ),
             )
             aggregate(
                 f"lemma2(2) others vanish {pair}",
                 (
                     (lab, z * r)
-                    for lab, choice, z in fam_j
-                    if choice == ("y", 1)
+                    for lab, c, z in fam_j
+                    if c == Y1
                 ),
             )
             add(
@@ -584,7 +577,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
                     (f"{li}*{lj}", zi * zj * r)
                     for li, ci, zi in fam_i
                     for lj, cj, zj in fam_j
-                    if not (ci == ("y", 1) and cj == ("x", 1))
+                    if not (ci == Y1 and cj == X1)
                 ),
             )
             add(
@@ -601,7 +594,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
                     (f"{l1}*{li}", z1 * zi * r)
                     for l1, c1, z1 in fam_1
                     for li, ci, zi in fam_i
-                    if not (c1 in (("x", 1), ("y", 1)) and ci == ("y", 1))
+                    if not (c1 in (X1, Y1) and ci == Y1)
                 ),
             )
             add(
@@ -618,7 +611,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
                     (f"{l1}*{lj}", z1 * zj * r)
                     for l1, c1, z1 in fam_1
                     for lj, cj, zj in fam_j
-                    if not (c1 in (("x", 1), ("y", 1)) and cj == ("x", 1))
+                    if not (c1 in (X1, Y1) and cj == X1)
                 ),
             )
             aggregate(

@@ -29,9 +29,6 @@ row normalized by an inverse and in the rows that ``insert``
 back-substitutes into, so only entries that are not integral are
 ``Fraction``.  No entry is ever a ``float``.  Every operation is exact, and
 the reduced rows are the same values whichever scalar types went in.
-
-Subspaces are mutable while being built and are meant to be frozen
-afterwards; a frozen subspace only ever reads its rows.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ class GradedSubspace:
         self.field = field
         self._rows = {d: {} for d in degrees}  # degree -> {pivot: row}
         self._blocks = {d: {} for d in degrees}  # degree -> {block: [row]}
-        self._frozen = False
 
     def _check_degree(self, degree):
         if degree not in self._rows:
@@ -88,8 +84,6 @@ class GradedSubspace:
         ``block`` names the columns v lives in (see the module docstring);
         vectors of different blocks of one degree must not share a column.
         """
-        if self._frozen:
-            raise RuntimeError("subspace is frozen")
         r = self.reduce(v, degree)
         if not r:
             return False
@@ -132,12 +126,3 @@ class GradedSubspace:
 
     def degrees(self):
         return sorted(self._rows)
-
-    def freeze(self):
-        self._frozen = True
-        self._blocks = None
-        return self
-
-    @property
-    def frozen(self):
-        return self._frozen

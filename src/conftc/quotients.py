@@ -19,7 +19,8 @@ generator reduces to signed monomial multiples, and a multiple by a
 monomial outside ``kept`` lies in the monomial ideal.  The rows are
 eliminated on demand, one (degree, handle weight) block at a time: a normal
 form eliminates only the blocks its monomials lie in, and the standard
-monomials and dimensions of a degree eliminate all of its blocks.  A
+monomials and dimensions of a degree eliminate the blocks of its listed
+monomials, which are all the blocks its rows can lie in.  A
 certificate reads a few dozen normal-form pieces, so it builds a small part
 of the rows; asking for every block gives the whole span.
 
@@ -101,10 +102,13 @@ class IdealSpan:
     whole degree.  The reduced echelon form over a fixed column order is
     unique, so the rows do not depend on which blocks were asked for first.
 
-    ``reduce`` eliminates the blocks of its vector's monomials first;
-    ``pivots``, ``rank`` and ``total_rank`` eliminate every block of the
-    degrees they read.  The multipliers of a degree are grouped by weight,
-    and by the unit coordinates in use, on first need.
+    Rows hold only listed monomials (``kept``, else the algebra's basis), so
+    the blocks of a degree are the weights of its listed monomials.
+    ``reduce`` eliminates the blocks of its vector's monomials first, and
+    ``pivots``, ``rank`` and ``total_rank`` those of every listed monomial
+    of the degrees they read; both go through ``_ensure``.  The multipliers
+    of a degree are grouped by weight, and by the unit coordinates in use,
+    on first need.
     """
 
     def __init__(self, algebra, work, kept=None):
@@ -123,7 +127,7 @@ class IdealSpan:
         ]
         self._weigh = weigh
         self._units = list(dict.fromkeys(unit for *_, unit in self._work))
-        self._multipliers = algebra.monomials_by_degree if kept is None else kept
+        self._listed = algebra.monomials_by_degree if kept is None else kept  # by degree
         self._groups = {}  # multiplier degree -> {unit coordinate: {weight: [m]}}
         self._built = set()  # (degree, weight) blocks eliminated
         self._whole = set() if work else set(range(self._top + 1))  # degrees fully eliminated
@@ -138,7 +142,7 @@ class IdealSpan:
         if groups is None:
             groups = self._groups[d] = {unit: {} for unit in self._units}
             weigh, one = self._weigh, self.algebra.one
-            for m in self._multipliers[d]:
+            for m in self._listed[d]:
                 weight = weigh(m)
                 for unit, by_weight in groups.items():
                     if unit is None or m[unit - 1] == one[unit - 1]:
@@ -164,29 +168,25 @@ class IdealSpan:
                 if vec:
                     insert(vec, degree, weight)
 
+    def _ensure(self, degree, monomials):
+        """Eliminate the blocks of the degree that the monomials lie in, if not yet built."""
+        weigh, built = self._weigh, self._built
+        for m in monomials:
+            block = (degree, weigh(m))
+            if block not in built:
+                self._eliminate(*block)
+
     def _eliminate_degree(self, degree):
         self._check_degree(degree)
-        if degree in self._whole:
-            return
-        blocks = {}
-        for _rterms, e, rweight, unit in self._work:
-            if degree >= e:
-                for w in self._grouped(degree - e)[unit]:
-                    blocks[w + rweight] = None
-        for weight in blocks:
-            if (degree, weight) not in self._built:
-                self._eliminate(degree, weight)
-        self._whole.add(degree)
+        if degree not in self._whole:
+            self._ensure(degree, self._listed[degree])
+            self._whole.add(degree)
 
     def reduce(self, v, degree):
         """Normal form of v against the rows of the given degree (see ``GradedSubspace.reduce``)."""
         if degree not in self._whole:
             self._check_degree(degree)
-            weigh, built = self._weigh, self._built
-            for m in v:
-                block = (degree, weigh(m))
-                if block not in built:
-                    self._eliminate(*block)
+            self._ensure(degree, v)
         return self._space.reduce(v, degree)
 
     def pivots(self, degree):

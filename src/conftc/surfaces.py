@@ -12,9 +12,13 @@ encoded as small integers so monomials are plain int tuples:
 The encoding makes tuple order agree with the fixed enumeration
 1 < a(1) < b(1) < ... < a(g) < b(g) < w used for pivots and output.
 
-This module also builds the derived generator families (the x/y change of
-letters in coordinate 1), the relation sets feeding the quotient layer,
-and the restricted monomial bases of the first quotient.
+Two facts about letters are read off the codes.  ``special`` marks the
+letters of which a word of the handle-reduced quotient holds at most one:
+a(p) and b(p) for p >= 2, and w once g >= 2 (none at g = 1).
+``shifted_letter(i, c)`` gives 1, x_i(p), y_i(p) or w_i for code c, where
+x_i(1) = a_i(1) - a_1(1) and y_i(1) = b_i(1) - b_1(1) for i >= 2.
+This module also builds the relation sets feeding the quotient layer and
+the restricted monomial bases of the first quotient.
 
 Each basis an algebra lists (the ambient one and the handle-reduced one)
 is held to its ``max_basis``: the limit given when it is made, else the
@@ -68,6 +72,8 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         self._letters = range(2 * genus + 2)
         self._deg = [0] + [1] * (2 * genus) + [2]
         self._ltab = self._local_table()
+        # a(p), b(p) for p >= 2, and w = a(2)b(2) once there is a second handle
+        self.special = tuple(genus >= 2 and c >= 3 for c in self._letters)
         self._lweight = [0] * (2 * genus + 2)
         for p in range(1, genus + 1):
             unit = (2 * points + 1) ** (p - 1)
@@ -199,6 +205,14 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             return self.b(i, p)
         return self.b(i, 1) - self.b(1, 1)
 
+    def shifted_letter(self, i, c):
+        """The shifted letter of code c at coordinate i: 1, x_i(p), y_i(p) or w_i."""
+        if c == UNIT:
+            return Element.unit(self)
+        if c == self._omega:
+            return self.omega(i)
+        return self.x(i, (c + 1) // 2) if c & 1 else self.y(i, c // 2)
+
     # -- text form ------------------------------------------------------------
 
     def monomial_word(self, m) -> str:
@@ -324,23 +338,21 @@ def reduced_monomials(algebra):
 
     The ideal generated by :func:`cross_handle_relations` is a monomial
     ideal: it is spanned by the monomials with two or more coordinates
-    carrying a special letter, one of index >= 2 or w (w = a(2)b(2) is such
-    a product once the genus is at least 2).  The standard monomials are the
-    words with at most one special letter, listed directly rather than
-    filtered from the ambient basis; for genus 1 there are no generators
+    carrying a special letter (``algebra.special``).  The standard monomials
+    are the words with at most one special letter, listed directly rather
+    than filtered from the ambient basis; for genus 1 no letter is special
     and every word is standard.  The basis guard limits their count
     (:func:`reduced_basis_count`), checked before listing.
     """
     g, n = algebra.genus, algebra.points
     algebra._guard("handle-reduced", reduced_basis_count(g, n))
-    size = 2 * g + 2
-    plain = size if g == 1 else 3  # the letter codes below this are not special
+    special = algebra.special
     # Words of the current length with no special letter, and with at most one.
     none, upto1 = [()], [()]
     for _ in range(n):
         none, upto1 = (
-            [(c,) + w for c in range(plain) for w in none],
-            [(c,) + w for c in range(size) for w in (upto1 if c < plain else none)],
+            [(c,) + w for c, sc in enumerate(special) if not sc for w in none],
+            [(c,) + w for c, sc in enumerate(special) for w in (none if sc else upto1)],
         )
     return upto1
 
@@ -351,35 +363,16 @@ def reduced_letter_basis(algebra):
     return [Element.monomial(algebra, m) for m in monos]
 
 
-def _letter_element(algebra, i, kind, p):
-    if kind == "1":
-        return Element.unit(algebra)
-    if kind == "x":
-        return algebra.x(i, p)
-    if kind == "y":
-        return algebra.y(i, p)
-    if kind == "w":
-        return algebra.omega(i)
-    raise ValueError(f"unknown letter kind {kind!r}")
-
-
 def shifted_basis_products(algebra):
-    """The reduced basis rebuilt from shifted letters, with the choices attached.
+    """The reduced basis rebuilt from shifted letters, as (monomial, element) pairs.
 
-    Returns (choices, element) pairs where choices holds one (kind, p) per
-    coordinate, kind in {'1', 'x', 'y', 'w'}.  A choice is special when it
-    is 'w' or carries p >= 2; products keep at most one special coordinate
-    (no restriction for genus 1, where only plain letters exist).
+    Each monomial of :func:`reduced_monomials`, in order, with the product
+    of the shifted letters of its codes (``SurfacePowerAlgebra.shifted_letter``).
     """
-    g = algebra.genus
-    # The choice of each letter code: 1, x(p) for a(p), y(p) for b(p), w.
-    choices = [("1", 0)] + [(k, p) for p in range(1, g + 1) for k in ("x", "y")]
-    choices.append(("w", 0))
     out = []
     for m in reduced_monomials(algebra):
-        combo = tuple(choices[c] for c in m)
         e = Element.unit(algebra)
-        for i, (kind, p) in enumerate(combo, start=1):
-            e = e * _letter_element(algebra, i, kind, p)
-        out.append((combo, e))
+        for i, c in enumerate(m, start=1):
+            e = e * algebra.shifted_letter(i, c)
+        out.append((m, e))
     return out

@@ -241,7 +241,7 @@ def eager_ideal_span(algebra, generators, kept=None):
     The elimination loop as it ran before the blocks were built on demand:
     each generator times each usable multiplier of each degree, in listing
     order, inserted into its (degree, weight) block, or its degree when a
-    generator is not weight-homogeneous.  Returns a frozen ``GradedSubspace``.
+    generator is not weight-homogeneous.  Returns the ``GradedSubspace`` as built.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
@@ -271,7 +271,7 @@ def eager_ideal_span(algebra, generators, kept=None):
                 vec = _add_terms({}, products)
                 if vec:
                     space.insert(vec, d + e, None if weigh is None else weigh(m) + weight)
-    return space.freeze()
+    return space
 
 
 def ring_agreement(genus, points, stages, allow_large=False):

@@ -161,17 +161,6 @@ def test_degree_out_of_range():
         s.rank(-1)
 
 
-def test_frozen_rejects_insert():
-    s = space()
-    s.insert(vec((0, 1)), 0)
-    s.freeze()
-    assert s.frozen
-    with pytest.raises(RuntimeError, match="frozen"):
-        s.insert(vec((1, 1)), 0)
-    # reads still fine
-    assert s.rank(0) == 1
-
-
 def test_gf2_subspace():
     s = space(field=GF2)
     one = GF2.one

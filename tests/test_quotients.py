@@ -353,11 +353,12 @@ def test_base_axis_build_work_counts(monkeypatch):
     inserts = count_inserts(monkeypatch)
     ambient = ideal_span(alg, list(totaro_relations(alg)))
     assert ambient.total_rank() == 725
-    assert calls[0] == 46068
+    ambient_calls = calls[0]
+    assert ambient_calls == 37284
     calls[0] = inserts[0] = 0
     built = build_quotient(alg, "E")
     assert built.ideal.total_rank() == 725
-    assert 4 * calls[0] <= 46068
+    assert 4 * calls[0] <= ambient_calls
     assert inserts[0] <= 1296
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from conftc.algebra import Element
 from conftc.errors import ConfigurationError, SizeGuardError, basis_limit
 from conftc.quotients import cached_surface
 from conftc.surfaces import (
@@ -17,7 +18,7 @@ from conftc.surfaces import (
     totaro_relations,
 )
 
-from oracles import cross_handle_predicate, poly_pow, sorted_letter_product
+from oracles import cross_handle_predicate, eager_ideal_span, poly_pow, sorted_letter_product
 
 
 def reduced_basis_count_formula(g, n):
@@ -253,7 +254,33 @@ def test_reduced_count_matches_enumeration_and_formula():
 def test_shifted_basis_same_cardinality():
     for (g, n) in ((2, 2), (2, 3), (3, 2)):
         alg = cached_surface(g, n)
-        assert len(shifted_basis_products(alg)) == len(reduced_letter_basis(alg))
+        products = shifted_basis_products(alg)
+        assert len(products) == len(reduced_letter_basis(alg))
+        assert [m for m, _e in products] == reduced_monomials(alg)
+
+
+def test_shifted_letter_by_code():
+    alg = cached_surface(2, 3)
+    for i in (1, 2, 3):
+        assert alg.shifted_letter(i, 0) == Element.unit(alg)
+        assert alg.shifted_letter(i, omega_letter(2)) == alg.omega(i)
+        for p in (1, 2):
+            assert alg.shifted_letter(i, a_letter(p)) == alg.x(i, p)
+            assert alg.shifted_letter(i, b_letter(p)) == alg.y(i, p)
+
+
+def test_special_letters_are_those_killed_next_to_w():
+    # c is special exactly when c next to w lies in the CROSS_HANDLE ideal,
+    # found here by eliminating every multiple of its generators
+    for g in range(1, 5):
+        alg = SurfacePowerAlgebra(g, 2)
+        space = eager_ideal_span(alg, cross_handle_relations(alg))
+        w = omega_letter(g)
+        assert len(alg.special) == w + 1
+        for c, special in enumerate(alg.special):
+            m = (c, w)
+            assert special == (space.reduce({m: 1}, alg.monomial_degree(m)) == {})
+        assert any(alg.special) == (g >= 2)
 
 
 def test_reduced_genus_one_degenerates_to_full_basis():
@@ -273,6 +300,6 @@ def test_omega_x_chain_stays_in_reduced_span():
 
 def test_shifted_basis_elements_are_homogeneous():
     alg = cached_surface(2, 2)
-    for combo, e in shifted_basis_products(alg):
+    for _m, e in shifted_basis_products(alg):
         assert e.is_homogeneous()
         assert not e.is_zero()

@@ -1,0 +1,50 @@
+"""The traced-run contract of ``perfbench/tracer.py`` on the table and lemmas paths.
+
+A traced invocation must exit 0, print exactly what the plain CLI prints,
+give the same work counts and quotient dimensions whatever the hash seed,
+and find the dimensions ``perfbench/baseline.json`` holds.  The counting
+pass also runs the full elimination (``dimension``) of every quotient the
+command asks for.  Span coverage is not checked: these cells are too short
+for a stable figure.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+CASES = [
+    (
+        ["table", "--genus", "2,3", "--points", "1,2", "--stages", "2,3"],
+        {"B:g2n1": 6, "B:g2n2": 24, "B:g3n1": 8, "B:g3n2": 36},
+    ),
+    (["lemmas", "--genus", "2", "--points", "3"], {"A:g2n3": 108}),
+]
+
+
+def _run(argv, seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args, dims", CASES, ids=["table", "lemmas"])
+def test_counting_pass_keeps_stdout_counts_and_dims(args, dims):
+    plain = _run([sys.executable, "-m", "conftc.cli", *args], 1)
+    assert plain.returncode == 0, plain.stderr
+    summaries = []
+    for seed in (1, 2):
+        traced = _run([sys.executable, str(TRACER), "counts", "--", *args], seed)
+        assert traced.returncode == 0, traced.stderr
+        assert traced.stdout == plain.stdout
+        summaries.append(json.loads(traced.stderr.strip().splitlines()[-1]))
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["dims"] == dims
