@@ -49,6 +49,10 @@ GOLDEN = [
      "a5b5a0f3c3143f596501fc20ec9a5ffa3c6cfa18936e5c8a1bddce765f0f0678"),
     ("certify --genus 1 --points 7 --stages 3",
      "f67d0819d9e147f0735aea5b29e720ce12c8b5bfeb4064de0088b29cf27e40d3"),
+    ("lemmas --genus 2,3,4 --points 2,3,4,5",
+     "660af77421dbbcb2e030f9f670e40c22dd5efa158a7fdc569a12f9dcd96e1de4"),
+    ("basis --genus 1 --points 2,3",
+     "3c4e8b4a45cdb654c0532f84761bb90e2ca9b2b3e248e33f2a81c60721b2b213"),
 ]
 
 
