@@ -29,7 +29,6 @@ from .quotients import (
 from .surfaces import (
     RelationSet,
     SurfacePowerAlgebra,
-    reduced_letter_basis,
     cross_handle_relations,
     xy_pair_relations,
     totaro_relations,
@@ -53,7 +52,6 @@ __all__ = [
     "TruncatedPolynomialAlgebra",
     "VerificationError",
     "build_quotient",
-    "reduced_letter_basis",
     "cross_handle_relations",
     "cached_quotient",
     "cached_surface",

@@ -1,14 +1,14 @@
 """Sparse elements of finite-dimensional graded algebras and their tensor powers.
 
 An algebra object owns a finite monomial basis organized by degree and
-knows how to multiply two basis monomials (returning a single signed
-monomial or zero; both presentations used in this package have that
-property).  :class:`Element` is a sparse scalar combination of monomials,
-:class:`TensorElement` a sparse combination of s-tuples of monomials with
-the Koszul sign convention: moving a factor of degree p past one of
-degree q costs (-1)^{pq}.  Both keep their terms as a dict from key to
-nonzero coefficient, and share their linear structure, equality and text
-form through one private base class.
+multiplies two basis monomials to one signed monomial or zero; so does a
+quotient by a monomial ideal, where a product leaving the basis is zero.
+:class:`Element` is a sparse scalar combination of monomials,
+:class:`TensorElement` one of s-tuples of monomials with the Koszul sign
+convention: moving a factor of degree p past one of degree q costs
+(-1)^{pq}.  Both keep their terms as a dict from key to nonzero
+coefficient, and share their linear structure, equality and text form
+through one private base class.
 
 Elements serialize to a stable text form, one signed coefficient followed
 by a monomial word per term (tensor slots joined by ``(x)``), and parse
@@ -44,13 +44,9 @@ class GradedAlgebraBase:
     @cached_property
     def monomials_by_degree(self):
         """The basis monomials of each degree, in order."""
-        return self.group_by_degree(self._monomials())
-
-    def group_by_degree(self, monomials):
-        """The given monomials of each degree 0..top_degree, in their order."""
         by_deg = [[] for _ in range(self.top_degree + 1)]
         deg = self.monomial_degree
-        for m in monomials:
+        for m in self._monomials():
             by_deg[deg(m)].append(m)
         return [tuple(ms) for ms in by_deg]
 

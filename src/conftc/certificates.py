@@ -27,7 +27,7 @@ from math import prod
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from .errors import DEFAULT_TERM_LIMIT, SizeGuardError, VerificationError, check_term_limit
 from .fields import GF2
-from .quotients import QuotientAlgebra, cached_quotient, cached_surface, ideal_span
+from .quotients import QuotientAlgebra, cached_quotient, ideal_span
 from .surfaces import UNIT, a_letter, b_letter, shifted_basis_products
 
 
@@ -210,8 +210,8 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
     if ring not in ("B", "E"):
         raise ValueError(f"unknown ring {ring!r}; expected 'B' or 'E'")
     limit = None if allow_large else DEFAULT_TERM_LIMIT
-    algebra = cached_surface(genus, points, allow_large)
     q = cached_quotient(genus, points, ring, allow_large)
+    algebra = q.parent
     factors = certificate_factors(algebra, stages)
     rows = [q.slot_rows(f.summands, stages) for f in factors]
     for f, f_rows in zip(factors, rows):
@@ -402,17 +402,17 @@ def _letter_family(algebra, t):
 def verify_lemma_identities(genus, points, allow_large=False):
     """Run every identity and vanishing claim of the two product lemmas.
 
-    Works in the intermediate quotient; the pairwise cases need at least
-    three points and are skipped below that.  Also checks the ambient
-    factorizations that justify trading the pair relations for the
-    x_i y_j family.
+    Works in the handle-reduced algebra, the parent of the 'A' quotient;
+    the pairwise cases need at least three points and are skipped below
+    that.  Also checks the factorizations, none with a term of two special
+    letters, that justify trading the pair relations for x_i y_j.
     """
     if genus < 2:
         raise ValueError("the identity suites require genus at least 2")
     if points < 2:
         raise ValueError("the identity suites require at least 2 points")
-    alg = cached_surface(genus, points, allow_large)
     qa = cached_quotient(genus, points, "A", allow_large)
+    alg = qa.parent
     report = LemmaReport(genus, points)
 
     def vanishes(e):

@@ -31,7 +31,7 @@ from .certificates import (
 )
 from .errors import ConfigurationError, SizeGuardError, VerificationError
 from .quotients import cached_quotient, cached_surface
-from .surfaces import reduced_basis_count, reduced_letter_basis, shifted_basis_products
+from .surfaces import reduced_basis_count, shifted_basis_products
 
 COMMANDS = ("table", "certify", "basis", "lemmas", "search-zcl", "rp3")
 FORMATS = ("json", "csv", "text")
@@ -138,7 +138,6 @@ def _run_basis(config):
             dims = alg.dimensions_by_degree()  # lists the ambient basis, under its guard
             qa = cached_quotient(g, n, "A", config.allow_large)
             qe = cached_quotient(g, n, "E", config.allow_large)
-            reduced = reduced_letter_basis(alg)
             shifted = [e for _, e in shifted_basis_products(alg)]
             records.append(
                 {
@@ -149,7 +148,7 @@ def _run_basis(config):
                     "dim_reduced": qa.dimension,
                     # informational: no published value to compare against
                     "dim_base_axis": qe.dimension,
-                    "reduced_basis_count": len(reduced),
+                    "reduced_basis_count": qa.parent.dimension,
                     "shifted_basis_count": len(shifted),
                     "monomial_basis": [
                         {"monomial": alg.monomial_word(m), "degree": d}
@@ -157,11 +156,9 @@ def _run_basis(config):
                         for m in alg.monomials_of_degree(d)
                     ],
                     "reduced_basis": [
-                        {
-                            "monomial": alg.monomial_word(next(iter(e.terms))),
-                            "degree": e.degree(),
-                        }
-                        for e in reduced
+                        {"monomial": alg.monomial_word(m), "degree": d}
+                        for d in range(alg.top_degree + 1)
+                        for m in qa.parent.monomials_of_degree(d)
                     ],
                     "shifted_basis": [
                         {"element": e.to_text(), "degree": e.degree()} for e in shifted

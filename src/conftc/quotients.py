@@ -1,38 +1,33 @@
 """Graded ideal spans and quotient algebras with normal forms.
 
 Every :class:`QuotientAlgebra` is built from one :class:`IdealSpan`, which
-holds its parent algebra, an optional listing ``kept`` of the standard
-monomials of a monomial ideal, by degree and in order (``None`` keeps the
-parent's whole basis), and row-reduced rows that hold only kept monomials.
-The quotient is the parent modulo the monomials outside ``kept`` and the rows.
-Rows are keyed by the parent's monomials, so the pivot order is the
-monomials' own order.  ``normal_form`` drops the monomials outside ``kept``
-and reduces by the rows, which gives the unique representative on the
-standard (kept, non-pivot) monomials; these enumerate the quotient basis.
+holds its parent algebra and row-reduced rows of the ideal.  Rows are keyed
+by the parent's monomials, so the pivot order is the monomials' own order.
+``normal_form`` reduces by the rows, which gives the unique representative
+on the standard (non-pivot) monomials; these enumerate the quotient basis.
 Tensor elements reduce slotwise.
 
 :func:`ideal_span` returns the rows of every multiple of the generators by
-a kept monomial (by every basis monomial without ``kept``), with the
-product monomials outside ``kept`` dropped as each product is formed.  One
-multiplication pass suffices: any product of ring elements with a
-generator reduces to signed monomial multiples, and a multiple by a
-monomial outside ``kept`` lies in the monomial ideal.  The rows are
-eliminated on demand, one (degree, handle weight) block at a time: a normal
-form eliminates only the blocks its monomials lie in, and the standard
-monomials and dimensions of a degree eliminate the blocks of its listed
-monomials, which are all the blocks its rows can lie in.  A
+a basis monomial.  One multiplication pass suffices: any product of ring
+elements with a generator reduces to signed monomial multiples.  The rows
+are eliminated on demand, one (degree, handle weight) block at a time: a
+normal form eliminates only the blocks its monomials lie in, and the
+standard monomials and dimensions of a degree eliminate the blocks of its
+basis monomials, which are all the blocks its rows can lie in.  A
 certificate reads a few dozen normal-form pieces, so it builds a small part
 of the rows; asking for every block gives the whole span.
 
 The three cached quotients: 'A' (mixed index >= 2 products) is a monomial
-ideal, so it is its kept listing with no rows, and the certificate ring 'B'
-is the same listing with the x_i y_j rows; neither lists the (2g+2)^n
-ambient basis.  The base-axis quotient 'E' (the degree-2 pair relations, not
-monomial) keeps the ambient basis and eliminates in it, but only the
-diagonal-free multiples: the generator r_ij is the class of the diagonal of
-coordinates i and j, so r_ij u_i = r_ij u_j for every letter u (Totaro), and
-any multiple m r_ij equals a signed multiple whose multiplier carries the
-unit at coordinate i.
+ideal, recognised rather than eliminated: it is the handle-reduced algebra
+(``SurfacePowerAlgebra.handle_reduced``) modulo no rows, and the
+certificate ring 'B' is that algebra modulo the x_i y_j rows, so 'A' and
+'B' share one parent and neither lists the (2g+2)^n ambient basis.  The
+base-axis quotient 'E' (the degree-2 pair relations, not monomial) is the
+power algebra modulo its rows, but only the diagonal-free multiples are
+eliminated: the generator r_ij is the class of the diagonal of coordinates
+i and j, so r_ij u_i = r_ij u_j for every letter u (Totaro), and any
+multiple m r_ij equals a signed multiple whose multiplier carries the unit
+at coordinate i.
 """
 
 from __future__ import annotations
@@ -44,24 +39,15 @@ from math import inf, prod
 from .algebra import Element, TensorElement, _add_terms
 from .errors import basis_limit, check_term_limit
 from .linalg import GradedSubspace
-from .surfaces import (
-    SurfacePowerAlgebra,
-    reduced_monomials,
-    xy_pair_relations,
-    totaro_relations,
-)
+from .surfaces import SurfacePowerAlgebra, xy_pair_relations, totaro_relations
 
 QUOTIENT_LABELS = ("BASE_AXIS", "HANDLE_REDUCED", "CERTIFICATE", "CUSTOM")
 
 
-def ideal_span(algebra, generators, kept=None):
-    """The span of the kept-monomial multiples of the generators, modulo the rest.
+def ideal_span(algebra, generators):
+    """The span of the basis-monomial multiples of the generators.
 
-    Generators must be homogeneous.  ``kept`` lists the standard monomials
-    of a monomial ideal, as :func:`kept_listing` gives them: only they
-    multiply the generators, and the product monomials outside it are
-    dropped, so the rows span the ideal modulo the monomial one.  Without
-    ``kept`` every basis monomial multiplies and nothing is dropped.
+    Generators must be homogeneous.
 
     A :class:`~conftc.surfaces.RelationSet` with ``unit_coordinates``
     multiplies each generator only by monomials carrying the unit at its
@@ -70,8 +56,8 @@ def ideal_span(algebra, generators, kept=None):
     Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
     each block of its rows the first time it is read.  Its blocks follow
     the algebra's ``monomial_weight``, or weigh every monomial 0 (one block
-    per degree) when a generator is not homogeneous for it.  Without
-    ``kept`` the algebra's basis is listed now, under its guard.
+    per degree) when a generator is not homogeneous for it.  The algebra's
+    basis is listed now, under its guard.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
@@ -82,7 +68,7 @@ def ideal_span(algebra, generators, kept=None):
         if not r.is_homogeneous():
             raise ValueError(f"inhomogeneous generator: {r.to_text()}")
         work.append((r, unit))
-    return IdealSpan(algebra, work, kept)
+    return IdealSpan(algebra, work)
 
 
 def _no_weight(m):
@@ -94,32 +80,29 @@ class IdealSpan:
 
     A block is one (degree, weight) pair of the algebra's
     ``monomial_weight``, or of the weight 0 for every monomial when a
-    generator is not homogeneous for it.  Products add weights and dropping
-    monomials keeps a product in its block, so the rows of block (D, w) come only from a
-    generator r times the multipliers of block (D - deg r, w - weight r),
-    and no two blocks share a column.  Each block is therefore eliminated
-    on its own, with the multiples inserted in the same order as over the
-    whole degree.  The reduced echelon form over a fixed column order is
-    unique, so the rows do not depend on which blocks were asked for first.
+    generator is not homogeneous for it.  Products add weights, so the rows
+    of block (D, w) come only from a generator r times the multipliers of
+    block (D - deg r, w - weight r), and no two blocks share a column.  Each
+    block is therefore eliminated on its own, with the multiples inserted in
+    the same order as over the whole degree.  The reduced echelon form over
+    a fixed column order is unique, so the rows do not depend on which
+    blocks were asked for first.
 
-    Rows hold only listed monomials (``kept``, else the algebra's basis), so
-    the blocks of a degree are the weights of its listed monomials.
+    The blocks of a degree are the weights of its basis monomials.
     ``reduce`` eliminates the blocks of its vector's monomials first, and
-    ``pivots``, ``rank`` and ``total_rank`` those of every listed monomial
-    of the degrees they read; both go through ``_ensure``.  The multipliers
-    of a degree are grouped by weight, and by the unit coordinates in use,
-    on first need.
+    ``pivots``, ``rank`` and ``total_rank`` those of every basis monomial of
+    the degrees they read; both go through ``_ensure``.  The multipliers of
+    a degree are grouped by weight, and by the unit coordinates in use, on
+    first need.
     """
 
-    def __init__(self, algebra, work, kept=None):
+    def __init__(self, algebra, work):
         self.algebra = algebra
-        self.kept = kept
         self.field = algebra.field
-        self.generators = [r for r, _unit in work]
         self._top = algebra.top_degree
         self._space = GradedSubspace(range(self._top + 1), self.field)
         weigh = algebra.monomial_weight
-        if any(len({weigh(m) for m in r.terms}) > 1 for r in self.generators):
+        if any(len({weigh(m) for m in r.terms}) > 1 for r, _unit in work):
             weigh = _no_weight
         self._work = [
             (list(r.terms.items()), r.degree(), weigh(next(iter(r.terms))), unit)
@@ -127,7 +110,7 @@ class IdealSpan:
         ]
         self._weigh = weigh
         self._units = list(dict.fromkeys(unit for *_, unit in self._work))
-        self._listed = algebra.monomials_by_degree if kept is None else kept  # by degree
+        self._basis = algebra.monomials_by_degree
         self._groups = {}  # multiplier degree -> {unit coordinate: {weight: [m]}}
         self._built = set()  # (degree, weight) blocks eliminated
         self._whole = set() if work else set(range(self._top + 1))  # degrees fully eliminated
@@ -142,7 +125,7 @@ class IdealSpan:
         if groups is None:
             groups = self._groups[d] = {unit: {} for unit in self._units}
             weigh, one = self._weigh, self.algebra.one
-            for m in self._listed[d]:
+            for m in self._basis[d]:
                 weight = weigh(m)
                 for unit, by_weight in groups.items():
                     if unit is None or m[unit - 1] == one[unit - 1]:
@@ -152,7 +135,6 @@ class IdealSpan:
     def _eliminate(self, degree, weight):
         """Insert every multiple that lands in block (degree, weight)."""
         self._built.add((degree, weight))
-        target = None if self.kept is None else self.kept[degree]
         mono_mul, insert = self.algebra.mono_mul, self._space.insert
         for rterms, e, rweight, unit in self._work:
             if degree < e:
@@ -162,7 +144,7 @@ class IdealSpan:
                 products = []
                 for mr, cr in rterms:
                     res = mono_mul(m, mr)
-                    if res is not None and (target is None or res[0] in target):
+                    if res is not None:
                         products.append((res[0], cr if res[1] > 0 else -cr))
                 vec = _add_terms({}, products)
                 if vec:
@@ -179,7 +161,7 @@ class IdealSpan:
     def _eliminate_degree(self, degree):
         self._check_degree(degree)
         if degree not in self._whole:
-            self._ensure(degree, self._listed[degree])
+            self._ensure(degree, self._basis[degree])
             self._whole.add(degree)
 
     def reduce(self, v, degree):
@@ -207,11 +189,6 @@ class IdealSpan:
         return list(range(self._top + 1))
 
 
-def kept_listing(algebra, monomials):
-    """Monomials as a ``kept`` listing: per degree, a dict keyed by them in order."""
-    return [dict.fromkeys(ms) for ms in algebra.group_by_degree(monomials)]
-
-
 class SlotRows(list):
     """Summands prepared by :meth:`QuotientAlgebra.slot_rows` for one quotient and arity."""
 
@@ -219,16 +196,12 @@ class SlotRows(list):
 
 
 class QuotientAlgebra:
-    """A parent algebra modulo a monomial ideal and a row-reduced ideal span.
+    """A parent algebra modulo a row-reduced ideal span.
 
     ``ideal`` is the :class:`IdealSpan` that :func:`ideal_span` built; the
-    quotient takes its parent algebra and its ``kept`` listing from it.
-    ``kept`` lists the standard monomials of the monomial ideal, which holds
-    every other basis monomial, as :func:`kept_listing` gives them; ``None``
-    keeps the whole basis.  The rows hold only kept monomials.  Normal forms
-    eliminate the blocks of rows they read, and the standard monomials of a
-    degree (with the dimensions) are found on first use.  An ideal without generators has no rows, and its
-    normal form only drops the monomials outside ``kept``.
+    quotient takes its parent algebra from it.  Normal forms eliminate the
+    blocks of rows they read, and the standard monomials of a degree (with
+    the dimensions) are found on first use.
     """
 
     def __init__(self, ideal, label="CUSTOM"):
@@ -237,21 +210,19 @@ class QuotientAlgebra:
         self.parent = ideal.algebra
         self.ideal = ideal
         self.label = label
-        self._kept = ideal.kept
-        self._has_rows = bool(ideal.generators)
         self._std = [None] * (self.parent.top_degree + 1)  # standard monomials, on first use
         self._pieces = {}  # terms of e, as a frozenset -> {m: nf(m*e) as a list}
         self._parity = {}  # monomial -> its degree parity
 
     def standard_monomials(self, degree):
-        """The kept monomials of the degree that are no pivot, in order."""
+        """The basis monomials of the degree that are no pivot, in order."""
         if not 0 <= degree < len(self._std):
             raise ValueError(f"degree out of range: {degree}")
         std = self._std[degree]
         if std is None:
-            kept = self.parent.monomials_by_degree if self._kept is None else self._kept
-            pivots = set(self.ideal.pivots(degree)) if self._has_rows else ()
-            std = self._std[degree] = tuple(m for m in kept[degree] if m not in pivots)
+            pivots = set(self.ideal.pivots(degree))
+            basis = self.parent.monomials_by_degree[degree]
+            std = self._std[degree] = tuple(m for m in basis if m not in pivots)
         return std
 
     def dimensions_by_degree(self):
@@ -267,15 +238,13 @@ class QuotientAlgebra:
         """The unique representative of e supported on standard monomials."""
         if e.algebra is not self.parent:
             raise ValueError("element does not belong to the parent algebra")
-        kept, deg = self._kept, self.parent.monomial_degree
+        deg = self.parent.monomial_degree
         parts = {}
         for m, c in e.terms.items():
-            d = deg(m)
-            if kept is None or m in kept[d]:
-                parts.setdefault(d, {})[m] = c
+            parts.setdefault(deg(m), {})[m] = c
         out = {}
         for d, vec in parts.items():
-            out.update(self.ideal.reduce(vec, d) if self._has_rows else vec)
+            out.update(self.ideal.reduce(vec, d))
         return Element(self.parent, out)
 
     def multiply(self, e1, e2):
@@ -471,19 +440,19 @@ class QuotientAlgebra:
 def build_quotient(algebra, kind):
     """Build the 'E', 'A' or 'B' quotient of a surface power algebra, uncached.
 
-    'A' is the listing of its standard monomials (its ideal is monomial),
-    'B' the same listing with the x_i y_j rows, and 'E' eliminates the
-    diagonal-free multiples of the pair relations in the ambient basis.
-    Only 'E' lists the ambient basis.
+    'A' is the algebra's ``handle_reduced`` modulo no rows, 'B' the same
+    algebra modulo the x_i y_j rows, and 'E' the power algebra modulo the
+    diagonal-free multiples of the pair relations.  Only 'E' lists the
+    ambient basis.
     """
     if kind == "E":
         return QuotientAlgebra(ideal_span(algebra, totaro_relations(algebra)), "BASE_AXIS")
     if kind not in ("A", "B"):
         raise ValueError(f"unknown quotient kind {kind!r}")
-    kept = kept_listing(algebra, reduced_monomials(algebra))
+    reduced = algebra.handle_reduced
     if kind == "A":
-        return QuotientAlgebra(ideal_span(algebra, [], kept), "HANDLE_REDUCED")
-    return QuotientAlgebra(ideal_span(algebra, xy_pair_relations(algebra), kept), "CERTIFICATE")
+        return QuotientAlgebra(ideal_span(reduced, []), "HANDLE_REDUCED")
+    return QuotientAlgebra(ideal_span(reduced, xy_pair_relations(reduced)), "CERTIFICATE")
 
 
 # -- cached builders for the standard quotients ---------------------------

@@ -17,12 +17,17 @@ letters of which a word of the handle-reduced quotient holds at most one:
 a(p) and b(p) for p >= 2, and w once g >= 2 (none at g = 1).
 ``shifted_letter(i, c)`` gives 1, x_i(p), y_i(p) or w_i for code c, where
 x_i(1) = a_i(1) - a_1(1) and y_i(1) = b_i(1) - b_1(1) for i >= 2.
-This module also builds the relation sets feeding the quotient layer and
-the restricted monomial bases of the first quotient.
 
-Each basis an algebra lists (the ambient one and the handle-reduced one)
-is held to its ``max_basis``: the limit given when it is made, else the
-one ``errors.basis_limit`` reads from TCCONF_MAX_BASIS or its default.
+The handle-reduced ring A, the power algebra modulo the cross-handle
+products, is an algebra here too (:class:`HandleReducedAlgebra`, reached
+as ``handle_reduced``): its basis is the words with at most one special
+letter, and a product that leaves them is zero; the certificate ring B is
+a quotient of it.  This module also builds the relation sets feeding the
+quotient layer.
+
+Each basis an algebra lists (the ambient one, or A's) is held to its
+``max_basis``: the limit given when it is made, else the one
+``errors.basis_limit`` reads from TCCONF_MAX_BASIS or its default.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 
 from .algebra import Element, GradedAlgebraBase
 from .errors import SizeGuardError, basis_limit
@@ -56,6 +63,9 @@ _LETTER_RE = re.compile(r"([ab])(\d+)\((\d+)\)$|w(\d+)$")
 class SurfacePowerAlgebra(GradedAlgebraBase):
     """The full cohomology algebra of the n-fold power of a genus-g surface."""
 
+    # The basis words of a handle-reduced algebra, as a set; None: every word.
+    _words = None
+
     def __init__(self, genus, points, max_basis=None):
         if genus < 1:
             raise ValueError("genus must be at least 1 (genus 0 is handled by formula only)")
@@ -63,8 +73,7 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             raise ValueError("points must be at least 1")
         self.genus = genus
         self.points = points
-        # The guard on every basis listed for this algebra: the ambient one
-        # (_monomials) and the handle-reduced one (reduced_monomials).
+        # The guard on every basis listed for this algebra and its handle_reduced.
         self.max_basis = basis_limit(max_basis)
         self.field = RATIONALS
         self.top_degree = 2 * points
@@ -136,6 +145,10 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             out.append(r[0])
             if r[1] < 0:
                 par ^= 1
+        out = tuple(out)
+        words = self._words
+        if words is not None and out not in words:
+            return None
         # Koszul sign from interleaving: slot i of m2 crosses slots > i of m1.
         deg = self._deg
         suffix_odd = 0
@@ -144,7 +157,7 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
                 par ^= suffix_odd
             if deg[m1[i]] & 1:
                 suffix_odd ^= 1
-        return (tuple(out), -1 if par else 1)
+        return (out, -1 if par else 1)
 
     def monomial_weight(self, m):
         """The handle weight a(p) -> +e_p, b(p) -> -e_p, w -> 0, as one int.
@@ -156,12 +169,10 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         lw = self._lweight
         return sum([lw[c] for c in m])
 
-    def local_multiply(self, c1, c2):
-        """Product of two letter codes in one coordinate: (letter, sign) or None."""
-        size = 2 * self.genus + 2
-        if not (0 <= c1 < size and 0 <= c2 < size):
-            raise ValueError(f"generator out of range: letter codes {c1}, {c2}")
-        return self._ltab[c1][c2]
+    @cached_property
+    def handle_reduced(self):
+        """The handle-reduced algebra on the same letters, under the same basis guard."""
+        return HandleReducedAlgebra(self.genus, self.points, self.max_basis)
 
     # -- generators ---------------------------------------------------------
 
@@ -246,10 +257,33 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             if codes[i - 1] != UNIT:
                 raise ValueError(f"coordinate {i} repeated in word {word!r}")
             codes[i - 1] = c
+        if not self.is_monomial(tuple(codes)):
+            raise ValueError(f"monomial {word!r} is not in the basis")
         return tuple(codes)
 
     def __repr__(self):
-        return f"SurfacePowerAlgebra(genus={self.genus}, points={self.points})"
+        return f"{type(self).__name__}(genus={self.genus}, points={self.points})"
+
+
+class HandleReducedAlgebra(SurfacePowerAlgebra):
+    """The power algebra modulo the cross-handle products: the ring A.
+
+    Its basis is the words with at most one special letter
+    (:func:`reduced_monomials`), listed once on first use under the basis
+    guard; ``mono_mul`` sends a product that leaves them to zero.
+    """
+
+    def is_monomial(self, m):
+        words = self._words
+        return super().is_monomial(m) if words is None else type(m) is tuple and m in words
+
+    def _monomials(self):
+        return reduced_monomials(self)
+
+    @cached_property
+    def _words(self):
+        if any(self.special):  # else, at genus 1, every word is a basis word
+            return {m for ms in self.monomials_by_degree for m in ms}
 
 
 @dataclass(frozen=True)
@@ -327,21 +361,21 @@ def xy_pair_relations(algebra) -> RelationSet:
 
 
 def reduced_basis_count(genus, points):
-    """The number of standard monomials of the CROSS_HANDLE quotient."""
+    """The number of basis words of the handle-reduced algebra."""
     if genus == 1:
         return 4**points
     return 3**points + points * (2 * genus - 1) * 3 ** (points - 1)
 
 
 def reduced_monomials(algebra):
-    """The standard monomials of the CROSS_HANDLE quotient, in tuple order.
+    """The basis words of the handle-reduced algebra, in tuple order.
 
     The ideal generated by :func:`cross_handle_relations` is a monomial
     ideal: it is spanned by the monomials with two or more coordinates
-    carrying a special letter (``algebra.special``).  The standard monomials
-    are the words with at most one special letter, listed directly rather
-    than filtered from the ambient basis; for genus 1 no letter is special
-    and every word is standard.  The basis guard limits their count
+    carrying a special letter (``algebra.special``).  The basis words are
+    those with at most one special letter, listed directly rather than
+    filtered from the ambient basis; for genus 1 no letter is special and
+    every word is listed.  The basis guard limits their count
     (:func:`reduced_basis_count`), checked before listing.
     """
     g, n = algebra.genus, algebra.points
@@ -357,22 +391,16 @@ def reduced_monomials(algebra):
     return upto1
 
 
-def reduced_letter_basis(algebra):
-    """The standard monomials of the CROSS_HANDLE quotient as elements, by degree."""
-    monos = sorted(reduced_monomials(algebra), key=algebra.monomial_degree)
-    return [Element.monomial(algebra, m) for m in monos]
-
-
 def shifted_basis_products(algebra):
     """The reduced basis rebuilt from shifted letters, as (monomial, element) pairs.
 
     Each monomial of :func:`reduced_monomials`, in order, with the product
-    of the shifted letters of its codes (``SurfacePowerAlgebra.shifted_letter``).
+    of the shifted letters of its codes other than the unit
+    (``SurfacePowerAlgebra.shifted_letter``); a word of units gives 1.
     """
     out = []
     for m in reduced_monomials(algebra):
-        e = Element.unit(algebra)
-        for i, c in enumerate(m, start=1):
-            e = e * algebra.shifted_letter(i, c)
+        letters = [algebra.shifted_letter(i, c) for i, c in enumerate(m, start=1) if c != UNIT]
+        e = prod(letters[1:], start=letters[0]) if letters else Element.unit(algebra)
         out.append((m, e))
     return out

@@ -12,7 +12,10 @@ multiple into a ``GradedSubspace`` up front and is the reference for the
 package's on-demand blocks, and the cross-checks at the end, which compare
 the package's own quotients with each other: the certificate in ``E``
 against the one in ``B`` (:func:`ring_agreement`), and the certificate
-rings of consecutive genera (:func:`verify_subalgebra_chain`).
+rings of consecutive genera (:func:`verify_subalgebra_chain`).  A
+reference computed in the power algebra reaches the handle-reduced algebra
+through :func:`handle_reduced_image`, which drops words by
+:func:`cross_handle_predicate` and not by the package's ``special``.
 """
 
 from dataclasses import dataclass, field
@@ -126,6 +129,22 @@ def poly_pow(p, k):
     return out
 
 
+def surface_letter_rule(genus):
+    """The product of two letter codes in one coordinate, from the definitions.
+
+    a(p) b(p) = w and b(p) a(p) = -w, 1 u = u 1 = u, and every other
+    pair is 0.  Returns (letter, sign) or None; codes as in ``surfaces``.
+    """
+    w = 2 * genus + 1
+    table = {}
+    for u in range(w + 1):
+        table[0, u] = table[u, 0] = (u, 1)
+    for p in range(1, genus + 1):
+        table[2 * p - 1, 2 * p] = (w, 1)
+        table[2 * p, 2 * p - 1] = (w, -1)
+    return lambda c1, c2: table.get((c1, c2))
+
+
 def sorted_letter_product(m1, m2, degree, local):
     """Product of two per-coordinate letter words by explicit transpositions.
 
@@ -235,8 +254,22 @@ def cross_handle_predicate(algebra):
     return lambda m: sum(1 for c in m if c >= 3) >= 2
 
 
-def eager_ideal_span(algebra, generators, kept=None):
-    """Every block of ``quotients.ideal_span(algebra, generators, kept)``, eliminated at once.
+def handle_reduced_image(x):
+    """The image of a power-algebra element or tensor in the handle-reduced algebra.
+
+    Drops every word with two special letters (``cross_handle_predicate``),
+    in any slot of a tensor, and keeps the rest on ``handle_reduced``.
+    """
+    killed = cross_handle_predicate(x.algebra)
+    reduced = x.algebra.handle_reduced
+    if isinstance(x, TensorElement):
+        terms = {t: c for t, c in x.terms.items() if not any(map(killed, t))}
+        return TensorElement(reduced, x.arity, terms)
+    return Element(reduced, {m: c for m, c in x.terms.items() if not killed(m)})
+
+
+def eager_ideal_span(algebra, generators):
+    """Every block of ``quotients.ideal_span(algebra, generators)``, eliminated at once.
 
     The elimination loop as it ran before the blocks were built on demand:
     each generator times each usable multiplier of each degree, in listing
@@ -254,19 +287,18 @@ def eager_ideal_span(algebra, generators, kept=None):
     weigh = None
     if all(w is not None for _r, _u, w in work):
         weigh = algebra.monomial_weight
-    multipliers = algebra.monomials_by_degree if kept is None else kept
     top = algebra.top_degree
     space = GradedSubspace(range(top + 1), algebra.field)
     for r, unit, weight in work:
         e = r.degree()
         for d in range(top - e + 1):
-            for m in multipliers[d]:
+            for m in algebra.monomials_by_degree[d]:
                 if unit is not None and m[unit - 1] != algebra.one[unit - 1]:
                     continue
                 products = []
                 for mr, cr in r.terms.items():
                     res = algebra.mono_mul(m, mr)
-                    if res is not None and (kept is None or res[0] in kept[d + e]):
+                    if res is not None:
                         products.append((res[0], cr if res[1] > 0 else -cr))
                 vec = _add_terms({}, products)
                 if vec:
@@ -282,7 +314,7 @@ def ring_agreement(genus, points, stages, allow_large=False):
     cert_b = evaluate_certificate(genus, points, stages, ring="B", allow_large=allow_large)
     cert_e = evaluate_certificate(genus, points, stages, ring="E", allow_large=allow_large)
     qb = cached_quotient(genus, points, "B", allow_large)
-    mapped = qb.tensor_normal_form(cert_e.result)
+    mapped = qb.tensor_normal_form(handle_reduced_image(cert_e.result))
     ok = cert_b.nonzero and cert_e.nonzero and mapped == cert_b.result
     return ok, cert_b, cert_e
 
@@ -349,6 +381,6 @@ def verify_subalgebra_chain(genus, points, allow_large=False):
         embed = genus_embedding(src, dst)
         for rels in (cross_handle_relations(src), xy_pair_relations(src)):
             for k, r in enumerate(rels):
-                ok = target.normal_form(embed(r)).is_zero()
+                ok = target.normal_form(handle_reduced_image(embed(r))).is_zero()
                 report.checks.append(ChainCheck(h, h + 1, rels.label, k, ok))
     return report

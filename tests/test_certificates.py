@@ -225,7 +225,7 @@ def test_cancelling_zero_divisor_checks_multiply_nothing(monkeypatch):
     # add to zero.  At odd s that group is left with a net sign, and its
     # product stops at u*u = 0: one piece nf(u) and one nf(m*u) per term m of u.
     alg = cached_surface(2, 3)
-    u = alg.x(2)
+    u = alg.handle_reduced.x(2)  # B's parent
     checks = {
         s: [slot_difference_summands(u, s, slot) for slot in range(2, s + 1)]
         + [bar_summands(u, s)]
@@ -393,8 +393,8 @@ def test_slot_difference_summands_expand_to_the_slot_difference():
 
 def test_all_certificate_factors_are_zero_divisors_in_quotient():
     for (g, n, s) in ((1, 2, 3), (2, 2, 2), (2, 2, 3)):
-        alg = cached_surface(g, n)
         q = cached_quotient(g, n, "B")
+        alg = q.parent
         for f in certificate_factors(alg, s):
             assert q.mu(f.tensor).is_zero()
 
@@ -463,7 +463,7 @@ def test_certificate_single_point_support():
 def test_certificate_single_point_two_stages_doubles_top_class():
     # c d (x_1 in slots) (y_1 in slots) evaluates to +-2 w (x) w
     cert = evaluate_certificate(2, 1, 2)
-    alg = cached_surface(2, 1)
+    alg = cached_quotient(2, 1, "B").parent
     w = alg.omega(1)
     double = TensorElement.of_elements([w, w]).scaled(2)
     assert cert.result == double or cert.result == -double
@@ -502,8 +502,8 @@ def test_incremental_reduction_matches_single_final_reduction():
     # reducing between factor multiplications is sound: the quotient map
     # is a ring map applied slotwise
     for (g, n, s) in ((1, 2, 2), (2, 2, 3), (1, 1, 4)):
-        alg = cached_surface(g, n)
         q = cached_quotient(g, n, "B")
+        alg = q.parent
         factors = certificate_factors(alg, s)
         ambient = TensorElement.unit(alg, s)
         incremental = TensorElement.unit(alg, s)
@@ -517,8 +517,8 @@ def test_incremental_reduction_matches_single_final_reduction():
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stream_product_and_mu_match_the_expanded_factors(ring, g, n):
-    alg = cached_surface(g, n)
     q = cached_quotient(g, n, ring)
+    alg = q.parent
     for s in range(2, 9):
         acc = TensorElement.unit(alg, s)
         for f in certificate_factors(alg, s):
@@ -532,8 +532,8 @@ def test_stream_product_and_mu_match_the_expanded_factors(ring, g, n):
 def test_stream_product_of_unreduced_and_partial_tensors(g, n):
     # a left side that is not in normal form, and single summands, whose mu
     # does not vanish
-    alg = cached_surface(g, n)
     q = cached_quotient(g, n, "B")
+    alg = q.parent
     for s in (2, 3, 4):
         factors = certificate_factors(alg, s)
         for f1, f2 in zip(factors, factors[1:]):
@@ -546,8 +546,8 @@ def test_stream_product_of_unreduced_and_partial_tensors(g, n):
 
 
 def test_stream_product_expands_only_summands_without_a_zero_piece(monkeypatch):
-    alg = cached_surface(2, 3)
     q = cached_quotient(2, 3, "B")
+    alg = q.parent
     checked = []
     guard = quotients.check_term_limit
 

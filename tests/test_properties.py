@@ -29,7 +29,7 @@ from conftc.quotients import (
 )
 from conftc.surfaces import totaro_relations, xy_pair_relations
 
-from oracles import eager_ideal_span
+from oracles import eager_ideal_span, handle_reduced_image
 from test_linalg import rref_rows
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "conftc-hypothesis")
@@ -181,18 +181,16 @@ LAZY_SPACES.append((2, 5, "B"))
 @lru_cache(maxsize=None)
 def eager_rows(g, n, ring):
     """The oracle's span for the quotient's ideal, with every block eliminated up front."""
-    alg = cached_surface(g, n)
+    alg = cached_quotient(g, n, ring).parent
     gens = totaro_relations(alg) if ring == "E" else xy_pair_relations(alg)
-    return eager_ideal_span(alg, gens, cached_quotient(g, n, ring).ideal.kept)
+    return eager_ideal_span(alg, gens)
 
 
-def eager_normal_form(span, kept, e):
-    """Drop the monomials outside ``kept``, then reduce each degree by the span."""
+def eager_normal_form(span, e):
+    """Reduce each degree of e by the span."""
     parts = {}
     for m, c in e.terms.items():
-        d = e.algebra.monomial_degree(m)
-        if kept is None or m in kept[d]:
-            parts.setdefault(d, {})[m] = c
+        parts.setdefault(e.algebra.monomial_degree(m), {})[m] = c
     out = {}
     for d, vec in parts.items():
         out.update(span.reduce(vec, d))
@@ -205,17 +203,33 @@ def eager_normal_form(span, kept, e):
 def test_rows_built_on_demand_equal_the_eager_rows(g, n, ring, data):
     # A new quotient per example: its blocks are eliminated in the order the
     # drawn elements reach them, then degree by degree in a drawn order.
-    alg = cached_surface(g, n)
-    q = build_quotient(alg, ring)
-    kept = q.ideal.kept
+    # Elements are drawn in the power algebra and mapped to B's parent A.
+    power = cached_surface(g, n)
+    q = build_quotient(power, ring)
+    alg = q.parent
     oracle = eager_rows(g, n, ring)
-    ambient = [m for ms in alg.monomials_by_degree for m in ms]
-    listed = ambient if kept is None else [m for ms in kept for m in ms]
+    ambient = [m for ms in power.monomials_by_degree for m in ms]
+    listed = [m for ms in alg.monomials_by_degree for m in ms]
     monomials = st.one_of(st.sampled_from(listed), st.sampled_from(ambient))
     for _ in range(data.draw(st.integers(1, 4))):
         chosen = data.draw(st.lists(monomials, min_size=1, max_size=6, unique=True))
-        e = Element(alg, {m: coefficient(data, alg.field) for m in chosen})
-        assert q.normal_form(e) == eager_normal_form(oracle, kept, e)
+        e = Element(power, {m: coefficient(data, alg.field) for m in chosen})
+        e = e if alg is power else handle_reduced_image(e)
+        assert q.normal_form(e) == eager_normal_form(oracle, e)
     for d in data.draw(st.permutations(range(alg.top_degree + 1))):
         assert q.ideal.pivots(d) == oracle.pivots(d)
         assert rref_rows(q.ideal, d) == rref_rows(oracle, d)
+
+
+# -- the handle-reduced algebra as the image of the power algebra ---------
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
+@REPEATABLE
+@given(data=st.data())
+def test_handle_reduced_image_is_a_ring_map(g, n, data):
+    power = cached_surface(g, n)
+    e1, e2 = element(data, power), element(data, power)
+    image = handle_reduced_image
+    assert image(e1 * e2) == image(e1) * image(e2)
+    assert image(e1).algebra is cached_quotient(g, n, "B").parent

@@ -15,16 +15,22 @@ from conftc.quotients import (
     cached_surface,
     ideal_span,
 )
+from conftc import surfaces
 from conftc.surfaces import (
     SurfacePowerAlgebra,
-    reduced_letter_basis,
     shifted_basis_products,
     cross_handle_relations,
     xy_pair_relations,
     totaro_relations,
 )
 
-from oracles import cross_handle_predicate, dense_rank, genus_embedding, verify_subalgebra_chain
+from oracles import (
+    cross_handle_predicate,
+    dense_rank,
+    genus_embedding,
+    handle_reduced_image,
+    verify_subalgebra_chain,
+)
 from test_linalg import rref_rows
 
 
@@ -83,8 +89,8 @@ def test_key_identity_in_base_axis_quotient():
 
 def test_mixed_letter_product_survives_in_a():
     # x_j(p) x_j(1) = -a_j(p) a_1(1), nonzero in the intermediate quotient
-    alg = cached_surface(2, 2)
     qa = cached_quotient(2, 2, "A")
+    alg = qa.parent
     e = qa.normal_form(alg.x(2, 2) * alg.x(2, 1))
     assert e == qa.normal_form(-(alg.a(2, 2) * alg.a(1, 1)))
     assert not e.is_zero()
@@ -97,6 +103,7 @@ def test_absorption_exhaustive():
         (2, 2, "B", lambda alg: list(cross_handle_relations(alg)) + list(xy_pair_relations(alg))),
     ]
     for g, n, kind, genfn in cases:
+        # every multiple is formed in the power algebra, and mapped to A for B
         alg = cached_surface(g, n)
         q = cached_quotient(g, n, kind)
         gens = genfn(alg)
@@ -106,14 +113,15 @@ def test_absorption_exhaustive():
                 for r in gens:
                     if d + r.degree() > alg.top_degree:
                         continue
-                    assert q.normal_form(me * r).is_zero()
+                    e = me * r if q.parent is alg else handle_reduced_image(me * r)
+                    assert q.normal_form(e).is_zero()
 
 
 def test_normal_form_is_ring_map_on_samples():
     rng = random.Random(19)
     for (g, n, kind) in ((1, 2, "E"), (2, 2, "B"), (2, 2, "A")):
-        alg = cached_surface(g, n)
         q = cached_quotient(g, n, kind)
+        alg = q.parent
         monos = [m for ms in alg.monomials_by_degree for m in ms]
         for _ in range(100):
             e1 = Element.monomial(alg, rng.choice(monos), Fraction(rng.randint(1, 3)))
@@ -130,9 +138,9 @@ def test_normal_form_is_ring_map_on_samples():
 
 def test_dim_a_matches_restricted_bases():
     for (g, n) in ((2, 2), (2, 3), (3, 2)):
-        alg = cached_surface(g, n)
         qa = cached_quotient(g, n, "A")
-        reduced = reduced_letter_basis(alg)
+        alg = qa.parent
+        reduced = [Element.monomial(alg, m) for ms in alg.monomials_by_degree for m in ms]
         shifted = [e for _, e in shifted_basis_products(alg)]
         expected = reduced_basis_count_formula(g, n)
         assert qa.dimension == expected == len(reduced) == len(shifted)
@@ -151,8 +159,8 @@ def test_dim_a_matches_restricted_bases():
 
 def test_two_omega_chains_linearly_independent():
     for (g, n) in ((2, 2), (2, 3), (3, 2)):
-        alg = cached_surface(g, n)
         qb = cached_quotient(g, n, "B")
+        alg = qb.parent
         vx = alg.omega(1)
         vy = alg.omega(1)
         for i in range(2, n + 1):
@@ -178,7 +186,7 @@ def test_tensor_normal_form_annihilates_ideal_slots():
     qb = cached_quotient(2, 2, "B")
     gen = list(cross_handle_relations(alg))[0]
     t = TensorElement.of_elements([gen, Element.unit(alg)])
-    assert qb.tensor_normal_form(t).is_zero()
+    assert qb.tensor_normal_form(handle_reduced_image(t)).is_zero()
 
 
 def test_quotient_mu():
@@ -260,7 +268,8 @@ def test_tower_matches_ambient_elimination(g, n):
             assert tower.standard_monomials(d) == oracle.standard_monomials(d)
             for m in alg.monomials_of_degree(d):
                 e = Element.monomial(alg, m)
-                assert tower.normal_form(e) == oracle.normal_form(e)
+                expected = handle_reduced_image(oracle.normal_form(e))
+                assert tower.normal_form(handle_reduced_image(e)) == expected
 
 
 def count_mono_mul(monkeypatch):
@@ -289,8 +298,8 @@ def test_streamed_products_refuse_elements_of_another_algebra():
 
 
 def test_equal_elements_built_separately_share_one_piece_table(monkeypatch):
-    alg = cached_surface(2, 3)
-    q = build_quotient(alg, "B")
+    q = build_quotient(cached_surface(2, 3), "B")
+    alg = q.parent
     t = TensorElement.of_elements([alg.y(1), alg.x(2), alg.a(1, 2)])
     summands = [(1, (alg.x(3), Element.unit(alg), alg.y(2))), (-1, (alg.y(3),) * 3)]
     first = (q.stream_product(t, summands), q.mu_of_summands(summands))
@@ -401,8 +410,8 @@ def test_stacked_ideal_keeps_only_the_rows_above_the_base():
 
 def test_stacking_validation():
     alg = cached_surface(2, 2)
-    # a1(2) a2(2) has two letters of index 2, so it is no kept monomial of
-    # A; without a kept listing it is the pivot of the row
+    # a1(2) a2(2) has two letters of index 2, so it is no basis word of A;
+    # in the power algebra it is the pivot of the row
     rows = ideal_span(alg, [alg.a(1, 2) * alg.a(2, 2)])
     assert rows.pivots(2) == [(3, 3)]
     with pytest.raises(ValueError, match="unknown quotient kind"):
@@ -411,7 +420,7 @@ def test_stacking_validation():
 
 def test_repr_names_the_parent():
     assert repr(cached_quotient(2, 2, "B")) == (
-        "QuotientAlgebra(CERTIFICATE, SurfacePowerAlgebra(genus=2, points=2))"
+        "QuotientAlgebra(CERTIFICATE, HandleReducedAlgebra(genus=2, points=2))"
     )
     trunc = TruncatedPolynomialAlgebra(RATIONALS, 4)
     q = QuotientAlgebra(ideal_span(trunc, []))
@@ -424,20 +433,21 @@ def test_repr_names_the_parent():
     assert repr(rp3) == "QuotientAlgebra(CUSTOM, TruncatedPolynomialAlgebra(GF2, 4, 1, 't'))"
 
 
-def test_a_and_b_builds_group_their_listing_once(monkeypatch):
+def test_a_and_b_share_one_parent_listed_once(monkeypatch):
+    assert cached_quotient(2, 3, "A").parent is cached_quotient(2, 3, "B").parent
     calls = []
-    group = SurfacePowerAlgebra.group_by_degree
+    listing = surfaces.reduced_monomials
 
-    def counted(self, monomials):
-        calls.append(self)
-        return group(self, monomials)
+    def counted(algebra):
+        calls.append(algebra)
+        return listing(algebra)
 
-    monkeypatch.setattr(SurfacePowerAlgebra, "group_by_degree", counted)
+    monkeypatch.setattr(surfaces, "reduced_monomials", counted)
     alg = SurfacePowerAlgebra(2, 3)
-    for kind in ("A", "B"):
-        calls.clear()
-        build_quotient(alg, kind)
-        assert calls == [alg], kind
+    qa, qb = build_quotient(alg, "A"), build_quotient(alg, "B")
+    assert qa.parent is qb.parent is alg.handle_reduced
+    assert qb.dimension == 70
+    assert calls == [alg.handle_reduced]
 
 
 def test_cached_quotient_sees_a_changed_basis_limit(monkeypatch):

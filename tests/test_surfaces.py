@@ -9,7 +9,6 @@ from conftc.surfaces import (
     a_letter,
     b_letter,
     reduced_basis_count,
-    reduced_letter_basis,
     reduced_monomials,
     shifted_basis_products,
     cross_handle_relations,
@@ -18,7 +17,13 @@ from conftc.surfaces import (
     totaro_relations,
 )
 
-from oracles import cross_handle_predicate, eager_ideal_span, poly_pow, sorted_letter_product
+from oracles import (
+    cross_handle_predicate,
+    eager_ideal_span,
+    poly_pow,
+    sorted_letter_product,
+    surface_letter_rule,
+)
 
 
 def reduced_basis_count_formula(g, n):
@@ -26,18 +31,21 @@ def reduced_basis_count_formula(g, n):
 
 
 def test_local_multiply():
+    # one-point words multiply as their letters do, with no Koszul sign
     alg = cached_surface(2, 1)
     w = omega_letter(2)
-    assert alg.local_multiply(a_letter(1), b_letter(1)) == (w, 1)
-    assert alg.local_multiply(b_letter(1), a_letter(1)) == (w, -1)
-    assert alg.local_multiply(a_letter(2), b_letter(1)) is None
-    assert alg.local_multiply(a_letter(1), a_letter(2)) is None
-    assert alg.local_multiply(b_letter(1), b_letter(2)) is None
-    assert alg.local_multiply(w, a_letter(1)) is None
-    assert alg.local_multiply(w, w) is None
-    assert alg.local_multiply(0, a_letter(2)) == (a_letter(2), 1)
-    with pytest.raises(ValueError, match="generator out of range"):
-        alg.local_multiply(a_letter(5), b_letter(1))
+
+    def local(c1, c2):
+        return alg.mono_mul((c1,), (c2,))
+
+    assert local(a_letter(1), b_letter(1)) == ((w,), 1)
+    assert local(b_letter(1), a_letter(1)) == ((w,), -1)
+    assert local(a_letter(2), b_letter(1)) is None
+    assert local(a_letter(1), a_letter(2)) is None
+    assert local(b_letter(1), b_letter(2)) is None
+    assert local(w, a_letter(1)) is None
+    assert local(w, w) is None
+    assert local(0, a_letter(2)) == ((a_letter(2),), 1)
 
 
 def test_generator_range_errors():
@@ -79,7 +87,7 @@ def test_mono_mul_matches_brute_force_signs(g, n):
     monos = [m for ms in alg.monomials_by_degree for m in ms]
     for m1 in monos:
         for m2 in monos:
-            expected = sorted_letter_product(m1, m2, degree, alg.local_multiply)
+            expected = sorted_letter_product(m1, m2, degree, surface_letter_rule(g))
             assert alg.mono_mul(m1, m2) == expected, (m1, m2)
 
 
@@ -246,16 +254,16 @@ def test_reduced_count_matches_enumeration_and_formula():
             assert reduced_monomials(alg) == kept
             formula = 4**n if g == 1 else reduced_basis_count_formula(g, n)
             assert len(kept) == reduced_basis_count(g, n) == formula
-            reduced = reduced_letter_basis(alg)
+            reduced = alg.handle_reduced.monomials_by_degree
             by_degree = [m for d in range(2 * n + 1) for m in kept if alg.monomial_degree(m) == d]
-            assert [next(iter(e.terms)) for e in reduced] == by_degree
+            assert [m for ms in reduced for m in ms] == by_degree
 
 
 def test_shifted_basis_same_cardinality():
     for (g, n) in ((2, 2), (2, 3), (3, 2)):
         alg = cached_surface(g, n)
         products = shifted_basis_products(alg)
-        assert len(products) == len(reduced_letter_basis(alg))
+        assert len(products) == alg.handle_reduced.dimension
         assert [m for m, _e in products] == reduced_monomials(alg)
 
 
@@ -285,7 +293,7 @@ def test_special_letters_are_those_killed_next_to_w():
 
 def test_reduced_genus_one_degenerates_to_full_basis():
     alg = cached_surface(1, 2)
-    assert len(reduced_letter_basis(alg)) == alg.dimension
+    assert alg.handle_reduced.dimension == alg.dimension
     assert len(shifted_basis_products(alg)) == alg.dimension
 
 
@@ -293,7 +301,7 @@ def test_omega_x_chain_stays_in_reduced_span():
     # w_1 x_2 ... x_n expands into monomials with a single special letter
     alg = cached_surface(2, 3)
     e = alg.omega(1) * alg.x(2) * alg.x(3)
-    reduced_monos = {next(iter(b.terms)) for b in reduced_letter_basis(alg)}
+    reduced_monos = {m for ms in alg.handle_reduced.monomials_by_degree for m in ms}
     assert e.terms
     assert set(e.terms) <= reduced_monos
 
@@ -303,3 +311,46 @@ def test_shifted_basis_elements_are_homogeneous():
     for _m, e in shifted_basis_products(alg):
         assert e.is_homogeneous()
         assert not e.is_zero()
+
+
+# -- the handle-reduced algebra ---------------------------------------------
+
+REDUCED_CELLS = [(1, 3), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("g,n", REDUCED_CELLS)
+def test_handle_reduced_basis_is_the_filtered_power_basis(g, n):
+    power = SurfacePowerAlgebra(g, n)
+    reduced = power.handle_reduced
+    killed = cross_handle_predicate(power)
+    expected = [tuple(m for m in ms if not killed(m)) for ms in power.monomials_by_degree]
+    assert reduced.monomials_by_degree == expected
+    assert reduced.dimension == reduced_basis_count(g, n)
+    assert power.handle_reduced is reduced
+
+
+@pytest.mark.parametrize("g,n", REDUCED_CELLS)
+def test_handle_reduced_product_is_the_power_product_or_zero(g, n):
+    power = SurfacePowerAlgebra(g, n)
+    reduced = power.handle_reduced
+    killed = cross_handle_predicate(power)
+    words = [m for ms in reduced.monomials_by_degree for m in ms]
+    for m1 in words:
+        for m2 in words:
+            r = power.mono_mul(m1, m2)
+            expected = None if r is None or killed(r[0]) else r
+            assert reduced.mono_mul(m1, m2) == expected, (m1, m2)
+
+
+def test_handle_reduced_refuses_words_with_two_special_letters():
+    reduced = SurfacePowerAlgebra(2, 3).handle_reduced
+    for word in ("a1(2)*b2(2)", "w1*w3", "a1(1)*w2*a3(2)"):
+        m = SurfacePowerAlgebra(2, 3).parse_word(word)
+        assert not reduced.is_monomial(m)
+        with pytest.raises(ValueError, match="not in the basis"):
+            Element.monomial(reduced, m)
+        with pytest.raises(ValueError, match="not in the basis"):
+            Element.from_text(reduced, f"1 {word}")
+    assert Element.monomial(reduced, reduced.parse_word("a1(1)*b2(1)*w3"))
+    assert reduced.a(2, 2) * reduced.omega(3) == Element.zero(reduced)
+    assert reduced.a(2, 2) * reduced.a(3, 1) != Element.zero(reduced)
