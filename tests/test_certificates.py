@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from conftc import certificates, quotients
+from conftc import certificates, quotients, surfaces
 from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from conftc.certificates import (
     ZeroDivisorFactor,
@@ -737,6 +738,68 @@ def test_lemma_suites_two_points():
     assert rep.ok
     # no distinct pairs within {2}, so only the first lemma appears
     assert all(c.name.startswith("lemma1") for c in rep.checks)
+
+
+def test_lemma_report_digest():
+    # Every check's name, flag and detail at g = 2..4, n = 2..5.  The CLI
+    # prints no detail for a passing check, so only this digest sees a
+    # family whose instance count changed, or one that became empty.
+    digest, count = hashlib.sha256(), 0
+    for g in range(2, 5):
+        for n in range(2, 6):
+            for c in verify_lemma_identities(g, n).checks:
+                digest.update(f"{g} {n}\t{c.name}\t{c.ok}\t{c.detail}\n".encode())
+                count += 1
+    assert count == 1170
+    assert digest.hexdigest() == "ed378683b686738ba715b82256391683de3b17404b63b772af6c197ce94d46d1"
+
+
+def _failed_checks(genus, points):
+    return [(c.name, c.detail) for c in verify_lemma_identities(genus, points).checks if not c.ok]
+
+
+def test_lemma_suites_report_a_wrong_sign(monkeypatch):
+    # a(p)b(p) = -w at coordinate 1 breaks the identities that read x_1 y_j
+    # or w_1, and the families whose members then fail to vanish
+    mono_mul = surfaces.SurfacePowerAlgebra.mono_mul
+
+    def flipped(self, m1, m2):
+        r = mono_mul(self, m1, m2)
+        if r is not None and m1[0] & 1 and m2[0] == m1[0] + 1:
+            return r[0], -r[1]
+        return r
+
+    monkeypatch.setattr(surfaces.SurfacePowerAlgebra, "mono_mul", flipped)
+    failed = _failed_checks(2, 3)
+    names = [name for name, _detail in failed]
+    assert len(failed) == 18
+    assert names[:4] == ["lemma1(i) j=2", "lemma1(iv) j=2", "lemma1(i) j=3", "lemma1(iv) j=3"]
+    assert ("lemma1(iv) j=2", "") in failed
+    assert ("lemma2(3) others vanish (i=2,j=3)", "first failure: x2(1)*y3(1)") in failed
+    assert "lemma2(5)(viii) (i=3,j=2)" in names
+
+
+def test_lemma_suites_report_products_that_leave_a(monkeypatch):
+    # with A's listing dropped, words with two special letters survive, so
+    # every family that needs them to vanish reports its first survivor
+    alg = cached_quotient(2, 3, "A").parent
+    words = alg._words
+    monkeypatch.setattr(alg, "_words", None)
+    failed = _failed_checks(2, 3)
+    families = [(name, detail) for name, detail in failed if detail]
+    assert len(failed) == 18
+    assert len(families) == 16
+    assert all(detail.startswith("first failure: ") for _name, detail in families)
+    assert families[0] == ("lemma1(i) j=2", "first failure: v with letter at 2")
+    assert ("lemma1(vi) j=2 k=3", "first failure: x3(2)") in families
+    assert ("lemma2(6) triple products vanish (i=3,j=2)", "first failure: x1(1)*y3(1)*x2(1)") in families
+    assert [name for name, detail in failed if not detail] == [
+        "lemma2(3)(v) (i=2,j=3)",
+        "lemma2(3)(v) (i=3,j=2)",
+    ]
+    monkeypatch.undo()
+    assert alg._words is words
+    assert verify_lemma_identities(2, 3).ok
 
 
 def test_lemma_requires_higher_genus():
