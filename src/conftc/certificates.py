@@ -9,9 +9,9 @@ bound of k; the factor families are arranged so that k matches the known
 upper bound exactly.
 
 The module also houses the identity suites backing the quotient
-construction, the mod-2 truncated-polynomial check for the genus-0
-ingredient, and a small best-effort search for cup-length witnesses in
-arbitrary finite algebras.
+construction, which compute in the handle-reduced algebra A itself, the
+mod-2 truncated-polynomial check for the genus-0 ingredient, and a small
+best-effort search for cup-length witnesses in arbitrary finite algebras.
 
 The entry points take one guard switch, ``allow_large``.  Off, the
 quotients they build are held to the basis guard and the products to
@@ -402,21 +402,19 @@ def _letter_family(algebra, t):
 def verify_lemma_identities(genus, points, allow_large=False):
     """Run every identity and vanishing claim of the two product lemmas.
 
-    Works in the handle-reduced algebra, the parent of the 'A' quotient;
-    the pairwise cases need at least three points and are skipped below
-    that.  Also checks the factorizations, none with a term of two special
-    letters, that justify trading the pair relations for x_i y_j.
+    Computes in the handle-reduced algebra A itself, the parent of the 'A'
+    quotient: A has no relations beyond its basis, so an element vanishes
+    there exactly when it has no terms.  The pairwise cases need at least
+    three points and are skipped below that.  Also checks the
+    factorizations, none with a term of two special letters, that justify
+    trading the pair relations for x_i y_j.
     """
     if genus < 2:
         raise ValueError("the identity suites require genus at least 2")
     if points < 2:
         raise ValueError("the identity suites require at least 2 points")
-    qa = cached_quotient(genus, points, "A", allow_large)
-    alg = qa.parent
+    alg = cached_quotient(genus, points, "A", allow_large).parent
     report = LemmaReport(genus, points)
-
-    def vanishes(e):
-        return qa.normal_form(e).is_zero()
 
     def add(name, ok, detail=""):
         report.checks.append(LemmaCheck(name, ok, detail))
@@ -426,7 +424,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
         count = 0
         for label, e in instances:
             count += 1
-            if not vanishes(e):
+            if e:
                 add(name, False, f"first failure: {label}")
                 return
         add(name, True, f"{count} instances")
@@ -434,10 +432,15 @@ def verify_lemma_identities(genus, points, allow_large=False):
     shifted_products = shifted_basis_products(alg)
     special = alg.special
     X1, Y1 = a_letter(1), b_letter(1)  # the codes of x(1) and y(1)
+    coords = range(1, points + 1)
+    xyw = {t: (alg.x(t), alg.y(t), alg.omega(t)) for t in coords}
+    fam = {t: _letter_family(alg, t) for t in coords}
+    x1, y1, w1 = xyw[1]
 
     # First lemma: products against x_j y_j.
     for j in range(2, points + 1):
-        r = alg.x(j) * alg.y(j)
+        xj, yj, wj = xyw[j]
+        r = xj * yj
         aggregate(
             f"lemma1(i) j={j}",
             (
@@ -467,15 +470,13 @@ def verify_lemma_identities(genus, points, allow_large=False):
                 )
             ),
         )
-        x1, y1 = alg.x(1), alg.y(1)
-        w1, wj = alg.omega(1), alg.omega(j)
         add(
             f"lemma1(iv) j={j}",
-            vanishes(x1 * r - (x1 * wj + w1 * alg.x(j))),
+            x1 * r == x1 * wj + w1 * xj,
         )
         add(
             f"lemma1(v) j={j}",
-            vanishes(y1 * r - (y1 * wj + w1 * alg.y(j))),
+            y1 * r == y1 * wj + w1 * yj,
         )
         for k in range(2, points + 1):
             if k == j:
@@ -483,49 +484,37 @@ def verify_lemma_identities(genus, points, allow_large=False):
             aggregate(
                 f"lemma1(vi) j={j} k={k}",
                 (
-                    (lab, z * r - (z * y1 * alg.x(j) - z * x1 * alg.y(j)))
-                    for lab, c, z in _letter_family(alg, k)
+                    (lab, z * r - (z * y1 * xj - z * x1 * yj))
+                    for lab, c, z in fam[k]
                     if special[c]
                 ),
             )
 
     # Second lemma: products against x_i y_j for distinct i, j >= 2.
     for i in range(2, points + 1):
+        xi, yi, wi = xyw[i]
+        # The products z_1 z_i of lemma2(4) and lemma2(6), the same for every j.
+        pairs_1i = [
+            (f"{l1}*{li}", c1, ci, z1 * zi)
+            for l1, c1, z1 in fam[1]
+            for li, ci, zi in fam[i]
+        ]
         for j in range(2, points + 1):
             if i == j:
                 continue
-            r = alg.x(i) * alg.y(j)
-            x1, y1, w1 = alg.x(1), alg.y(1), alg.omega(1)
-            xi, yi, wi = alg.x(i), alg.y(i), alg.omega(i)
-            xj, yj, wj = alg.x(j), alg.y(j), alg.omega(j)
-            fam_i = _letter_family(alg, i)
-            fam_j = _letter_family(alg, j)
-            fam_1 = _letter_family(alg, 1)
-
-            def expect_i(c, z):
-                if c == Y1:
-                    return -(wi * yj) + w1 * yj - y1 * xi * yj + x1 * yi * yj
-                if special[c]:
-                    return -(z * x1 * yj)
-                return None  # must vanish
-
-            def expect_j(c, z):
-                if c == X1:
-                    return -(xi * wj) + xi * w1 + y1 * xi * xj - x1 * xi * yj
-                if special[c]:
-                    return -(z * xi * y1)
-                return None
-
+            xj, yj, wj = xyw[j]
+            r = xi * yj
             pair = f"(i={i},j={j})"
             add(
                 f"lemma2(1)(i) {pair}",
-                vanishes(yi * r - expect_i(Y1, yi)),
+                yi * r == -(wi * yj) + w1 * yj - y1 * xi * yj + x1 * yi * yj,
             )
+            # z r = -z x_1 y_j for a special z at i
             aggregate(
                 f"lemma2(1)(ii) {pair}",
                 (
-                    (lab, z * r - expect_i(c, z))
-                    for lab, c, z in fam_i
+                    (lab, z * r + z * x1 * yj)
+                    for lab, c, z in fam[i]
                     if special[c]
                 ),
             )
@@ -533,19 +522,20 @@ def verify_lemma_identities(genus, points, allow_large=False):
                 f"lemma2(1) others vanish {pair}",
                 (
                     (lab, z * r)
-                    for lab, c, z in fam_i
+                    for lab, c, z in fam[i]
                     if c == X1
                 ),
             )
             add(
                 f"lemma2(2)(iii) {pair}",
-                vanishes(xj * r - expect_j(X1, xj)),
+                xj * r == -(xi * wj) + xi * w1 + y1 * xi * xj - x1 * xi * yj,
             )
+            # z r = -z x_i y_1 for a special z at j
             aggregate(
                 f"lemma2(2)(iv) {pair}",
                 (
-                    (lab, z * r - expect_j(c, z))
-                    for lab, c, z in fam_j
+                    (lab, z * r + z * xi * y1)
+                    for lab, c, z in fam[j]
                     if special[c]
                 ),
             )
@@ -553,93 +543,81 @@ def verify_lemma_identities(genus, points, allow_large=False):
                 f"lemma2(2) others vanish {pair}",
                 (
                     (lab, z * r)
-                    for lab, c, z in fam_j
+                    for lab, c, z in fam[j]
                     if c == Y1
                 ),
             )
             add(
                 f"lemma2(3)(v) {pair}",
-                vanishes(
-                    yi * xj * r
-                    - (
-                        y1 * wi * xj
-                        + y1 * xi * wj
-                        - x1 * wi * yj
-                        - x1 * yi * wj
-                        + w1 * yi * xj
-                        - w1 * xi * yj
-                    )
+                yi * xj * r
+                == (
+                    y1 * wi * xj
+                    + y1 * xi * wj
+                    - x1 * wi * yj
+                    - x1 * yi * wj
+                    + w1 * yi * xj
+                    - w1 * xi * yj
                 ),
             )
             aggregate(
                 f"lemma2(3) others vanish {pair}",
                 (
                     (f"{li}*{lj}", zi * zj * r)
-                    for li, ci, zi in fam_i
-                    for lj, cj, zj in fam_j
+                    for li, ci, zi in fam[i]
+                    for lj, cj, zj in fam[j]
                     if not (ci == Y1 and cj == X1)
                 ),
             )
             add(
                 f"lemma2(4)(vi) {pair}",
-                vanishes(x1 * yi * r - (-(x1 * wi * yj) - w1 * xi * yj)),
+                x1 * yi * r == -(x1 * wi * yj) - w1 * xi * yj,
             )
             add(
                 f"lemma2(4)(vii) {pair}",
-                vanishes(y1 * yi * r - (-(y1 * wi * yj) - w1 * yi * yj)),
+                y1 * yi * r == -(y1 * wi * yj) - w1 * yi * yj,
             )
             aggregate(
                 f"lemma2(4) others vanish {pair}",
                 (
-                    (f"{l1}*{li}", z1 * zi * r)
-                    for l1, c1, z1 in fam_1
-                    for li, ci, zi in fam_i
+                    (lab, z1i * r)
+                    for lab, c1, ci, z1i in pairs_1i
                     if not (c1 in (X1, Y1) and ci == Y1)
                 ),
             )
             add(
                 f"lemma2(5)(viii) {pair}",
-                vanishes(x1 * xj * r - (-(x1 * xi * wj) + w1 * xi * xj)),
+                x1 * xj * r == -(x1 * xi * wj) + w1 * xi * xj,
             )
             add(
                 f"lemma2(5)(ix) {pair}",
-                vanishes(y1 * xj * r - (-(y1 * xi * wj) + w1 * xi * yj)),
+                y1 * xj * r == -(y1 * xi * wj) + w1 * xi * yj,
             )
             aggregate(
                 f"lemma2(5) others vanish {pair}",
                 (
                     (f"{l1}*{lj}", z1 * zj * r)
-                    for l1, c1, z1 in fam_1
-                    for lj, cj, zj in fam_j
+                    for l1, c1, z1 in fam[1]
+                    for lj, cj, zj in fam[j]
                     if not (c1 in (X1, Y1) and cj == X1)
                 ),
             )
             aggregate(
                 f"lemma2(6) triple products vanish {pair}",
                 (
-                    (f"{l1}*{li}*{lj}", z1 * zi * zj * r)
-                    for l1, c1, z1 in fam_1
-                    for li, ci, zi in fam_i
-                    for lj, cj, zj in fam_j
+                    (f"{lab}*{lj}", z1i * zj * r)
+                    for lab, _c1, _ci, z1i in pairs_1i
+                    for lj, _cj, zj in fam[j]
                 ),
             )
 
     # Ambient factorizations used to simplify the pair relations.
     for i in range(2, points + 1):
+        xi, yi, wi = xyw[i]
         for j in range(i + 1, points + 1):
-            lhs = (
-                alg.omega(i)
-                + alg.omega(j)
-                + alg.b(i) * alg.a(j)
-                - alg.a(i) * alg.b(j)
-            )
+            xj, yj, wj = xyw[j]
+            lhs = wi + wj + alg.b(i) * alg.a(j) - alg.a(i) * alg.b(j)
             prod_ab = (alg.a(i) - alg.a(j)) * (alg.b(i) - alg.b(j))
-            prod_xy = (
-                alg.x(i) * alg.y(i)
-                + alg.x(j) * alg.y(j)
-                - alg.x(i) * alg.y(j)
-                - alg.x(j) * alg.y(i)
-            )
+            prod_xy = xi * yi + xj * yj - xi * yj - xj * yi
             add(f"pair relation factors (i={i},j={j})", lhs == prod_ab)
             add(f"pair relation in x/y letters (i={i},j={j})", prod_ab == prod_xy)
 
@@ -717,9 +695,9 @@ def zcl_search(target, s, strategy=None):
     Candidates are the slot differences of positive-degree basis elements;
     the exhaustive strategy is gated to total dimension at most 8, the
     greedy one extends a product while any candidate keeps it nonzero.
-    Each candidate is held as summands and streamed into the product
-    (``QuotientAlgebra.stream_product``).  The returned bound is the length
-    of a verified nonzero witness.
+    Each candidate is held as its summands' ``slot_rows``, prepared once,
+    and streamed into the product (``QuotientAlgebra.stream_product``).
+    The returned bound is the length of a verified nonzero witness.
     """
     if s < 2:
         raise ValueError("stages must be at least 2")
@@ -741,7 +719,7 @@ def zcl_search(target, s, strategy=None):
         for m in q.standard_monomials(d):
             e = Element.monomial(alg, m)
             for slot in range(2, s + 1):
-                f = slot_difference_summands(e, s, slot)
+                f = q.slot_rows(slot_difference_summands(e, s, slot), s)
                 if q.stream_product(unit, f):
                     candidates.append(((e.to_text(), slot), f))
     if strategy == "GREEDY":

@@ -280,6 +280,11 @@ class HandleReducedAlgebra(SurfacePowerAlgebra):
     def _monomials(self):
         return reduced_monomials(self)
 
+    @property
+    def handle_reduced(self):
+        """The algebra itself: it is already handle-reduced."""
+        return self
+
     @cached_property
     def _words(self):
         if any(self.special):  # else, at genus 1, every word is a basis word
@@ -394,12 +399,14 @@ def reduced_monomials(algebra):
 def shifted_basis_products(algebra):
     """The reduced basis rebuilt from shifted letters, as (monomial, element) pairs.
 
-    Each monomial of :func:`reduced_monomials`, in order, with the product
-    of the shifted letters of its codes other than the unit
-    (``SurfacePowerAlgebra.shifted_letter``); a word of units gives 1.
+    Each basis word of ``algebra.handle_reduced``, in tuple order, with the
+    product on ``algebra`` of the shifted letters of its codes other than
+    the unit (``SurfacePowerAlgebra.shifted_letter``); a word of units
+    gives 1.
     """
     out = []
-    for m in reduced_monomials(algebra):
+    words = itertools.chain.from_iterable(algebra.handle_reduced.monomials_by_degree)
+    for m in sorted(words):
         letters = [algebra.shifted_letter(i, c) for i, c in enumerate(m, start=1) if c != UNIT]
         e = prod(letters[1:], start=letters[0]) if letters else Element.unit(algebra)
         out.append((m, e))

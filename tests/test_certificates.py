@@ -897,3 +897,22 @@ def test_zcl_search_on_quotient():
         zcl_search(qb, 1)
     with pytest.raises(ValueError, match="strategy"):
         zcl_search(qb, 2, strategy="RANDOM")
+
+
+@pytest.mark.parametrize("strategy", ["EXHAUSTIVE_TINY", "GREEDY"])
+def test_zcl_search_prepares_each_candidate_once(monkeypatch, strategy):
+    q = cached_quotient(1, 1, "B")
+    prepared = []
+    slot_rows = quotients.QuotientAlgebra.slot_rows
+
+    def counting(self, summands, arity=None):
+        if type(summands) is not quotients.SlotRows:
+            prepared.append(arity)
+        return slot_rows(self, summands, arity)
+
+    monkeypatch.setattr(quotients.QuotientAlgebra, "slot_rows", counting)
+    result = zcl_search(q, 3, strategy)
+    # one preparation per positive-degree basis monomial and slot 2..3
+    positive = sum(len(q.standard_monomials(d)) for d in range(1, q.parent.top_degree + 1))
+    assert prepared == [3] * (2 * positive)
+    assert result.bound >= 3

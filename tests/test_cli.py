@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import conftc
+from conftc import quotients, surfaces
 
 try:
     import jsonschema
@@ -127,6 +129,28 @@ def test_basis_command():
     assert len(rec["monomial_basis"]) == 36
     words = {e["monomial"] for e in rec["monomial_basis"]}
     assert "1" in words and "w1*w2" in words
+
+
+@pytest.mark.parametrize(
+    "command, genus, points",
+    [("lemmas", (2, 3), (3, 4)), ("basis", (2, 3), (2, 3))],
+    ids=["lemmas", "basis"],
+)
+def test_handle_reduced_words_are_listed_once_per_cell(monkeypatch, command, genus, points):
+    # fresh algebra and quotient caches, so each cell lists A's words here
+    monkeypatch.setattr(quotients, "_surface", lru_cache(None)(quotients._surface.__wrapped__))
+    monkeypatch.setattr(quotients, "_quotient", lru_cache(None)(quotients._quotient.__wrapped__))
+    calls = []
+    listing = surfaces.reduced_monomials
+
+    def counted(algebra):
+        calls.append((algebra.genus, algebra.points))
+        return listing(algebra)
+
+    monkeypatch.setattr(surfaces, "reduced_monomials", counted)
+    code, _out = run_config(command=command, genus=genus, points=points)
+    assert code == 0
+    assert calls == [(g, n) for g in genus for n in points]
 
 
 @needs_jsonschema

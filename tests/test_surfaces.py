@@ -327,6 +327,7 @@ def test_handle_reduced_basis_is_the_filtered_power_basis(g, n):
     assert reduced.monomials_by_degree == expected
     assert reduced.dimension == reduced_basis_count(g, n)
     assert power.handle_reduced is reduced
+    assert reduced.handle_reduced is reduced
 
 
 @pytest.mark.parametrize("g,n", REDUCED_CELLS)

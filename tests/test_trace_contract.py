@@ -1,11 +1,14 @@
-"""The traced-run contract of ``perfbench/tracer.py`` on the table and lemmas paths.
+"""The traced-run contract of ``perfbench/tracer.py``.
 
-A traced invocation must exit 0, print exactly what the plain CLI prints,
-give the same work counts and quotient dimensions whatever the hash seed,
-and find the dimensions ``perfbench/baseline.json`` holds.  The counting
-pass also runs the full elimination (``dimension``) of every quotient the
-command asks for.  Span coverage is not checked: these cells are too short
-for a stable figure.
+It is checked on the table, lemmas and certify paths.  A traced
+invocation must exit 0 and print exactly what the plain CLI prints.  The
+counting pass must give the same work counts and quotient dimensions
+whatever the hash seed, and find the dimensions ``perfbench/baseline.json``
+holds; it also runs the full elimination (``dimension``) of every quotient
+the command asks for.  The spans pass wraps every public function and the
+methods it names in ``SPANNED_METHODS``, and must write a summary line
+with a span for the CLI.  Span coverage is not checked: these cells are
+too short for a stable figure.
 """
 
 from __future__ import annotations
@@ -48,3 +51,21 @@ def test_counting_pass_keeps_stdout_counts_and_dims(args, dims):
         summaries.append(json.loads(traced.stderr.strip().splitlines()[-1]))
     assert summaries[0] == summaries[1]
     assert summaries[0]["dims"] == dims
+
+
+SPAN_CASES = [
+    ["lemmas", "--genus", "2", "--points", "3"],
+    ["certify", "--genus", "2", "--points", "3", "--stages", "3"],
+]
+
+
+@pytest.mark.parametrize("args", SPAN_CASES, ids=["lemmas", "certify"])
+def test_spans_pass_keeps_stdout(args):
+    plain = _run([sys.executable, "-m", "conftc.cli", *args], 1)
+    assert plain.returncode == 0, plain.stderr
+    traced = _run([sys.executable, str(TRACER), "spans", "--", *args], 1)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    summary = json.loads(traced.stderr.strip().splitlines()[-1])
+    assert summary["root_s"] > 0
+    assert summary["by_name"]["cli.main"][0] == 1
