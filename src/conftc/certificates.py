@@ -615,9 +615,19 @@ def verify_lemma_identities(genus, points, allow_large=False):
         xi, yi, wi = xyw[i]
         for j in range(i + 1, points + 1):
             xj, yj, wj = xyw[j]
-            lhs = wi + wj + alg.b(i) * alg.a(j) - alg.a(i) * alg.b(j)
+            lhs = (
+                wi
+                + wj
+                + alg.b(i) * alg.a(j)
+                - alg.a(i) * alg.b(j)
+            )
             prod_ab = (alg.a(i) - alg.a(j)) * (alg.b(i) - alg.b(j))
-            prod_xy = xi * yi + xj * yj - xi * yj - xj * yi
+            prod_xy = (
+                xi * yi
+                + xj * yj
+                - xi * yj
+                - xj * yi
+            )
             add(f"pair relation factors (i={i},j={j})", lhs == prod_ab)
             add(f"pair relation in x/y letters (i={i},j={j})", prod_ab == prod_xy)
 
