@@ -792,7 +792,8 @@ def test_lemma_suites_report_products_that_leave_a(monkeypatch):
     assert all(detail.startswith("first failure: ") for _name, detail in families)
     assert families[0] == ("lemma1(i) j=2", "first failure: v with letter at 2")
     assert ("lemma1(vi) j=2 k=3", "first failure: x3(2)") in families
-    assert ("lemma2(6) triple products vanish (i=3,j=2)", "first failure: x1(1)*y3(1)*x2(1)") in families
+    triple = ("lemma2(6) triple products vanish (i=3,j=2)", "first failure: x1(1)*y3(1)*x2(1)")
+    assert triple in families
     assert [name for name, detail in failed if not detail] == [
         "lemma2(3)(v) (i=2,j=3)",
         "lemma2(3)(v) (i=3,j=2)",
