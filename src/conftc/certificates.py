@@ -441,35 +441,34 @@ def verify_lemma_identities(genus, points, allow_large=False):
     for j in range(2, points + 1):
         xj, yj, wj = xyw[j]
         r = xj * yj
-        aggregate(
-            f"lemma1(i) j={j}",
-            (
-                (f"v with letter at {j}", e * r)
-                for m, e in shifted_products
-                if m[j - 1] != UNIT
-            ),
-        )
-        aggregate(
-            f"lemma1(ii) j={j}",
-            (
-                ("v with special first letter", e * r)
-                for m, e in shifted_products
-                if special[m[0]]
-            ),
-        )
-        aggregate(
-            f"lemma1(iii) j={j}",
-            (
-                ("v with plain first letter and a special elsewhere", e * r)
-                for m, e in shifted_products
-                if m[0] in (X1, Y1)
-                and any(
-                    special[m[k - 1]]
-                    for k in range(2, points + 1)
-                    if k != j
-                )
-            ),
-        )
+        others = [k - 1 for k in range(2, points + 1) if k != j]
+        # lemma1(i), (ii) and (iii): v x_j y_j vanishes for each shifted basis
+        # element v with a letter at j, with a special first letter, and with
+        # a plain first letter and a special letter at some k other than 1
+        # and j.  One pass forms each v x_j y_j once and tallies it in every
+        # family that holds v.
+        counts, failed = [0, 0, 0], [False, False, False]
+        for m, e in shifted_products:
+            member = (
+                m[j - 1] != UNIT,
+                special[m[0]],
+                m[0] in (X1, Y1) and any(special[m[k]] for k in others),
+            )
+            if any(member):
+                survives = bool(e * r)
+                for f in range(3):
+                    if member[f]:
+                        counts[f] += 1
+                        failed[f] = failed[f] or survives
+        for f, (family, label) in enumerate(
+            [
+                ("i", f"v with letter at {j}"),
+                ("ii", "v with special first letter"),
+                ("iii", "v with plain first letter and a special elsewhere"),
+            ]
+        ):
+            detail = f"first failure: {label}" if failed[f] else f"{counts[f]} instances"
+            add(f"lemma1({family}) j={j}", not failed[f], detail)
         add(
             f"lemma1(iv) j={j}",
             x1 * r == x1 * wj + w1 * xj,

@@ -138,7 +138,7 @@ def _run_basis(config):
             dims = alg.dimensions_by_degree()  # lists the ambient basis, under its guard
             qa = cached_quotient(g, n, "A", config.allow_large)
             qe = cached_quotient(g, n, "E", config.allow_large)
-            shifted = [e for _, e in shifted_basis_products(alg)]
+            shifted = [e for _, e in shifted_basis_products(qa.parent)]
             records.append(
                 {
                     "genus": g,

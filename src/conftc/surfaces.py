@@ -36,7 +36,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 from .algebra import Element, GradedAlgebraBase
 from .errors import SizeGuardError, basis_limit
@@ -400,14 +399,32 @@ def shifted_basis_products(algebra):
     """The reduced basis rebuilt from shifted letters, as (monomial, element) pairs.
 
     Each basis word of ``algebra.handle_reduced``, in tuple order, with the
-    product on ``algebra`` of the shifted letters of its codes other than
-    the unit (``SurfacePowerAlgebra.shifted_letter``); a word of units
-    gives 1.
+    product on ``algebra``, left to right, of the shifted letters of its
+    codes other than the unit (``SurfacePowerAlgebra.shifted_letter``); a
+    word of units gives 1.  The words are walked in tuple order, so a word
+    shares its longest prefix with the word before it: the element of each
+    longer prefix is the shorter one's times its next non-unit letter, and
+    each letter is built once per (coordinate, code).  That is one product
+    per word with two or more non-unit letters.
     """
     out = []
+    letters = {
+        (i, c): algebra.shifted_letter(i, c)
+        for i in range(1, algebra.points + 1)
+        for c in range(1, 2 * algebra.genus + 2)
+    }
+    # prefix[t]: the product of the non-unit letters of the last word's
+    # first t codes, or None while they are all units
+    prefix, last = [None], ()
     words = itertools.chain.from_iterable(algebra.handle_reduced.monomials_by_degree)
     for m in sorted(words):
-        letters = [algebra.shifted_letter(i, c) for i, c in enumerate(m, start=1) if c != UNIT]
-        e = prod(letters[1:], start=letters[0]) if letters else Element.unit(algebra)
-        out.append((m, e))
+        shared = next((t for t, (c, d) in enumerate(zip(m, last)) if c != d), 0)
+        del prefix[shared + 1 :]
+        e = prefix[shared]
+        for i, c in enumerate(m[shared:], start=shared + 1):
+            if c != UNIT:
+                e = letters[i, c] if e is None else e * letters[i, c]
+            prefix.append(e)
+        out.append((m, Element.unit(algebra) if e is None else e))
+        last = m
     return out

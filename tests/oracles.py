@@ -254,6 +254,61 @@ def cross_handle_predicate(algebra):
     return lambda m: sum(1 for c in m if c >= 3) >= 2
 
 
+def b_ideal_leads(algebra):
+    """The leading monomials of two families that generate B's ideal over A.
+
+    Leading means least in tuple order.  The first family is the leads of
+    the generators x_i y_j for i, j = 2..n: a_i(1) b_j(1) when i != j and
+    w_i when i = j.  The second is the monomials a_1(1) b_k(1) s_l and
+    b_1(1) a_k(1) s_l for k != l in 2..n, with s = a(p) or b(p) for
+    2 <= p <= g.  Letter codes as in ``surfaces``.
+    """
+    n, g = algebra.points, algebra.genus
+    a1, b1, w = 1, 2, 2 * g + 1
+
+    def word(*letters):
+        m = [0] * n
+        for i, c in letters:
+            m[i - 1] = c
+        return tuple(m)
+
+    leads = [
+        word((i, w)) if i == j else word((i, a1), (j, b1))
+        for i in range(2, n + 1)
+        for j in range(2, n + 1)
+    ]
+    for k in range(2, n + 1):
+        for l in range(2, n + 1):
+            if k != l:
+                for s in range(3, 2 * g + 1):  # a(p), b(p) for p >= 2
+                    leads += [word((1, a1), (k, b1), (l, s)), word((1, b1), (k, a1), (l, s))]
+    return leads
+
+
+def monomial_multiples(algebra, leads):
+    """The words m of A with m = ±u·L for a word u of A and L in leads, by degree.
+
+    A's words are the letter words that :func:`cross_handle_predicate`
+    keeps.  A letter m_i is a multiple u_i L_i of the letter L_i when
+    :func:`surface_letter_rule` gives it for some u_i; the u_i are then
+    unique, and u has no more special letters than m, so u lies in A.
+    Returns one sorted list per degree.
+    """
+    g, n = algebra.genus, algebra.points
+    local = surface_letter_rule(g)
+    letters = range(2 * g + 2)
+    divides = {(c, r[0]) for u in letters for c in letters if (r := local(u, c))}
+    killed = cross_handle_predicate(algebra)
+    degree = [0] + [1] * (2 * g) + [2]
+    out = [[] for _ in range(2 * n + 1)]
+    for m in product(letters, repeat=n):
+        if killed(m):
+            continue
+        if any(all((c, d) in divides for c, d in zip(lead, m)) for lead in leads):
+            out[sum(degree[c] for c in m)].append(m)
+    return out
+
+
 def handle_reduced_image(x):
     """The image of a power-algebra element or tensor in the handle-reduced algebra.
 

@@ -803,6 +803,40 @@ def test_lemma_suites_report_products_that_leave_a(monkeypatch):
     assert verify_lemma_identities(2, 3).ok
 
 
+def test_lemma1_families_form_each_product_once(monkeypatch):
+    # lemma1(i), (ii) and (iii) share their products v * x_j y_j: each is
+    # formed once per distinct (v, j), however many families hold v
+    shifted = []
+
+    def recording(algebra):
+        shifted.extend(surfaces.shifted_basis_products(algebra))
+        return shifted
+
+    keys = []
+    mul = Element.__mul__
+
+    def counting(self, other):
+        if any(self is e for _m, e in shifted):
+            keys.append((id(self), frozenset(other.terms.items())))
+        return mul(self, other)
+
+    monkeypatch.setattr(certificates, "shifted_basis_products", recording)
+    monkeypatch.setattr(Element, "__mul__", counting)
+    assert verify_lemma_identities(2, 4).ok
+    monkeypatch.undo()
+    special = cached_quotient(2, 4, "A").parent.special
+    plain = (surfaces.a_letter(1), surfaces.b_letter(1))
+    expected = sum(
+        1
+        for j in (2, 3, 4)
+        for m, _e in shifted
+        if m[j - 1]
+        or special[m[0]]
+        or (m[0] in plain and any(special[m[k - 1]] for k in (2, 3, 4) if k != j))
+    )
+    assert len(keys) == len(set(keys)) == expected
+
+
 def test_lemma_requires_higher_genus():
     with pytest.raises(ValueError, match="genus at least 2"):
         verify_lemma_identities(1, 3)

@@ -32,7 +32,7 @@ GOLDEN = [
     ("certify --genus 1,2,3 --points 1,2,3 --stages 2,3,4",
      "ee79697604b97ad6cf0dcc81cf58a349276464a32b286499d26a1a51893b27c3"),
     ("basis --genus 2,3 --points 2,3",
-     "4caad3c681344615eecb421f231486a212f6b18eefdb96de2859a7091a36e4b7"),
+     "8d7a78fe2a627ffd7f5352e1ebfbe83ab9aca5fe6756529a5b34f011f1bfe83b"),
     ("search-zcl --genus 1,2 --points 1,2 --stages 2,3",
      "406c65530622b1c0d62cab5fa362603d93e678f9ed28d3713a61a23d6ac65a35"),
     ("search-zcl --genus 1,2 --points 1,2 --stages 2,3 --ring E",

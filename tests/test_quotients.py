@@ -25,10 +25,12 @@ from conftc.surfaces import (
 )
 
 from oracles import (
+    b_ideal_leads,
     cross_handle_predicate,
     dense_rank,
     genus_embedding,
     handle_reduced_image,
+    monomial_multiples,
     verify_subalgebra_chain,
 )
 from test_linalg import rref_rows
@@ -270,6 +272,22 @@ def test_tower_matches_ambient_elimination(g, n):
                 e = Element.monomial(alg, m)
                 expected = handle_reduced_image(oracle.normal_form(e))
                 assert tower.normal_form(handle_reduced_image(e)) == expected
+
+
+B_IDEAL_CELLS = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("g,n", B_IDEAL_CELLS)
+def test_b_ideal_pivots_are_the_multiples_of_two_families(g, n):
+    # Two families of monomials generate the leading monomials of B's
+    # ideal over A: the pivots, the least monomial of each row, are exactly
+    # the words of A that are a multiple of one of them.  So these leads'
+    # families form a Groebner basis of the ideal for the tuple order.
+    reduced = cached_surface(g, n).handle_reduced
+    span = build_quotient(reduced, "B").ideal
+    expected = monomial_multiples(reduced, b_ideal_leads(reduced))
+    for d in range(reduced.top_degree + 1):
+        assert span.pivots(d) == expected[d]
 
 
 def count_mono_mul(monkeypatch):

@@ -267,6 +267,44 @@ def test_shifted_basis_same_cardinality():
         assert [m for m, _e in products] == reduced_monomials(alg)
 
 
+@pytest.mark.parametrize("g,n", [(1, 3), (2, 3), (2, 4), (3, 3)])
+def test_shifted_basis_elements_are_the_left_to_right_letter_products(g, n):
+    # term for term, in the same order, on the power algebra and on A
+    for alg in (cached_surface(g, n), cached_surface(g, n).handle_reduced):
+        for m, e in shifted_basis_products(alg):
+            letters = [alg.shifted_letter(i, c) for i, c in enumerate(m, start=1) if c]
+            expected = Element.unit(alg)
+            if letters:
+                expected = letters[0]
+                for z in letters[1:]:
+                    expected = expected * z
+            assert list(e.terms.items()) == list(expected.terms.items())
+
+
+def test_shifted_basis_builds_each_word_from_its_prefix(monkeypatch):
+    # One product per word with two or more non-unit letters, fewer than
+    # there are words, and one build per (coordinate, code) of a letter.
+    alg = cached_surface(2, 4).handle_reduced
+    products, letters = [0], []
+    mul, shifted_letter = Element.__mul__, SurfacePowerAlgebra.shifted_letter
+
+    def counting_mul(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    def counting_letter(self, i, c):
+        letters.append((i, c))
+        return shifted_letter(self, i, c)
+
+    monkeypatch.setattr(Element, "__mul__", counting_mul)
+    monkeypatch.setattr(SurfacePowerAlgebra, "shifted_letter", counting_letter)
+    words = [m for m, _e in shifted_basis_products(alg)]
+    assert len(words) == 405
+    assert products[0] == sum(1 for m in words if len(m) - m.count(0) >= 2) < len(words)
+    assert len(letters) == len(set(letters))
+    assert len(set(letters)) == len({(i, c) for m in words for i, c in enumerate(m, start=1) if c})
+
+
 def test_shifted_letter_by_code():
     alg = cached_surface(2, 3)
     for i in (1, 2, 3):

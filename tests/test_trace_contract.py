@@ -30,6 +30,7 @@ CASES = [
         {"B:g2n1": 6, "B:g2n2": 24, "B:g3n1": 8, "B:g3n2": 36},
     ),
     (["lemmas", "--genus", "2", "--points", "3"], {"A:g2n3": 108}),
+    (["lemmas", "--genus", "2", "--points", "4"], {"A:g2n4": 405}),
 ]
 
 
@@ -39,7 +40,7 @@ def _run(argv, seed):
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("args, dims", CASES, ids=["table", "lemmas"])
+@pytest.mark.parametrize("args, dims", CASES, ids=["table", "lemmas", "lemmas_g2n4"])
 def test_counting_pass_keeps_stdout_counts_and_dims(args, dims):
     plain = _run([sys.executable, "-m", "conftc.cli", *args], 1)
     assert plain.returncode == 0, plain.stderr
