@@ -79,6 +79,11 @@ class GradedAlgebraBase:
         """Product of two basis monomials: ``(monomial, sign)`` or None."""
         raise NotImplementedError
 
+    def _times(self, terms):
+        """The map m -> m times the element of these terms, as a terms dict: a ``mono_mul`` loop."""
+        e = Element(self, dict(terms))
+        return lambda m: (Element.monomial(self, m) * e).terms
+
     def monomial_weight(self, m):
         """A grading finer than degree that products add; 0 (trivial) by default."""
         return 0

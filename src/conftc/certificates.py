@@ -69,17 +69,22 @@ def bar_summands(u, s):
     """
     if s < 2:
         raise ValueError("stages must be at least 2")
+    _check_bar(u)
+    unit = Element.unit(u.algebra)
+    return [
+        (1 if (s + j) % 2 == 0 else -1, (u,) * (j - 1) + (unit,) + (u,) * (s - j))
+        for j in range(1, s + 1)
+    ]
+
+
+@lru_cache(maxsize=64)
+def _check_bar(u):
     if not u.is_homogeneous() or u.is_zero() or u.degree() == 0:
         raise ValueError("bar requires a homogeneous element of positive degree")
     if u.degree() % 2 == 0:
         raise ValueError("bar requires an element of odd degree")
     if not (u * u).is_zero():
         raise ValueError("bar requires an element whose square is zero")
-    unit = Element.unit(u.algebra)
-    return [
-        (1 if (s + j) % 2 == 0 else -1, (u,) * (j - 1) + (unit,) + (u,) * (s - j))
-        for j in range(1, s + 1)
-    ]
 
 
 @dataclass
@@ -117,30 +122,29 @@ def certificate_factors(algebra, s):
 
     c is a_1(2) in slots 1/2; d is b_1(2) in slots 1/2 (s = 2) or 1/3 (s >= 3).
     """
+    cd, y1, pairs = _factor_letters(algebra)
+    diff, factor = slot_difference_summands, ZeroDivisorFactor
     factors = []
-    if algebra.genus >= 2:
-        c = slot_difference_summands(algebra.a(1, 2), s, 2)
-        d = slot_difference_summands(algebra.b(1, 2), s, 2 if s == 2 else 3)
-        factors.append(ZeroDivisorFactor("C", "c", c))
-        factors.append(ZeroDivisorFactor("D", "d", d))
-    for i in range(2, s):
-        factors.append(
-            ZeroDivisorFactor("Y1I", f"y1,{i}", slot_difference_summands(algebra.y(1), s, i))
-        )
-    for i in range(1, algebra.points + 1):
-        factors.append(
-            ZeroDivisorFactor("BAR", f"xbar{i}", bar_summands(algebra.x(i), s), count=s - 1)
-        )
-        factors.append(
-            ZeroDivisorFactor(
-                "TILDE", f"ytilde{i}", slot_difference_summands(algebra.y(i), s, s)
-            )
-        )
+    if cd:
+        factors.append(factor("C", "c", diff(cd[0], s, 2)))
+        factors.append(factor("D", "d", diff(cd[1], s, 2 if s == 2 else 3)))
+    factors += [factor("Y1I", f"y1,{i}", diff(y1, s, i)) for i in range(2, s)]
+    for i, (x, y) in enumerate(pairs, start=1):
+        factors.append(factor("BAR", f"xbar{i}", bar_summands(x, s), count=s - 1))
+        factors.append(factor("TILDE", f"ytilde{i}", diff(y, s, s)))
     return factors
 
 
+@lru_cache(maxsize=1)
+def _factor_letters(algebra):
+    """[c, d] (genus >= 2, else empty), y_1 and each (x_i, y_i), built once per algebra."""
+    cd = [algebra.a(1, 2), algebra.b(1, 2)] if algebra.genus >= 2 else []
+    return cd, algebra.y(1), [(algebra.x(i), algebra.y(i)) for i in range(1, algebra.points + 1)]
+
+
+@lru_cache(maxsize=1)
 def omega_chain_elements(q):
-    """Normal forms of w_1 x_2...x_n and w_1 y_2...y_n in the quotient."""
+    """Normal forms of w_1 x_2...x_n and w_1 y_2...y_n in the quotient, once per quotient."""
     alg = q.parent
     vx = alg.omega(1)
     vy = alg.omega(1)

@@ -11,15 +11,12 @@ These spans back every ideal and normal-form computation in the package:
 ``reduce`` is the normal-form map, ``insert`` grows a span, ``rank``
 counts it.
 
-Within a degree the rows may be split into blocks: columns that the
-caller knows no two blocks share, such as the monomials of one weight of a
-grading finer than degree.  ``insert(v, degree, block)`` then
-back-substitutes the new row only into the rows of its own block, which
-keeps the reduced echelon form because rows of other blocks have no entry
-at its pivot.  Without a block every row of the degree is one block.
-Blocks speed up building a span, and let it be built one block at a time
-(``quotients.IdealSpan`` does so on demand); ``reduce``, ``pivots`` and
-``rank`` work by degree.
+``insert`` back-substitutes the new row only into the rows that hold its
+pivot, found through an index from each column to the rows that gained an
+entry there (a row that has lost it since is skipped).  ``seal`` drops a
+degree's index once no later vector shares a column with its rows, as when
+a span is built one block of columns at a time (``quotients.IdealSpan``
+seals each block it eliminates), so the index never outlives its block.
 
 Integer entries stay ``int``: a row whose pivot is +1 or -1 is normalized
 by a sign change, and any other pivot by multiplying with
@@ -34,26 +31,13 @@ the reduced rows are the same values whichever scalar types went in.
 from __future__ import annotations
 
 
-def vec_scaled_sub(v, c, row):
-    """Return v - c*row, dropping entries that become zero."""
-    out = dict(v)
-    for i, r in row.items():
-        cur = out.get(i)
-        nxt = r * (-c) if cur is None else cur - c * r
-        if nxt:
-            out[i] = nxt
-        else:
-            out.pop(i, None)
-    return out
-
-
 class GradedSubspace:
     """Row-reduced echelon bases, one per degree held."""
 
     def __init__(self, degrees, field):
         self.field = field
         self._rows = {d: {} for d in degrees}  # degree -> {pivot: row}
-        self._blocks = {d: {} for d in degrees}  # degree -> {block: [row]}
+        self._holders = {}  # degree -> {column: pivots of rows that gained an entry there}
 
     def _check_degree(self, degree):
         if degree not in self._rows:
@@ -71,19 +55,21 @@ class GradedSubspace:
         out = {i: c for i, c in v.items() if c}
         # Rows are mutually reduced, so eliminating one pivot never
         # reintroduces another; a single pass over the pivots present
-        # in v suffices.
+        # in v suffices.  Each c*row is subtracted from out in place.
         for p in [i for i in v if i in rows]:
             c = out.get(p)
             if c:
-                out = vec_scaled_sub(out, c, rows[p])
+                for i, r in rows[p].items():
+                    cur = out.get(i)
+                    nxt = r * (-c) if cur is None else cur - c * r
+                    if nxt:
+                        out[i] = nxt
+                    else:
+                        del out[i]
         return out
 
-    def insert(self, v, degree, block=None):
-        """Add v to the span; returns True iff it enlarged the span.
-
-        ``block`` names the columns v lives in (see the module docstring);
-        vectors of different blocks of one degree must not share a column.
-        """
+    def insert(self, v, degree):
+        """Add v to the span; returns True iff it enlarged the span."""
         r = self.reduce(v, degree)
         if not r:
             return False
@@ -91,26 +77,36 @@ class GradedSubspace:
         lead = r[pivot]
         canonical = self.field.canonical
         if lead == 1:
-            row = r
+            row = dict(r)  # a new dict: one edited in place keeps its largest table
         elif lead == -1:
             row = {i: -c for i, c in r.items()}
         else:
             inv = self.field.inverse(lead)
             row = {i: canonical(c * inv) for i, c in r.items()}
-        peers = self._blocks[degree].setdefault(block, [])
-        for other in peers:
-            c = other.get(pivot)
-            if c:
-                updated = vec_scaled_sub(other, c, row)
-                other.clear()
-                other.update(updated)
-                for i in row:
-                    v = other.get(i)
-                    if v is not None:
-                        other[i] = canonical(v)
-        peers.append(row)
-        self._rows[degree][pivot] = row
+        rows, holders = self._rows[degree], self._holders.setdefault(degree, {})
+        tail = [(i, c) for i, c in row.items() if i != pivot]
+        # The index may name a row twice, or one that has lost the column since.
+        for p in {p for p in holders.pop(pivot, ()) if pivot in rows[p]}:
+            other = rows[p]
+            f = other.pop(pivot)
+            for i, c in tail:
+                cur = other.get(i)
+                if cur is None:
+                    holders.setdefault(i, []).append(p)
+                nxt = -f * c if cur is None else cur - f * c
+                if nxt:
+                    other[i] = canonical(nxt)
+                else:
+                    del other[i]
+            rows[p] = dict(other)
+        rows[pivot] = row
+        for i, _c in tail:
+            holders.setdefault(i, []).append(pivot)
         return True
+
+    def seal(self, degree):
+        """Drop the degree's column index; later vectors there share no column with its rows."""
+        self._holders.pop(degree, None)
 
     def rank(self, degree):
         self._check_degree(degree)

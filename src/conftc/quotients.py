@@ -83,10 +83,10 @@ class IdealSpan:
     generator is not homogeneous for it.  Products add weights, so the rows
     of block (D, w) come only from a generator r times the multipliers of
     block (D - deg r, w - weight r), and no two blocks share a column.  Each
-    block is therefore eliminated on its own, with the multiples inserted in
-    the same order as over the whole degree.  The reduced echelon form over
-    a fixed column order is unique, so the rows do not depend on which
-    blocks were asked for first.
+    block is eliminated on its own, from the algebra's ``_times`` of each
+    generator in the same order as over the whole degree, and then sealed.
+    The reduced echelon form over a fixed column order is unique, so the
+    rows do not depend on which blocks were asked for first.
 
     The blocks of a degree are the weights of its basis monomials.
     ``reduce`` eliminates the blocks of its vector's monomials first, and
@@ -105,7 +105,7 @@ class IdealSpan:
         if any(len({weigh(m) for m in r.terms}) > 1 for r, _unit in work):
             weigh = _no_weight
         self._work = [
-            (list(r.terms.items()), r.degree(), weigh(next(iter(r.terms))), unit)
+            (algebra._times(r.terms.items()), r.degree(), weigh(next(iter(r.terms))), unit)
             for r, unit in work
         ]
         self._weigh = weigh
@@ -135,20 +135,13 @@ class IdealSpan:
     def _eliminate(self, degree, weight):
         """Insert every multiple that lands in block (degree, weight)."""
         self._built.add((degree, weight))
-        mono_mul, insert = self.algebra.mono_mul, self._space.insert
-        for rterms, e, rweight, unit in self._work:
+        for times, e, rweight, unit in self._work:
             if degree < e:
                 continue
-            by_weight = self._grouped(degree - e)[unit]
-            for m in by_weight.get(weight - rweight, ()):
-                products = []
-                for mr, cr in rterms:
-                    res = mono_mul(m, mr)
-                    if res is not None:
-                        products.append((res[0], cr if res[1] > 0 else -cr))
-                vec = _add_terms({}, products)
-                if vec:
-                    insert(vec, degree, weight)
+            for m in self._grouped(degree - e)[unit].get(weight - rweight, ()):
+                if vec := times(m):
+                    self._space.insert(vec, degree)
+        self._space.seal(degree)
 
     def _ensure(self, degree, monomials):
         """Eliminate the blocks of the degree that the monomials lie in, if not yet built."""
@@ -304,13 +297,7 @@ class QuotientAlgebra:
         The tables live in the quotient and are keyed by the value of e, so
         a piece is computed once for all calls and all equal elements.
         """
-        mul = self.parent.mono_mul
-        products = []
-        for m2, c2 in e.terms.items():
-            r = mul(m, m2)
-            if r is not None:
-                products.append((r[0], c2 if r[1] > 0 else -c2))
-        nf = self.normal_form(Element(self.parent, _add_terms({}, products)))
+        nf = self.normal_form(Element(self.parent, self.parent._times(e.terms.items())(m)))
         piece = table[m] = list(nf.terms.items())
         return piece
 

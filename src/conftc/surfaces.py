@@ -158,6 +158,34 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
                 suffix_odd ^= 1
         return (out, -1 if par else 1)
 
+    def _times(self, terms):
+        """The map m -> m times the element of these terms, as a terms dict signed as by
+        ``mono_mul``.  It reads only each term's non-unit coordinates, and drops a
+        term whose letter the letter table kills against m's before building its word."""
+        prepared = [(c, [(i, d) for i, d in enumerate(m) if d]) for m, c in terms]
+        ltab, deg, words = self._ltab, self._deg, self._words
+
+        def times(m):
+            after, out = None, {}
+            for c, support in prepared:
+                for i, d in support:
+                    if ltab[m[i]][d] is None:
+                        break
+                else:
+                    if after is None:  # after[i]: parity of the odd letters of m after i
+                        odd = [deg[x] & 1 for x in m[:0:-1]]
+                        after = [*itertools.accumulate(odd, int.__xor__, initial=0)][::-1]
+                    word, neg = list(m), False
+                    for i, d in support:
+                        word[i], sign = ltab[m[i]][d]
+                        neg ^= (sign < 0) ^ (deg[d] & after[i])
+                    word = tuple(word)
+                    if words is None or word in words:
+                        out[word] = -c if neg else c
+            return out
+
+        return times
+
     def monomial_weight(self, m):
         """The handle weight a(p) -> +e_p, b(p) -> -e_p, w -> 0, as one int.
 

@@ -328,23 +328,16 @@ def eager_ideal_span(algebra, generators):
 
     The elimination loop as it ran before the blocks were built on demand:
     each generator times each usable multiplier of each degree, in listing
-    order, inserted into its (degree, weight) block, or its degree when a
-    generator is not weight-homogeneous.  Returns the ``GradedSubspace`` as built.
+    order, with a ``mono_mul`` loop, inserted into its degree, where no
+    block is sealed.  Returns the ``GradedSubspace`` as built.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
-    work = []
+    top = algebra.top_degree
+    space = GradedSubspace(range(top + 1), algebra.field)
     for r, unit in zip(gens, units):
         if r.is_zero():
             continue
-        weights = {algebra.monomial_weight(m) for m in r.terms}
-        work.append((r, unit, weights.pop() if len(weights) == 1 else None))
-    weigh = None
-    if all(w is not None for _r, _u, w in work):
-        weigh = algebra.monomial_weight
-    top = algebra.top_degree
-    space = GradedSubspace(range(top + 1), algebra.field)
-    for r, unit, weight in work:
         e = r.degree()
         for d in range(top - e + 1):
             for m in algebra.monomials_by_degree[d]:
@@ -357,7 +350,7 @@ def eager_ideal_span(algebra, generators):
                         products.append((res[0], cr if res[1] > 0 else -cr))
                 vec = _add_terms({}, products)
                 if vec:
-                    space.insert(vec, d + e, None if weigh is None else weigh(m) + weight)
+                    space.insert(vec, d + e)
     return space
 
 

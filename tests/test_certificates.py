@@ -220,6 +220,31 @@ def test_a_second_evaluation_reuses_every_piece(monkeypatch):
     assert calls[0] == outside
 
 
+def test_cells_of_one_algebra_share_letters_bar_checks_and_chains(monkeypatch):
+    # Once one cell of (g, n) = (2, 3) is evaluated, the factors and the
+    # expected survivors of another stage count build no letter (no
+    # monomial but the unit), multiply no monomials for the bar checks and
+    # form no chain.
+    evaluate_certificate(2, 3, 3)
+    q = cached_quotient(2, 3, "B")
+    calls, letters = count_mono_mul(monkeypatch), []
+    monomial = Element.monomial.__func__
+
+    def counting(cls, algebra, m, coeff=1):
+        if m != algebra.one:
+            letters.append(m)
+        return monomial(cls, algebra, m, coeff)
+
+    monkeypatch.setattr(Element, "monomial", classmethod(counting))
+    first = certificate_factors(q.parent, 7)
+    survivors = expected_survivors(q, 7)
+    assert (calls[0], letters) == (0, [])
+    assert [f.label for f in first][:3] == ["c", "d", "y1,2"] and len(survivors) == 2
+    # an equal element built anew is not checked again either
+    bar_summands(q.parent.a(2) - q.parent.a(1), 4)
+    assert calls[0] == 0
+
+
 def test_cancelling_zero_divisor_checks_multiply_nothing(monkeypatch):
     # Once the unit slots are dropped, the two summands of a slot difference,
     # and the s summands of bar(u, s) at even s, are one group whose signs

@@ -49,6 +49,8 @@ GOLDEN = [
      "a5b5a0f3c3143f596501fc20ec9a5ffa3c6cfa18936e5c8a1bddce765f0f0678"),
     ("certify --genus 1 --points 7 --stages 3",
      "f67d0819d9e147f0735aea5b29e720ce12c8b5bfeb4064de0088b29cf27e40d3"),
+    ("certify --genus 2 --points 6 --stages 2 --ring E",
+     "674dcaa509ce9c050c4a5daabc170056df9275e362259ebfd980168ee074eb80"),
     ("lemmas --genus 2,3,4 --points 2,3,4,5",
      "660af77421dbbcb2e030f9f670e40c22dd5efa158a7fdc569a12f9dcd96e1de4"),
     ("basis --genus 1 --points 2,3",

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -246,19 +247,76 @@ def test_gf2_insert_and_reduce():
     assert all(type(c) is Bit for row in rref_rows(s, 0).values() for c in row.values())
 
 
-def test_blocks_give_the_same_rows_as_one_block():
+def naive_gauss_jordan(vectors, field):
+    """Whether each vector enlarged the span, and the reduced rows {pivot: row}.
+
+    Every stored row is scanned at each step: the new vector is reduced by
+    all of them, and the new row, scaled by the inverse of its pivot (the
+    least column), is subtracted from every row that holds its pivot.
+    """
+
+    def minus(v, c, row):
+        out = {i: v.get(i, field.zero) - c * row.get(i, field.zero) for i in {*v, *row}}
+        return {i: x for i, x in out.items() if x}
+
+    rows, enlarged = {}, []
+    for v in vectors:
+        r = {i: c for i, c in v.items() if c}
+        for p, row in rows.items():
+            if r.get(p):
+                r = minus(r, r[p], row)
+        enlarged.append(bool(r))
+        if r:
+            p = min(r)
+            inv = field.inverse(r[p])
+            row = {i: c * inv for i, c in r.items()}
+            for q, other in rows.items():
+                if other.get(p):
+                    rows[q] = minus(other, other[p], row)
+            rows[p] = row
+    return enlarged, rows
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=["Q", "GF2"])
+def test_column_indexed_insert_matches_naive_gauss_jordan(field):
+    # Entries +-1, +-2 and +-3 give pivots that are not units over Q, so
+    # Fraction rows occur.  The second space takes the columns of each
+    # parity as one block and seals it before the next.
     rng = random.Random(5)
-    for _ in range(20):
+    scalars = [field.from_int(c) for c in (-3, -2, -1, 1, 2, 3)]
+    scalars = [c for c in scalars if c]
+    fractions = 0
+    for _ in range(40):
         dim = rng.randint(4, 24)
-        whole, split = space(), space()
-        for _ in range(rng.randint(1, dim)):
+        blocks = [[], []]
+        for _ in range(rng.randint(1, 2 * dim)):
             parity = rng.randint(0, 1)
             cols = [i for i in range(dim) if i % 2 == parity]
-            v = {i: rng.randint(-2, 2) for i in rng.sample(cols, rng.randint(1, len(cols)))}
-            v = {i: c for i, c in v.items() if c}
-            assert whole.insert(v, 0) == split.insert(v, 0, block=parity)
-        assert whole.pivots(0) == split.pivots(0)
-        assert rref_rows(whole, 0) == rref_rows(split, 0)
+            picked = rng.sample(cols, rng.randint(1, min(5, len(cols))))
+            blocks[parity].append({i: rng.choice(scalars) for i in picked})
+        vectors = blocks[0] + blocks[1]
+        enlarged, rows = naive_gauss_jordan(vectors, field)
+        whole, sealed = space(field=field), space(field=field)
+        assert [whole.insert(v, 0) for v in vectors] == enlarged
+        for block in blocks:
+            assert [sealed.insert(v, 0) for v in block] == enlarged[: len(block)]
+            enlarged = enlarged[len(block):]
+            sealed.seal(0)
+        for s in (whole, sealed):
+            assert s.pivots(0) == sorted(rows)
+            assert rref_rows(s, 0) == rows
+        fractions += any(type(c) is Fraction for row in rows.values() for c in row.values())
+    assert field is GF2 or fractions > 10
+
+
+def test_stored_rows_hold_no_table_left_by_edits():
+    # Rows edited in place (reduced, then back-substituted into) are stored
+    # as new dicts, so none keeps the larger table its edits left.
+    space = build_quotient(cached_surface(2, 4), "E").ideal
+    space.total_rank()
+    rows = [row for d in space.degrees() for row in space._space._rows[d].values()]
+    assert len(rows) == 725
+    assert all(sys.getsizeof(row) == sys.getsizeof(dict(row)) for row in rows)
 
 
 def test_rational_scalars_are_int_unless_a_fraction_is_needed():

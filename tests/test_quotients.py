@@ -31,6 +31,7 @@ from oracles import (
     genus_embedding,
     handle_reduced_image,
     monomial_multiples,
+    surface_letter_rule,
     verify_subalgebra_chain,
 )
 from test_linalg import rref_rows
@@ -291,14 +292,27 @@ def test_b_ideal_pivots_are_the_multiples_of_two_families(g, n):
 
 
 def count_mono_mul(monkeypatch):
+    """Count the monomial products: ``mono_mul`` calls, and the terms that a
+    map made by ``_times`` multiplies at each call."""
     calls = [0]
-    orig = SurfacePowerAlgebra.mono_mul
+    orig, orig_times = SurfacePowerAlgebra.mono_mul, SurfacePowerAlgebra._times
 
     def counting(self, m1, m2):
         calls[0] += 1
         return orig(self, m1, m2)
 
+    def counting_times(self, terms):
+        terms = list(terms)
+        times = orig_times(self, terms)
+
+        def counted(m):
+            calls[0] += len(terms)
+            return times(m)
+
+        return counted
+
     monkeypatch.setattr(SurfacePowerAlgebra, "mono_mul", counting)
+    monkeypatch.setattr(SurfacePowerAlgebra, "_times", counting_times)
     return calls
 
 
@@ -339,6 +353,43 @@ def test_tower_build_work_counts(monkeypatch):
     ideal_span(alg, list(cross_handle_relations(alg)) + list(xy_pair_relations(alg))).total_rank()
     ambient = calls[0]
     assert 0 < 4 * tower <= ambient
+
+
+@pytest.mark.parametrize("ring", ["E", "B"])
+def test_block_elimination_builds_no_word_the_letter_table_kills(monkeypatch, ring):
+    # The kernel copies a multiplier into a new word (list(m)) only for a
+    # term whose letters all multiply with the multiplier's, by the letter
+    # rule of the oracles; the elimination calls no mono_mul at all.
+    alg = SurfacePowerAlgebra(2, 4)
+    local = surface_letter_rule(2)
+    built, pairs, alive = [], [0], [0]
+    orig_times = SurfacePowerAlgebra._times
+
+    class Word(tuple):
+        def __iter__(self):
+            built.append(self)
+            return super().__iter__()
+
+    def counting_times(self, terms):
+        terms = list(terms)
+        times = orig_times(self, terms)
+
+        def counted(m):
+            for mr, _c in terms:
+                pairs[0] += 1
+                alive[0] += all(local(c, d) for c, d in zip(m, mr))
+            return times(Word(m))
+
+        return counted
+
+    def refused(self, m1, m2):
+        raise AssertionError("elimination called mono_mul")
+
+    monkeypatch.setattr(SurfacePowerAlgebra, "_times", counting_times)
+    q = build_quotient(alg, ring)
+    monkeypatch.setattr(SurfacePowerAlgebra, "mono_mul", refused)
+    assert q.ideal.total_rank() == {"E": 725, "B": 225}[ring]
+    assert 0 < len(built) == alive[0] < pairs[0]
 
 
 # -- the diagonal-free base-axis build against every multiplier ----------

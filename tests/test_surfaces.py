@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from conftc.algebra import Element
+from conftc.algebra import Element, TruncatedPolynomialAlgebra
 from conftc.errors import ConfigurationError, SizeGuardError, basis_limit
+from conftc.fields import RATIONALS
 from conftc.quotients import cached_surface
 from conftc.surfaces import (
     RelationSet,
@@ -89,6 +92,48 @@ def test_mono_mul_matches_brute_force_signs(g, n):
         for m2 in monos:
             expected = sorted_letter_product(m1, m2, degree, surface_letter_rule(g))
             assert alg.mono_mul(m1, m2) == expected, (m1, m2)
+
+
+def mono_mul_loop(alg, m, terms):
+    """m times the terms, one ``mono_mul`` per term, as a terms dict."""
+    out = {}
+    for m2, c in terms.items():
+        r = alg.mono_mul(m, m2)
+        if r is not None:
+            out[r[0]] = out.get(r[0], 0) + r[1] * c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("g,n", [(1, 3), (2, 4), (3, 3)])
+def test_times_matches_the_mono_mul_loop(g, n):
+    # one term at a time (same word, sign and zero), then whole elements
+    rng = random.Random(10 * g + n)
+    power = SurfacePowerAlgebra(g, n)
+    for alg in (power, power.handle_reduced):
+        by_degree = alg.monomials_by_degree
+
+        def pick():  # low degrees, so that many products survive
+            return rng.choice(by_degree[rng.randint(0, 3)])
+
+        nonzero = 0
+        for _ in range(400):
+            m = pick()
+            terms = {pick(): rng.choice([-3, -1, 1, 2]) for _ in range(rng.randint(1, 6))}
+            for term in terms.items():
+                got = alg._times([term])(m)
+                assert got == mono_mul_loop(alg, m, dict([term])), (m, term)
+                nonzero += bool(got)
+            assert alg._times(terms.items())(m) == mono_mul_loop(alg, m, terms)
+        assert nonzero > 100
+
+
+def test_times_default_is_the_mono_mul_loop():
+    alg = TruncatedPolynomialAlgebra(RATIONALS, truncation=5, gen_degree=2)
+    terms = {0: 2, 1: -1, 3: 3, 4: 1}
+    times = alg._times(terms.items())
+    for m in range(5):
+        assert times(m) == mono_mul_loop(alg, m, terms)
+    assert times(1) == {1: 2, 2: -1, 4: 3}
 
 
 def test_monomial_weight_is_additive_and_separates_handles():
