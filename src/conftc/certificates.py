@@ -20,7 +20,6 @@ quotients they build are held to the basis guard and the products to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
 
@@ -87,19 +86,20 @@ def _check_bar(u):
         raise ValueError("bar requires an element whose square is zero")
 
 
-@dataclass
 class ZeroDivisorFactor:
     """One multiplicand of a certificate; ``count`` is its factor weight.
 
-    ``summands`` holds the factor as signed pure tensors
-    ``(sign, (e_1, ..., e_s))``.  A BAR entry is itself a product of s - 1
-    basic zero divisors and is accounted as such.
+    ``kind`` is one of C, D, Y1I, BAR, TILDE and GENERIC.  ``summands``
+    holds the factor as signed pure tensors ``(sign, (e_1, ..., e_s))``.  A
+    BAR entry is itself a product of s - 1 basic zero divisors and is
+    accounted as such.
     """
 
-    kind: str  # C, D, Y1I, BAR, TILDE, GENERIC
-    label: str
-    summands: list
-    count: int = 1
+    def __init__(self, kind, label, summands, count=1):
+        self.kind = kind
+        self.label = label
+        self.summands = summands
+        self.count = count
 
     def term_count(self):
         """Terms of the expanded tensor, counted without expanding it (an upper bound)."""
@@ -176,23 +176,28 @@ def expected_survivors(q, s):
 # -- certificate evaluation ---------------------------------------------------
 
 
-@dataclass
 class Certificate:
-    genus: int
-    points: int
-    stages: int
-    ring: str
-    factors: list
-    factor_count: int
-    result: TensorElement
-    nonzero: bool
-    # Two-term support check against the expected survivors (s >= 3) or the
-    # doubled closed form (s = 2); None where no such claim applies.
-    support_matches_expected: bool | None = None
-    closed_form_match: bool | None = None
-    # The tensor-term limit the evaluation ran under (None: lifted); the
-    # factors' transcript text is held to it too.
-    term_limit: int | None = None
+    """An evaluated certificate: its factors, their product and the checks on it."""
+
+    def __init__(
+        self, genus, points, stages, ring, factors, factor_count, result, nonzero,
+        support_matches_expected=None, closed_form_match=None, term_limit=None,
+    ):
+        self.genus = genus
+        self.points = points
+        self.stages = stages
+        self.ring = ring
+        self.factors = factors
+        self.factor_count = factor_count
+        self.result = result
+        self.nonzero = nonzero
+        # Two-term support check against the expected survivors (s >= 3) or
+        # the doubled closed form (s = 2); None where no such claim applies.
+        self.support_matches_expected = support_matches_expected
+        self.closed_form_match = closed_form_match
+        # The tensor-term limit the evaluation ran under (None: lifted); the
+        # factors' transcript text is held to it too.
+        self.term_limit = term_limit
 
 
 def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
@@ -312,16 +317,18 @@ def tc_upper_bound(genus, points, stages):
     return stages * (points + 1)
 
 
-@dataclass
 class TcRecord:
-    genus: int
-    n: int
-    s: int
-    upper: int
-    lower: int
-    tc: int
-    certified: bool
-    note: str = ""
+    """One cell of the TC table; ``note`` says why it is or is not certified."""
+
+    def __init__(self, genus, n, s, upper, lower, tc, certified, note=""):
+        self.genus = genus
+        self.n = n
+        self.s = s
+        self.upper = upper
+        self.lower = lower
+        self.tc = tc
+        self.certified = certified
+        self.note = note
 
     def as_dict(self):
         return {
@@ -371,18 +378,18 @@ def tc_value(genus, points, stages, allow_large=False):
 # -- identity suites -----------------------------------------------------------
 
 
-@dataclass
 class LemmaCheck:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name, ok, detail=""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
 class LemmaReport:
-    genus: int
-    points: int
-    checks: list = field(default_factory=list)
+    def __init__(self, genus, points, checks=None):
+        self.genus = genus
+        self.points = points
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self):
@@ -673,8 +680,8 @@ def rp3_zcl_check(s):
     if s > 5:
         raise SizeGuardError(
             f"stage count {s} exceeds the guarded range (tensor basis 4^{s})",
-            estimate=4**s,
-            limit=4**5,
+            estimate=s,
+            limit=5,
         )
     prod = rp3_product(s)
     if prod.is_zero():
@@ -687,12 +694,12 @@ def rp3_zcl_check(s):
 # -- generic cup-length search --------------------------------------------------
 
 
-@dataclass
 class ZclSearchResult:
-    bound: int
-    witness: list  # (element text, slot) per factor
-    value: TensorElement
-    strategy: str
+    def __init__(self, bound, witness, value, strategy):
+        self.bound = bound
+        self.witness = witness  # (element text, slot) per factor
+        self.value = value
+        self.strategy = strategy
 
 
 def _search_space(target):

@@ -18,7 +18,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .certificates import (
@@ -31,23 +30,26 @@ from .certificates import (
 )
 from .errors import ConfigurationError, SizeGuardError, VerificationError
 from .quotients import cached_quotient, cached_surface
-from .surfaces import reduced_basis_count, shifted_basis_products
+from .surfaces import MAX_POINTS, reduced_basis_count, shifted_basis_products
 
 COMMANDS = ("table", "certify", "basis", "lemmas", "search-zcl", "rp3")
 FORMATS = ("json", "csv", "text")
 CSV_COLUMNS = ("genus", "n", "s", "upper", "lower", "tc", "certified")
 
 
-@dataclass
 class RunConfig:
-    command: str
-    genus: tuple = (2,)
-    points: tuple = (2,)
-    stages: tuple = (2,)
-    ring: str = "B"
-    fmt: str = "json"
-    allow_large: bool = False
-    strategy: str = None
+    def __init__(
+        self, command, genus=(2,), points=(2,), stages=(2,), ring="B", fmt="json",
+        allow_large=False, strategy=None,
+    ):
+        self.command = command
+        self.genus = genus
+        self.points = points
+        self.stages = stages
+        self.ring = ring
+        self.fmt = fmt
+        self.allow_large = allow_large
+        self.strategy = strategy
 
     def validate(self):
         if self.command not in COMMANDS:
@@ -98,7 +100,7 @@ def _warn_override(config, stream):
         config.command in ("certify", "search-zcl") and config.ring == "E"
     )
     for g, n, s in _grid(config):
-        if g == 0:
+        if g == 0 or n > MAX_POINTS:  # past MAX_POINTS the algebra is refused unbuilt
             continue
         basis = (2 * g + 2) ** n if ambient else reduced_basis_count(g, n)
         print(
@@ -293,6 +295,10 @@ def run(config: RunConfig, stream=None) -> int:
         records, failures = _DISPATCH[config.command](config)
     except SizeGuardError as e:
         print(f"refused: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Only a lifted guard gets here: a table or basis past the memory there is.
+        print("refused: the run needs more memory than can be allocated", file=sys.stderr)
         return 2
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,8 +14,6 @@ equality and text do not depend on which type holds an integral value.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class Bit:
     """An element of the field with two elements."""
@@ -97,10 +95,16 @@ class RationalField(Field):
     def from_int(self, k):
         return int(k)
 
+    # ``fractions`` (with ``decimal``, which it imports) is loaded on the
+    # first division or parse, not at start-up: most runs never divide.
     def parse(self, text):
+        from fractions import Fraction
+
         return self.canonical(Fraction(text))
 
     def inverse(self, c):
+        from fractions import Fraction
+
         return Fraction(1, c)
 
     def canonical(self, c):

@@ -430,16 +430,18 @@ def build_quotient(algebra, kind):
     'A' is the algebra's ``handle_reduced`` modulo no rows, 'B' the same
     algebra modulo the x_i y_j rows, and 'E' the power algebra modulo the
     diagonal-free multiples of the pair relations.  Only 'E' lists the
-    ambient basis.
+    ambient basis.  The basis is listed, under its guard, before any
+    relation is built: there are O(n^2) of them, each n letters long.
     """
-    if kind == "E":
-        return QuotientAlgebra(ideal_span(algebra, totaro_relations(algebra)), "BASE_AXIS")
-    if kind not in ("A", "B"):
+    if kind not in ("E", "A", "B"):
         raise ValueError(f"unknown quotient kind {kind!r}")
-    reduced = algebra.handle_reduced
+    target = algebra if kind == "E" else algebra.handle_reduced
+    target.monomials_by_degree
+    if kind == "E":
+        return QuotientAlgebra(ideal_span(target, totaro_relations(target)), "BASE_AXIS")
     if kind == "A":
-        return QuotientAlgebra(ideal_span(reduced, []), "HANDLE_REDUCED")
-    return QuotientAlgebra(ideal_span(reduced, xy_pair_relations(reduced)), "CERTIFICATE")
+        return QuotientAlgebra(ideal_span(target, []), "HANDLE_REDUCED")
+    return QuotientAlgebra(ideal_span(target, xy_pair_relations(target)), "CERTIFICATE")
 
 
 # -- cached builders for the standard quotients ---------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+import sys
 from functools import cached_property
 
 from .algebra import Element, GradedAlgebraBase
@@ -42,6 +42,12 @@ from .errors import SizeGuardError, basis_limit
 from .fields import RATIONALS
 
 UNIT = 0
+
+# The most entries CPython allocates in one list or tuple, so the most any
+# letter table or basis can hold, with the guard lifted or not.  Every basis
+# holds at least 2^n words, so none fits past MAX_POINTS points.
+MAX_ENTRIES = sys.maxsize // 8
+MAX_POINTS = MAX_ENTRIES.bit_length() - 1
 
 
 def a_letter(p):
@@ -74,25 +80,33 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         self.points = points
         # The guard on every basis listed for this algebra and its handle_reduced.
         self.max_basis = basis_limit(max_basis)
+        # Checked before anything is allocated: each list of letters holds 2g+2
+        # entries and each word n.  The letter table, (2g+2)^2 entries, and
+        # the letter weights, O(g^2 log n) bits, are built on first use.
+        self._guard("letter count", 2 * genus + 2)
+        if points > MAX_POINTS:
+            raise SizeGuardError(
+                f"{points} points exceed {MAX_POINTS}: every basis would hold at least "
+                f"2^{points} words, past the {MAX_ENTRIES} entries a list can hold",
+                estimate=points,
+                limit=MAX_POINTS,
+            )
         self.field = RATIONALS
         self.top_degree = 2 * points
         self._omega = 2 * genus + 1
         self._letters = range(2 * genus + 2)
         self._deg = [0] + [1] * (2 * genus) + [2]
-        self._ltab = self._local_table()
         # a(p), b(p) for p >= 2, and w = a(2)b(2) once there is a second handle
         self.special = tuple(genus >= 2 and c >= 3 for c in self._letters)
-        self._lweight = [0] * (2 * genus + 2)
-        for p in range(1, genus + 1):
-            unit = (2 * points + 1) ** (p - 1)
-            self._lweight[2 * p - 1], self._lweight[2 * p] = unit, -unit
         self.one = (UNIT,) * points
 
-    def _local_table(self):
+    @cached_property
+    def _ltab(self):
         """Products of two letters sharing a coordinate: (letter, sign) or None."""
         g = self.genus
         omega = self._omega
         size = 2 * g + 2
+        self._guard("letter table size", size * size)
         tab = [[None] * size for _ in range(size)]
         for c in range(size):
             tab[UNIT][c] = (c, 1)
@@ -117,18 +131,19 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         return sum([deg[c] for c in m])
 
     def _guard(self, what, size):
-        """Refuse to list a basis of ``size`` monomials past the basis guard."""
-        if size > self.max_basis:
+        """Refuse ``what`` of ``size`` entries past the basis guard, or past MAX_ENTRIES."""
+        limit = min(self.max_basis, MAX_ENTRIES)
+        if size > limit:
             raise SizeGuardError(
-                f"{what} basis size {size} for genus {self.genus} with {self.points} "
-                f"points exceeds the limit {self.max_basis}",
+                f"{what} {size} for genus {self.genus} with {self.points} "
+                f"points exceeds the limit {limit}",
                 estimate=size,
-                limit=self.max_basis,
+                limit=limit,
             )
 
     def _monomials(self):
         """All (2g+2)^n letter words, in tuple order."""
-        self._guard("ambient", len(self._letters) ** self.points)
+        self._guard("ambient basis size", len(self._letters) ** self.points)
         return itertools.product(self._letters, repeat=self.points)
 
     # -- monomial products ------------------------------------------------
@@ -185,6 +200,15 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             return out
 
         return times
+
+    @cached_property
+    def _lweight(self):
+        """Each letter's handle weight (``monomial_weight``)."""
+        lweight = [0] * (2 * self.genus + 2)
+        for p in range(1, self.genus + 1):
+            unit = (2 * self.points + 1) ** (p - 1)
+            lweight[2 * p - 1], lweight[2 * p] = unit, -unit
+        return lweight
 
     def monomial_weight(self, m):
         """The handle weight a(p) -> +e_p, b(p) -> -e_p, w -> 0, as one int.
@@ -318,7 +342,6 @@ class HandleReducedAlgebra(SurfacePowerAlgebra):
             return {m for ms in self.monomials_by_degree for m in ms}
 
 
-@dataclass(frozen=True)
 class RelationSet:
     """A labeled list of homogeneous relation elements.
 
@@ -330,14 +353,12 @@ class RelationSet:
     the rest.
     """
 
-    label: str
-    generators: tuple
-    unit_coordinates: tuple | None = None
-
-    def __post_init__(self):
-        units = self.unit_coordinates
-        if units is not None and len(units) != len(self.generators):
+    def __init__(self, label, generators, unit_coordinates=None):
+        if unit_coordinates is not None and len(unit_coordinates) != len(generators):
             raise ValueError("unit_coordinates needs one entry per generator")
+        self.label = label
+        self.generators = generators
+        self.unit_coordinates = unit_coordinates
 
     def __iter__(self):
         return iter(self.generators)
@@ -411,7 +432,7 @@ def reduced_monomials(algebra):
     (:func:`reduced_basis_count`), checked before listing.
     """
     g, n = algebra.genus, algebra.points
-    algebra._guard("handle-reduced", reduced_basis_count(g, n))
+    algebra._guard("handle-reduced basis size", reduced_basis_count(g, n))
     special = algebra.special
     # Words of the current length with no special letter, and with at most one.
     none, upto1 = [()], [()]

@@ -6,6 +6,10 @@ import pytest
 from conftc import certificates, quotients, surfaces
 from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from conftc.certificates import (
+    Certificate,
+    LemmaCheck,
+    LemmaReport,
+    TcRecord,
     ZeroDivisorFactor,
     bar_summands,
     certificate_factors,
@@ -976,3 +980,20 @@ def test_zcl_search_prepares_each_candidate_once(monkeypatch, strategy):
     positive = sum(len(q.standard_monomials(d)) for d in range(1, q.parent.top_degree + 1))
     assert prepared == [3] * (2 * positive)
     assert result.bound >= 3
+
+
+def test_records_keep_their_defaults():
+    cert = Certificate(2, 2, 2, "CERTIFICATE", [], 0, None, False)
+    assert (cert.support_matches_expected, cert.closed_form_match, cert.term_limit) == (
+        None,
+        None,
+        None,
+    )
+    assert TcRecord(2, 2, 2, 6, 6, 6, True).note == ""
+    first, second = LemmaReport(2, 2), LemmaReport(2, 3)
+    first.checks.append(LemmaCheck("lemma1", True))
+    assert second.checks == [] and (first.passed, first.failed, first.ok) == (1, 0, True)
+    assert LemmaCheck("lemma1", False).detail == ""
+    alg = cached_surface(2, 2)
+    factor = ZeroDivisorFactor("C", "c", slot_difference_summands(alg.a(1, 2), 2, 2))
+    assert factor.count == 1 and factor.tensor is factor.tensor

@@ -285,7 +285,7 @@ def test_unopenable_out_file_exits_two_with_one_line(tmp_path):
     assert not bad.parent.exists()
 
 
-def _cli(*args, stdout=subprocess.PIPE):
+def _cli(*args, stdout=subprocess.PIPE, **kw):
     src = str(Path(conftc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -295,6 +295,7 @@ def _cli(*args, stdout=subprocess.PIPE):
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
+        **kw,
     )
 
 
@@ -393,3 +394,51 @@ def test_invalid_basis_limit_exits_two_with_one_line(command, value):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "TCCONF_MAX_BASIS" in lines[0], proc.stderr
+
+
+HUGE = "99999999999999999999"
+
+
+def _limit_memory():
+    # A run that allocates before its guard fails here instead of on the host.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (("certify", "--genus", HUGE), "letter count 200000000000000000000 for genus"),
+        (("certify", "--genus", HUGE, "--allow-large"), "letter count 2000000000000"),
+        (("certify", "--genus", "3000"), "letter table size 36024004 for genus 3000"),
+        (("certify", "--genus", str(10**17), "--allow-large"), "the run needs more memory"),
+        (("certify", "--points", HUGE), f"{HUGE} points exceed 59"),
+        (("certify", "--points", HUGE, "--allow-large"), f"{HUGE} points exceed 59"),
+        (("certify", "--points", "1000", "--ring", "E"), "1000 points exceed 59"),
+        (("certify", "--points", "59", "--ring", "E"), f"ambient basis size {6**59} for"),
+        (("certify", "--points", "59", "--allow-large"), "handle-reduced basis size 8478"),
+        (("basis", "--genus", HUGE), "letter count"),
+        (("lemmas", "--genus", HUGE), "letter count"),
+        (("lemmas", "--points", HUGE), f"{HUGE} points exceed 59"),
+        (("search-zcl", "--genus", HUGE), "letter count"),
+        (("search-zcl", "--genus", "200"), "letter table size 161604"),
+        (("rp3", "--stages", HUGE), f"stage count {HUGE} exceeds the guarded range"),
+        (("rp3", "--stages", HUGE, "--allow-large"), "stage count"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_huge_sizes_are_refused_before_anything_is_allocated(args, named):
+    proc = _cli(*args, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    *warnings, line = proc.stderr.splitlines()
+    assert line.startswith("refused: " + named), proc.stderr
+    assert all(w.startswith("warning: size guards overridden") for w in warnings)
+
+
+def test_table_skips_a_cell_whose_algebra_is_refused():
+    proc = _cli("table", "--genus", HUGE, "--points", "2", "--stages", "2",
+                timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 0 and proc.stderr == ""
+    (rec,) = json.loads(proc.stdout)["records"]
+    assert rec["certified"] is False and rec["tc"] == 6

@@ -15,7 +15,7 @@ from conftc.quotients import (
     cached_surface,
     ideal_span,
 )
-from conftc import surfaces
+from conftc import quotients, surfaces
 from conftc.surfaces import (
     SurfacePowerAlgebra,
     shifted_basis_products,
@@ -517,6 +517,21 @@ def test_a_and_b_share_one_parent_listed_once(monkeypatch):
     assert qa.parent is qb.parent is alg.handle_reduced
     assert qb.dimension == 70
     assert calls == [alg.handle_reduced]
+
+
+def test_quotients_list_their_basis_before_building_relations(monkeypatch):
+    # E's O(n^2) pair relations carry O(g) terms of n letters each: a refused
+    # basis must stop the build before they exist.
+    def refuse(algebra):
+        raise AssertionError("relations built before the basis was listed")
+
+    monkeypatch.setattr(quotients, "totaro_relations", refuse)
+    monkeypatch.setattr(quotients, "xy_pair_relations", refuse)
+    alg = SurfacePowerAlgebra(2, 12, max_basis=10**5)
+    with pytest.raises(SizeGuardError, match="ambient basis size"):
+        build_quotient(alg, "E")
+    with pytest.raises(SizeGuardError, match="handle-reduced basis size"):
+        build_quotient(alg, "B")
 
 
 def test_cached_quotient_sees_a_changed_basis_limit(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from conftc.errors import ConfigurationError, SizeGuardError, basis_limit
 from conftc.fields import RATIONALS
 from conftc.quotients import cached_surface
 from conftc.surfaces import (
+    MAX_ENTRIES,
+    MAX_POINTS,
     RelationSet,
     SurfacePowerAlgebra,
     a_letter,
@@ -173,6 +176,31 @@ def test_size_guard():
     with pytest.raises(SizeGuardError, match="handle-reduced basis size 162 .* limit 100"):
         reduced_monomials(SurfacePowerAlgebra(3, 3, max_basis=100))
     assert SurfacePowerAlgebra(3, 3, max_basis=512).dimension == 512
+
+
+def test_letter_table_is_guarded_and_built_on_first_product():
+    # 6,002 letters are under the guard; their (2g+2)^2 table is not, and it
+    # is sized before it is allocated, on the first product.
+    alg = SurfacePowerAlgebra(3000, 2, max_basis=10**5)
+    assert "_ltab" not in vars(alg) and "_lweight" not in vars(alg)
+    with pytest.raises(SizeGuardError, match="letter table size 36024004 .* limit 100000"):
+        alg.a(1) * alg.b(1)
+    small = SurfacePowerAlgebra(2, 2, max_basis=36)
+    assert (small.a(1) * small.b(1)).to_text() == small.omega(1).to_text()
+    tight = SurfacePowerAlgebra(2, 2, max_basis=35)
+    with pytest.raises(SizeGuardError, match="letter table size 36 .* limit 35"):
+        tight.a(1) * tight.b(1)
+
+
+def test_sizes_no_list_can_hold_are_refused_under_any_guard():
+    with pytest.raises(SizeGuardError, match="letter count 200000000000000000002 "):
+        SurfacePowerAlgebra(10**20, 2, max_basis=math.inf)
+    with pytest.raises(SizeGuardError, match=f"60 points exceed {MAX_POINTS}"):
+        SurfacePowerAlgebra(2, 60, max_basis=math.inf)
+    alg = SurfacePowerAlgebra(2, MAX_POINTS, max_basis=math.inf)  # lists nothing
+    with pytest.raises(SizeGuardError, match=f"handle-reduced basis size .* limit {MAX_ENTRIES}"):
+        reduced_monomials(alg)
+    assert 2**MAX_POINTS <= MAX_ENTRIES < 2 ** (MAX_POINTS + 1)
 
 
 def test_size_guard_env(monkeypatch):
