@@ -693,6 +693,11 @@ def rp3_zcl_check(s):
 
 # -- generic cup-length search --------------------------------------------------
 
+# The most tensor slots (terms times stages) the exhaustive walk multiplies.
+# Its work is about proportional to them and grows about sevenfold per stage;
+# the dimension gate does not bound it.  ``allow_large`` lifts neither.
+EXHAUSTIVE_SLOTS = 4 * 10**6
+
 
 class ZclSearchResult:
     def __init__(self, bound, witness, value, strategy):
@@ -713,7 +718,8 @@ def zcl_search(target, s, strategy=None):
     """Best-effort lower bound for the s-th zero-divisor cup-length.
 
     Candidates are the slot differences of positive-degree basis elements;
-    the exhaustive strategy is gated to total dimension at most 8, the
+    the exhaustive strategy is gated to total dimension at most 8 and
+    refused once it has multiplied ``EXHAUSTIVE_SLOTS`` tensor slots, the
     greedy one extends a product while any candidate keeps it nonzero.
     Each candidate is held as its summands' ``slot_rows``, prepared once,
     and streamed into the product (``QuotientAlgebra.stream_product``).
@@ -759,13 +765,23 @@ def zcl_search(target, s, strategy=None):
 
     best = {"len": 0, "chain": [], "value": unit}
     seen = {}
+    slots = 0
 
     def walk(value, start, chain):
+        nonlocal slots
         if len(chain) > best["len"]:
             best["len"] = len(chain)
             best["chain"] = list(chain)
             best["value"] = value
         for k in range(start, len(candidates)):
+            slots += len(value.terms) * s
+            if slots > EXHAUSTIVE_SLOTS:
+                raise SizeGuardError(
+                    f"exhaustive search exceeds {EXHAUSTIVE_SLOTS} tensor slots "
+                    "(terms times stages) multiplied; try --strategy GREEDY",
+                    estimate=slots,
+                    limit=EXHAUSTIVE_SLOTS,
+                )
             nv = q.stream_product(value, candidates[k][1])
             if nv.is_zero():
                 continue

@@ -12,7 +12,8 @@ encoded as small integers so monomials are plain int tuples:
 The encoding makes tuple order agree with the fixed enumeration
 1 < a(1) < b(1) < ... < a(g) < b(g) < w used for pivots and output.
 
-Two facts about letters are read off the codes.  ``special`` marks the
+Facts about letters are read off the codes.  The letter rule lists, for
+each non-unit letter d, the letters c with c d nonzero.  ``special`` marks the
 letters of which a word of the handle-reduced quotient holds at most one:
 a(p) and b(p) for p >= 2, and w once g >= 2 (none at g = 1).
 ``shifted_letter(i, c)`` gives 1, x_i(p), y_i(p) or w_i for code c, where
@@ -44,7 +45,7 @@ from .fields import RATIONALS
 UNIT = 0
 
 # The most entries CPython allocates in one list or tuple, so the most any
-# letter table or basis can hold, with the guard lifted or not.  Every basis
+# list of letters or basis can hold, with the guard lifted or not.  Every basis
 # holds at least 2^n words, so none fits past MAX_POINTS points.
 MAX_ENTRIES = sys.maxsize // 8
 MAX_POINTS = MAX_ENTRIES.bit_length() - 1
@@ -68,8 +69,8 @@ _LETTER_RE = re.compile(r"([ab])(\d+)\((\d+)\)$|w(\d+)$")
 class SurfacePowerAlgebra(GradedAlgebraBase):
     """The full cohomology algebra of the n-fold power of a genus-g surface."""
 
-    # The basis words of a handle-reduced algebra, as a set; None: every word.
-    _words = None
+    # The most special letters a basis word holds: any number here, one in A.
+    max_special = MAX_POINTS
 
     def __init__(self, genus, points, max_basis=None):
         if genus < 1:
@@ -81,8 +82,8 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         # The guard on every basis listed for this algebra and its handle_reduced.
         self.max_basis = basis_limit(max_basis)
         # Checked before anything is allocated: each list of letters holds 2g+2
-        # entries and each word n.  The letter table, (2g+2)^2 entries, and
-        # the letter weights, O(g^2 log n) bits, are built on first use.
+        # entries and each word n.  The letter rule, 4g+1 entries, and the
+        # letter weights, O(g^2 log n) bits, are built on first use.
         self._guard("letter count", 2 * genus + 2)
         if points > MAX_POINTS:
             raise SizeGuardError(
@@ -98,33 +99,37 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         self._deg = [0] + [1] * (2 * genus) + [2]
         # a(p), b(p) for p >= 2, and w = a(2)b(2) once there is a second handle
         self.special = tuple(genus >= 2 and c >= 3 for c in self._letters)
+        # 1 for an odd letter plus 64 for a special one: a sum of kinds over a word
+        # (at most MAX_POINTS < 64 letters) holds the parity of its odd letters in
+        # bit 0 and the count of its special letters from bit 6 up.
+        self._kind = [(d & 1) + 64 * sp for d, sp in zip(self._deg, self.special)]
         self.one = (UNIT,) * points
 
     @cached_property
-    def _ltab(self):
-        """Products of two letters sharing a coordinate: (letter, sign) or None."""
-        g = self.genus
-        omega = self._omega
-        size = 2 * g + 2
-        self._guard("letter table size", size * size)
-        tab = [[None] * size for _ in range(size)]
-        for c in range(size):
-            tab[UNIT][c] = (c, 1)
-            tab[c][UNIT] = (c, 1)
-        # omega times anything positive is zero (already None); degree-1 pairs:
-        for p in range(1, g + 1):
-            for q in range(1, g + 1):
-                if p == q:
-                    tab[2 * p - 1][2 * q] = (omega, 1)   # a(p) b(p) = w
-                    tab[2 * p][2 * q - 1] = (omega, -1)  # b(p) a(p) = -w
-        return tab
+    def _rule(self):
+        """The letter rule: rule[d] maps each letter c with c d nonzero to (c d, sign, gain).
+
+        1 a(p) = a(p), b(p) a(p) = -w, 1 b(p) = b(p), a(p) b(p) = w and 1 w = w;
+        every other pair with a non-unit d is zero.  ``gain``, special[c d] -
+        special[c], counts the special letters the product adds to a word.
+        rule[0] is None: products walk only the non-unit letters.
+        """
+        w, sp = self._omega, self.special
+        rule = [None] * (2 * self.genus + 2)
+        for p in range(1, self.genus + 1):
+            a, b = 2 * p - 1, 2 * p
+            rule[a] = {UNIT: (a, 1, sp[a]), b: (w, -1, sp[w] - sp[b])}
+            rule[b] = {UNIT: (b, 1, sp[b]), a: (w, 1, sp[w] - sp[a])}
+        rule[w] = {UNIT: (w, 1, sp[w])}
+        return rule
 
     # -- monomials -----------------------------------------------------------
 
     def is_monomial(self, m):
         letters = self._letters
         ok = type(m) is tuple and len(m) == self.points
-        return ok and all(type(c) is int and c in letters for c in m)
+        ok = ok and all(type(c) is int and c in letters for c in m)
+        return ok and sum(map(self.special.__getitem__, m)) <= self.max_special
 
     def monomial_degree(self, m):
         deg = self._deg
@@ -149,20 +154,19 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
     # -- monomial products ------------------------------------------------
 
     def mono_mul(self, m1, m2):
-        ltab = self._ltab
-        out = []
-        par = 0
-        for c1, c2 in zip(m1, m2):
-            r = ltab[c1][c2]
-            if r is None:
-                return None
-            out.append(r[0])
-            if r[1] < 0:
-                par ^= 1
-        out = tuple(out)
-        words = self._words
-        if words is not None and out not in words:
+        rule = self._rule
+        out, par, gain = list(m1), 0, 0
+        for i, d in enumerate(m2):
+            if d:
+                r = rule[d].get(m1[i])
+                if r is None:
+                    return None
+                out[i], sign, more = r
+                par ^= sign < 0
+                gain += more
+        if gain > 0 and sum(map(self.special.__getitem__, out)) > self.max_special:
             return None
+        out = tuple(out)
         # Koszul sign from interleaving: slot i of m2 crosses slots > i of m1.
         deg = self._deg
         suffix_odd = 0
@@ -176,27 +180,27 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
     def _times(self, terms):
         """The map m -> m times the element of these terms, as a terms dict signed as by
         ``mono_mul``.  It reads only each term's non-unit coordinates, and drops a
-        term whose letter the letter table kills against m's before building its word."""
-        prepared = [(c, [(i, d) for i, d in enumerate(m) if d]) for m, c in terms]
-        ltab, deg, words = self._ltab, self._deg, self._words
+        term whose letter the letter rule kills against m's before building its word."""
+        deg, rule, kind, most = self._deg, self._rule, self._kind, self.max_special
+        prepared = [(c, [(i, rule[d], deg[d] & 1) for i, d in enumerate(m) if d]) for m, c in terms]
 
         def times(m):
             after, out = None, {}
             for c, support in prepared:
-                for i, d in support:
-                    if ltab[m[i]][d] is None:
+                for i, products, _odd in support:
+                    if m[i] not in products:
                         break
                 else:
-                    if after is None:  # after[i]: parity of the odd letters of m after i
-                        odd = [deg[x] & 1 for x in m[:0:-1]]
-                        after = [*itertools.accumulate(odd, int.__xor__, initial=0)][::-1]
-                    word, neg = list(m), False
-                    for i, d in support:
-                        word[i], sign = ltab[m[i]][d]
-                        neg ^= (sign < 0) ^ (deg[d] & after[i])
-                    word = tuple(word)
-                    if words is None or word in words:
-                        out[word] = -c if neg else c
+                    if after is None:  # after[i]: the kinds of m's letters after i, summed
+                        after = [*itertools.accumulate([kind[x] for x in m[:0:-1]], initial=0)][::-1]
+                        room = most - ((after[0] + kind[m[0]]) >> 6)  # special letters m may gain
+                    word, neg, gain = list(m), False, 0
+                    for i, products, odd in support:
+                        word[i], sign, more = products[m[i]]
+                        neg ^= (sign < 0) ^ (odd & after[i])
+                        gain += more
+                    if gain <= room:
+                        out[tuple(word)] = -c if neg else c
             return out
 
         return times
@@ -319,14 +323,13 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
 class HandleReducedAlgebra(SurfacePowerAlgebra):
     """The power algebra modulo the cross-handle products: the ring A.
 
-    Its basis is the words with at most one special letter
-    (:func:`reduced_monomials`), listed once on first use under the basis
-    guard; ``mono_mul`` sends a product that leaves them to zero.
+    Its basis is the words with at most one special letter (``max_special``),
+    listed by :func:`reduced_monomials` on first use under the basis guard;
+    ``is_monomial`` reads the rule off the letters, and a product that
+    leaves the words is zero.
     """
 
-    def is_monomial(self, m):
-        words = self._words
-        return super().is_monomial(m) if words is None else type(m) is tuple and m in words
+    max_special = 1
 
     def _monomials(self):
         return reduced_monomials(self)
@@ -335,11 +338,6 @@ class HandleReducedAlgebra(SurfacePowerAlgebra):
     def handle_reduced(self):
         """The algebra itself: it is already handle-reduced."""
         return self
-
-    @cached_property
-    def _words(self):
-        if any(self.special):  # else, at genus 1, every word is a basis word
-            return {m for ms in self.monomials_by_degree for m in ms}
 
 
 class RelationSet:

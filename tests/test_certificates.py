@@ -809,11 +809,11 @@ def test_lemma_suites_report_a_wrong_sign(monkeypatch):
 
 
 def test_lemma_suites_report_products_that_leave_a(monkeypatch):
-    # with A's listing dropped, words with two special letters survive, so
-    # every family that needs them to vanish reports its first survivor
+    # with A's word rule switched off (as many special letters as points),
+    # words with two special letters survive, so every family that needs
+    # them to vanish reports its first survivor
     alg = cached_quotient(2, 3, "A").parent
-    words = alg._words
-    monkeypatch.setattr(alg, "_words", None)
+    monkeypatch.setattr(alg, "max_special", alg.points)
     failed = _failed_checks(2, 3)
     families = [(name, detail) for name, detail in failed if detail]
     assert len(failed) == 18
@@ -828,7 +828,7 @@ def test_lemma_suites_report_products_that_leave_a(monkeypatch):
         "lemma2(3)(v) (i=3,j=2)",
     ]
     monkeypatch.undo()
-    assert alg._words is words
+    assert alg.max_special == 1
     assert verify_lemma_identities(2, 3).ok
 
 
@@ -951,6 +951,18 @@ def test_zcl_search_guard_and_greedy():
     assert result.bound >= 1
     assert len(result.witness) == result.bound
     assert not result.value.is_zero()
+
+
+def test_exhaustive_search_is_refused_past_its_slot_bound(monkeypatch):
+    # the walk of (1,1,4) forms 816 products of 13,096 tensor slots in all
+    q = cached_quotient(1, 1, "B")
+    assert zcl_search(q, 4).bound == 6
+    monkeypatch.setattr(certificates, "EXHAUSTIVE_SLOTS", 13_095)
+    with pytest.raises(SizeGuardError, match="exceeds 13095 tensor slots .* --strategy GREEDY"):
+        zcl_search(q, 4)
+    assert zcl_search(q, 4, strategy="GREEDY").bound == 6
+    monkeypatch.setattr(certificates, "EXHAUSTIVE_SLOTS", 13_096)
+    assert zcl_search(q, 4).bound == 6
 
 
 def test_zcl_search_on_quotient():

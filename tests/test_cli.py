@@ -411,7 +411,7 @@ def _limit_memory():
     [
         (("certify", "--genus", HUGE), "letter count 200000000000000000000 for genus"),
         (("certify", "--genus", HUGE, "--allow-large"), "letter count 2000000000000"),
-        (("certify", "--genus", "3000"), "letter table size 36024004 for genus 3000"),
+        (("certify", "--genus", "50000"), "letter count 100002 for genus 50000"),
         (("certify", "--genus", str(10**17), "--allow-large"), "the run needs more memory"),
         (("certify", "--points", HUGE), f"{HUGE} points exceed 59"),
         (("certify", "--points", HUGE, "--allow-large"), f"{HUGE} points exceed 59"),
@@ -422,7 +422,7 @@ def _limit_memory():
         (("lemmas", "--genus", HUGE), "letter count"),
         (("lemmas", "--points", HUGE), f"{HUGE} points exceed 59"),
         (("search-zcl", "--genus", HUGE), "letter count"),
-        (("search-zcl", "--genus", "200"), "letter table size 161604"),
+        (("basis", "--genus", "200", "--points", "3"), "ambient basis size 64964808 for"),
         (("rp3", "--stages", HUGE), f"stage count {HUGE} exceeds the guarded range"),
         (("rp3", "--stages", HUGE, "--allow-large"), "stage count"),
     ],
@@ -434,6 +434,34 @@ def test_huge_sizes_are_refused_before_anything_is_allocated(args, named):
     *warnings, line = proc.stderr.splitlines()
     assert line.startswith("refused: " + named), proc.stderr
     assert all(w.startswith("warning: size guards overridden") for w in warnings)
+
+
+@pytest.mark.parametrize(
+    "genus,points,stages", [(158, 2, 2), (1000, 3, 3)], ids=lambda v: str(v)
+)
+def test_large_genus_cells_are_certified_under_the_default_guards(genus, points, stages):
+    # The letter rule holds O(g) products, so only the letter count and the
+    # handle-reduced basis (here 1,899 and 54,000 words) limit the genus.
+    proc = _cli("certify", "--genus", str(genus), "--points", str(points),
+                "--stages", str(stages), timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 0 and proc.stderr == ""
+    (rec,) = json.loads(proc.stdout)["records"]
+    assert rec["genus"] == genus and rec["nonzero"] is True
+    checks = [rec["closed_form_match"], rec["support_matches_expected"]]
+    assert True in checks and False not in checks
+    assert rec["factor_count"] == stages * (points + 1)
+
+
+def test_exhaustive_search_ends_within_its_bound():
+    # Its walk grows about sevenfold per stage; before the slot bound this
+    # cell ran for more than a minute.
+    proc = _cli("search-zcl", "--genus", "3", "--points", "1", "--stages", "6",
+                timeout=30, preexec_fn=_limit_memory)
+    assert proc.returncode in (0, 2)
+    if proc.returncode == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("refused: exhaustive search exceeds ")
+        assert proc.stderr.count("\n") == 1 and "--strategy GREEDY" in proc.stderr
 
 
 def test_table_skips_a_cell_whose_algebra_is_refused():

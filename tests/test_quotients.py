@@ -20,6 +20,7 @@ from conftc.surfaces import (
     SurfacePowerAlgebra,
     shifted_basis_products,
     cross_handle_relations,
+    omega_letter,
     xy_pair_relations,
     totaro_relations,
 )
@@ -275,7 +276,10 @@ def test_tower_matches_ambient_elimination(g, n):
                 assert tower.normal_form(handle_reduced_image(e)) == expected
 
 
-B_IDEAL_CELLS = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
+B_IDEAL_CELLS = [
+    (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+    (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 4),
+]
 
 
 @pytest.mark.parametrize("g,n", B_IDEAL_CELLS)
@@ -289,6 +293,21 @@ def test_b_ideal_pivots_are_the_multiples_of_two_families(g, n):
     expected = monomial_multiples(reduced, b_ideal_leads(reduced))
     for d in range(reduced.top_degree + 1):
         assert span.pivots(d) == expected[d]
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (3, 3)])
+def test_b_ideal_pivots_need_every_lead_and_no_other(g, n):
+    # Dropping any one lead of either family, or adding the lead w_1, gives
+    # multiples that are not B's pivots: the check above can fail.
+    reduced = cached_surface(g, n).handle_reduced
+    span = build_quotient(reduced, "B").ideal
+    pivots = [span.pivots(d) for d in range(reduced.top_degree + 1)]
+    leads = b_ideal_leads(reduced)
+    assert monomial_multiples(reduced, leads) == pivots
+    w1 = (omega_letter(g),) + (0,) * (n - 1)
+    mutants = [leads[:k] + leads[k + 1 :] for k in range(len(leads))] + [leads + [w1]]
+    for mutant in mutants:
+        assert monomial_multiples(reduced, mutant) != pivots
 
 
 def count_mono_mul(monkeypatch):

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -86,37 +88,77 @@ def test_multiply_matches_pair_expansion():
     assert lhs == rhs
 
 
-@pytest.mark.parametrize("g,n", [(2, 2), (1, 3)])
-def test_mono_mul_matches_brute_force_signs(g, n):
-    alg = SurfacePowerAlgebra(g, n)
+def sampled_words(algebra, rng, count):
+    """The distinct words of ``count`` random draws, and the unit; every word below genus 100.
+
+    Sampled words hold the unit at about half their coordinates and else
+    a letter of four handles, the first, second and last among them, so
+    that many of their products are nonzero; words of the handle-reduced
+    algebra are kept by the oracle's predicate.
+    """
+    if algebra.genus < 100:
+        return [m for ms in algebra.monomials_by_degree for m in ms]
+    g = algebra.genus
+    letters = [omega_letter(g)]
+    for p in (1, 2, g // 2 + 1, g):
+        letters += [a_letter(p), b_letter(p)]
+    killed = cross_handle_predicate(algebra)
+    reduced = algebra.handle_reduced is algebra
+    words = {algebra.one}
+    for _ in range(count):
+        m = tuple(rng.choice(letters) if rng.random() < 0.5 else 0 for _ in range(algebra.points))
+        if not (reduced and killed(m)):
+            words.add(m)
+    return sorted(words)
+
+
+def oracle_product(algebra, m1, m2):
+    """m1 m2 by explicit transpositions, sent to zero when it leaves a handle-reduced algebra."""
+    g = algebra.genus
     degree = [0] + [1] * (2 * g) + [2]
-    monos = [m for ms in alg.monomials_by_degree for m in ms]
-    for m1 in monos:
-        for m2 in monos:
-            expected = sorted_letter_product(m1, m2, degree, surface_letter_rule(g))
-            assert alg.mono_mul(m1, m2) == expected, (m1, m2)
+    r = sorted_letter_product(m1, m2, degree, surface_letter_rule(g))
+    leaves = algebra.handle_reduced is algebra and cross_handle_predicate(algebra)
+    return None if r is None or (leaves and leaves(r[0])) else r
 
 
-def mono_mul_loop(alg, m, terms):
-    """m times the terms, one ``mono_mul`` per term, as a terms dict."""
+@pytest.mark.parametrize("g,n", [(2, 2), (1, 3), (200, 3)])
+def test_mono_mul_matches_brute_force_signs(g, n):
+    rng = random.Random(g + n)
+    power = SurfacePowerAlgebra(g, n)
+    for alg in (power, power.handle_reduced):
+        monos = sampled_words(alg, rng, 60)
+        for m1 in monos:
+            for m2 in monos:
+                assert alg.mono_mul(m1, m2) == oracle_product(alg, m1, m2), (m1, m2)
+        assert sum(alg.mono_mul(m1, m2) is not None for m1 in monos for m2 in monos) > 100
+
+
+def mono_mul_loop(alg, m, terms, mul=None):
+    """m times the terms, one ``mono_mul`` (or ``mul``) per term, as a terms dict."""
     out = {}
     for m2, c in terms.items():
-        r = alg.mono_mul(m, m2)
+        r = (mul or alg.mono_mul)(m, m2)
         if r is not None:
             out[r[0]] = out.get(r[0], 0) + r[1] * c
     return {k: c for k, c in out.items() if c}
 
 
-@pytest.mark.parametrize("g,n", [(1, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("g,n", [(1, 3), (2, 4), (3, 3), (200, 3)])
 def test_times_matches_the_mono_mul_loop(g, n):
-    # one term at a time (same word, sign and zero), then whole elements
+    # one term at a time (same word, sign and zero), then whole elements,
+    # also against the oracle's product
     rng = random.Random(10 * g + n)
     power = SurfacePowerAlgebra(g, n)
     for alg in (power, power.handle_reduced):
-        by_degree = alg.monomials_by_degree
+        if g < 100:
+            by_degree = alg.monomials_by_degree
+        else:
+            by_degree = [[] for _ in range(alg.top_degree + 1)]
+            for m in sampled_words(alg, rng, 400):
+                by_degree[alg.monomial_degree(m)].append(m)
 
         def pick():  # low degrees, so that many products survive
-            return rng.choice(by_degree[rng.randint(0, 3)])
+            return rng.choice(by_degree[rng.randint(0, 3)] or by_degree[0])
 
         nonzero = 0
         for _ in range(400):
@@ -126,7 +168,9 @@ def test_times_matches_the_mono_mul_loop(g, n):
                 got = alg._times([term])(m)
                 assert got == mono_mul_loop(alg, m, dict([term])), (m, term)
                 nonzero += bool(got)
-            assert alg._times(terms.items())(m) == mono_mul_loop(alg, m, terms)
+            got = alg._times(terms.items())(m)
+            oracle = mono_mul_loop(alg, m, terms, partial(oracle_product, alg))
+            assert got == mono_mul_loop(alg, m, terms) == oracle
         assert nonzero > 100
 
 
@@ -178,18 +222,25 @@ def test_size_guard():
     assert SurfacePowerAlgebra(3, 3, max_basis=512).dimension == 512
 
 
-def test_letter_table_is_guarded_and_built_on_first_product():
-    # 6,002 letters are under the guard; their (2g+2)^2 table is not, and it
-    # is sized before it is allocated, on the first product.
-    alg = SurfacePowerAlgebra(3000, 2, max_basis=10**5)
-    assert "_ltab" not in vars(alg) and "_lweight" not in vars(alg)
-    with pytest.raises(SizeGuardError, match="letter table size 36024004 .* limit 100000"):
-        alg.a(1) * alg.b(1)
-    small = SurfacePowerAlgebra(2, 2, max_basis=36)
-    assert (small.a(1) * small.b(1)).to_text() == small.omega(1).to_text()
-    tight = SurfacePowerAlgebra(2, 2, max_basis=35)
-    with pytest.raises(SizeGuardError, match="letter table size 36 .* limit 35"):
-        tight.a(1) * tight.b(1)
+def test_letter_rule_multiplies_at_a_large_genus_without_a_pair_table():
+    # At genus 3000 the (2g+2)^2 = 36,024,004 letter pairs would take about
+    # 288 MB of pointers; the rule holds two products for each a(p) and
+    # b(p) and one for w, built on the first product.
+    g = 3000
+    tracemalloc.start()
+    try:
+        alg = SurfacePowerAlgebra(g, 2, max_basis=10**5)
+        assert "_rule" not in vars(alg) and "_lweight" not in vars(alg)
+        assert alg.a(1) * alg.b(1) == alg.omega(1)
+        assert alg.b(2, g) * alg.a(2, g) == -alg.omega(2)
+        assert alg.a(1, 1) * alg.b(1, 2) == Element.zero(alg)
+        assert alg.omega(1) * alg.a(1, g) == Element.zero(alg)
+        assert alg.a(2, 7) * alg.b(1, 9) == -(alg.b(1, 9) * alg.a(2, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(products) for products in alg._rule[1:]) == 4 * g + 1
+    assert peak < 8 * 2**20
 
 
 def test_sizes_no_list_can_hold_are_refused_under_any_guard():

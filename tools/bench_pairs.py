@@ -18,10 +18,12 @@ benchmark does.
 
 The output holds every run's result line: ``pairs`` (``workload``,
 ``pair``, ``seed``, ``side``, ``first``, ``result``) and ``traced_all``
-(``side``, ``seed``, ``result``).  A summary goes to stdout: per workload
-and end-to-end metric, the median of each side, the number of pairs in
-which the change is better, and the interquartile range of the parent's
-runs.  The exit code is 1 when a run fails or reports failed operations.
+(``side``, ``seed``, ``result``), and each side's ``src_lines``, the lines
+of its ``src/conftc/*.py`` as ``wc -l`` counts them.  A summary goes to
+stdout: both line counts, then per workload and end-to-end metric, the
+median of each side, the number of pairs in which the change is better,
+and the interquartile range of the parent's runs.  The exit code is 1
+when a run fails or reports failed operations.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ def unpack(rev, dest):
         ["git", "archive", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def src_lines(copy):
+    """The newline count of the copy's ``src/conftc/*.py`` files, as ``wc -l`` gives it."""
+    return sum(p.read_bytes().count(b"\n") for p in (copy / "src" / "conftc").glob("*.py"))
 
 
 def run_bench(copy, args):
@@ -152,7 +159,11 @@ def main(argv=None):
                     "parent first, from the same copies.",
             "runs": traced,
         }
+    out["src_lines"] = {side: src_lines(copy) for side, copy in copies.items()}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    lines = out["src_lines"]
+    print(f"src/conftc/*.py lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     summarize(runs, workloads, args.claim)
     return 0 if ok else 1
 
