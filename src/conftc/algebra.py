@@ -322,21 +322,28 @@ class TensorElement(_SparseCombination):
     @classmethod
     def of_elements(cls, elements):
         """The tensor e_1 (x) ... (x) e_s of algebra elements."""
-        return cls.of_summands(elements[0].algebra, len(elements), [(1, elements)])
+        return cls.of_summands(
+            elements[0].algebra, len(elements), [(1, elements[0], tuple(enumerate(elements)))]
+        )
 
     @classmethod
     def of_summands(cls, algebra, arity, summands):
-        """The sum of signed pure tensors sign * e_1 (x) ... (x) e_s.
+        """The sum of signed pure tensors given as ``(sign, default, exceptions)``.
 
-        ``summands`` holds pairs ``(sign, (e_1, ..., e_s))`` of an int and
-        ``arity`` elements of ``algebra``.  A unit slot, most slots of a
-        slot difference, extends the keys without a coefficient product.
+        Each summand is an int sign, the element ``default`` in every slot,
+        and a tuple ``exceptions`` of ``(k, e)`` pairs that put e in slot k
+        (0-based) instead; all elements belong to ``algebra``.  A unit
+        slot, most slots of a slot difference, extends the keys without a
+        coefficient product.
         """
         terms, one = {}, algebra.one
         unit_terms = {one: algebra.field.one}
-        for sign, elements in summands:
-            if len(elements) != arity:
-                raise ValueError(f"expected {arity} tensor slots, got {len(elements)}")
+        for sign, default, exceptions in summands:
+            elements = [default] * arity
+            for k, e in exceptions:
+                if not 0 <= k < arity:
+                    raise ValueError(f"slot {k} out of range for arity {arity}")
+                elements[k] = e
             partial = [((), algebra.field.from_int(sign))]
             for e in elements:
                 if e.algebra is not algebra:

@@ -24,7 +24,13 @@ from functools import cached_property, lru_cache
 from math import prod
 
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
-from .errors import DEFAULT_TERM_LIMIT, SizeGuardError, VerificationError, check_term_limit
+from .errors import (
+    DEFAULT_SLOT_LIMIT,
+    DEFAULT_TERM_LIMIT,
+    SizeGuardError,
+    VerificationError,
+    check_term_limit,
+)
 from .fields import GF2
 from .quotients import QuotientAlgebra, cached_quotient, ideal_span
 from .surfaces import UNIT, a_letter, b_letter, shifted_basis_products
@@ -33,22 +39,23 @@ from .surfaces import UNIT, a_letter, b_letter, shifted_basis_products
 # -- factor construction ----------------------------------------------------
 #
 # A factor exists only as a short list of signed pure tensors
-# (sign, (e_1, ..., e_s)) of algebra elements.  The certificate, search-zcl
-# and rp3 multiply and check these summands without expanding them
+# (sign, default, exceptions): the element ``default`` in every slot but
+# the (k, e) pairs of ``exceptions`` (slot k 0-based), so a summand is O(1)
+# whatever the stage count.  The certificate, search-zcl and rp3 multiply
+# and check these summands without expanding them
 # (``QuotientAlgebra.stream_product`` and ``mu_of_summands``); only a
 # certify transcript expands a factor, to print it.
 
 
 def slot_difference_summands(element, arity, slot):
-    """The basic zero divisor as summands: element in slot 1 minus element in the given slot."""
+    """The basic zero divisor as summands: element in slot 1 minus element in the given slot.
+
+    Both summands are the unit everywhere but one slot.
+    """
     if not 1 <= slot <= arity:
         raise ValueError(f"slot {slot} out of range for arity {arity}")
-    unit = Element.unit(element.algebra)
-
-    def placed(k):
-        return tuple(element if j == k else unit for j in range(1, arity + 1))
-
-    return [(1, placed(1)), (-1, placed(slot))]
+    unit = _unit(element.algebra)
+    return [(1, unit, ((0, element),)), (-1, unit, ((slot - 1, element),))]
 
 
 def bar_summands(u, s):
@@ -65,15 +72,19 @@ def bar_summands(u, s):
     odd u_2..u_{j-1} costs (-1)^(j-2); taking no u_1 (j = 1) has s - 1
     factors -u_k.  Either way the sign is (-1)^(s+j).  The summands have
     disjoint supports because u has no unit term.  Any other u is refused.
+    Each summand is u everywhere, with the unit as its one exception.
     """
     if s < 2:
         raise ValueError("stages must be at least 2")
     _check_bar(u)
-    unit = Element.unit(u.algebra)
-    return [
-        (1 if (s + j) % 2 == 0 else -1, (u,) * (j - 1) + (unit,) + (u,) * (s - j))
-        for j in range(1, s + 1)
-    ]
+    unit = _unit(u.algebra)
+    return [(1 if (s + j) % 2 == 0 else -1, u, ((j - 1, unit),)) for j in range(1, s + 1)]
+
+
+@lru_cache(maxsize=4)
+def _unit(algebra):
+    """The unit of the algebra, one object per algebra, so prepared rows meet it once."""
+    return Element.unit(algebra)
 
 
 @lru_cache(maxsize=64)
@@ -90,26 +101,31 @@ class ZeroDivisorFactor:
     """One multiplicand of a certificate; ``count`` is its factor weight.
 
     ``kind`` is one of C, D, Y1I, BAR, TILDE and GENERIC.  ``summands``
-    holds the factor as signed pure tensors ``(sign, (e_1, ..., e_s))``.  A
-    BAR entry is itself a product of s - 1 basic zero divisors and is
-    accounted as such.
+    holds the factor as signed pure tensors ``(sign, default, exceptions)``
+    of ``arity`` slots.  A BAR entry is itself a product of s - 1 basic
+    zero divisors and is accounted as such.
     """
 
-    def __init__(self, kind, label, summands, count=1):
+    def __init__(self, kind, label, summands, arity, count=1):
         self.kind = kind
         self.label = label
         self.summands = summands
+        self.arity = arity
         self.count = count
 
     def term_count(self):
         """Terms of the expanded tensor, counted without expanding it (an upper bound)."""
-        return sum(prod(len(e.terms) for e in es) for _sign, es in self.summands)
+        return sum(
+            len(d.terms) ** (self.arity - len(exceptions))
+            * prod(len(e.terms) for _k, e in exceptions)
+            for _sign, d, exceptions in self.summands
+        )
 
     @cached_property
     def tensor(self):
         """The expanded factor, built on first use."""
-        es = self.summands[0][1]
-        return TensorElement.of_summands(es[0].algebra, len(es), self.summands)
+        algebra = self.summands[0][1].algebra
+        return TensorElement.of_summands(algebra, self.arity, self.summands)
 
     def to_text(self, term_limit=None):
         """The text form of the expanded factor, refused past ``term_limit`` terms."""
@@ -126,12 +142,12 @@ def certificate_factors(algebra, s):
     diff, factor = slot_difference_summands, ZeroDivisorFactor
     factors = []
     if cd:
-        factors.append(factor("C", "c", diff(cd[0], s, 2)))
-        factors.append(factor("D", "d", diff(cd[1], s, 2 if s == 2 else 3)))
-    factors += [factor("Y1I", f"y1,{i}", diff(y1, s, i)) for i in range(2, s)]
+        factors.append(factor("C", "c", diff(cd[0], s, 2), s))
+        factors.append(factor("D", "d", diff(cd[1], s, 2 if s == 2 else 3), s))
+    factors += [factor("Y1I", f"y1,{i}", diff(y1, s, i), s) for i in range(2, s)]
     for i, (x, y) in enumerate(pairs, start=1):
-        factors.append(factor("BAR", f"xbar{i}", bar_summands(x, s), count=s - 1))
-        factors.append(factor("TILDE", f"ytilde{i}", diff(y, s, s)))
+        factors.append(factor("BAR", f"xbar{i}", bar_summands(x, s), s, count=s - 1))
+        factors.append(factor("TILDE", f"ytilde{i}", diff(y, s, s), s))
     return factors
 
 
@@ -210,7 +226,10 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
     read the factor's ``slot_rows``, prepared once.
     The term limit (``errors.DEFAULT_TERM_LIMIT``) bounds the tensor terms
     held at any time: the accumulator, each summand's product, and each
-    factor's transcript text.  ``allow_large`` lifts it and the basis guard.
+    factor's transcript text.  The slot limit (``errors.DEFAULT_SLOT_LIMIT``)
+    bounds the slots the product writes, at least s per factor, and is
+    checked once the quotient is built, before any factor is.
+    ``allow_large`` lifts both and the basis guard.
     """
     if stages < 2:
         raise ValueError("stages must be at least 2")
@@ -220,17 +239,34 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
         raise ValueError(f"unknown ring {ring!r}; expected 'B' or 'E'")
     limit = None if allow_large else DEFAULT_TERM_LIMIT
     q = cached_quotient(genus, points, ring, allow_large)
+    # c and d (genus >= 2), the y_{1,i} and a bar/tilde pair per point
+    slots = stages * ((2 if genus >= 2 else 0) + stages - 2 + 2 * points)
+    if not allow_large and slots > DEFAULT_SLOT_LIMIT:
+        raise SizeGuardError(
+            f"the product writes at least {slots} tensor slots, "
+            f"which exceeds the limit {DEFAULT_SLOT_LIMIT}",
+            estimate=slots,
+            limit=DEFAULT_SLOT_LIMIT,
+        )
     algebra = q.parent
     factors = certificate_factors(algebra, stages)
     rows = [q.slot_rows(f.summands, stages) for f in factors]
     for f, f_rows in zip(factors, rows):
-        if not q.mu_of_summands(f_rows).is_zero():
+        if not q.mu_of_summands(f_rows, stages).is_zero():
             raise VerificationError(
                 f"factor {f.label} is not a zero divisor in {q.label}"
             )
+    # Each ytilde_i is multiplied before its xbar_i, so the accumulator never
+    # holds the s-fold spread of a bar before the ytilde cuts it.  Swapping the
+    # n pairs of degrees s - 1 and 1 costs the sign (-1)^(n(s-1)).
+    order = rows[: len(rows) - 2 * points]
+    for k in range(len(order), len(rows), 2):
+        order += [rows[k + 1], rows[k]]
     acc = TensorElement.unit(algebra, stages)
-    for f_rows in rows:
+    for f_rows in order:
         acc = q.stream_product(acc, f_rows, limit)
+    if points * (stages - 1) % 2:
+        acc = -acc
     factor_count = sum(f.count for f in factors)
     expected_count = tc_upper_bound(genus, points, stages)
     if factor_count != expected_count:
@@ -666,7 +702,7 @@ def rp3_product(s):
     acc = TensorElement.unit(alg, s)
     for slot in range(2, s + 1):
         f = q.slot_rows(slot_difference_summands(t, s, slot), s)
-        if not q.mu_of_summands(f).is_zero():
+        if not q.mu_of_summands(f, s).is_zero():
             raise VerificationError("slot difference is not a zero divisor")
         for _ in range(3):
             acc = q.stream_product(acc, f)

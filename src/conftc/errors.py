@@ -1,15 +1,20 @@
 """Exception types shared across the package, and the size-guard policy.
 
-Two guards bound a request: the basis guard (``basis_limit``) on every
-monomial basis listed, and the tensor-term guard (``check_term_limit``)
-on the tensor terms a certificate holds.  Their default limits live here.
-Above the algebra constructors one switch, ``allow_large``, lifts both.
+Three guards bound a request: the basis guard (``basis_limit``) on every
+monomial basis listed, the tensor-term guard (``check_term_limit``) on the
+tensor terms a certificate holds, and the slot guard on the tensor slots
+its product writes.  Their default limits live here.  Above the algebra
+constructors one switch, ``allow_large``, lifts all three.
 """
 
 import os
 
 DEFAULT_MAX_BASIS = 10**5
 DEFAULT_TERM_LIMIT = 10**6
+# The most tensor slots a certificate product may write: each of its factors
+# writes at least one term of s slots, so s times the factor count, checked
+# before any factor is built.  It takes a few seconds to write.
+DEFAULT_SLOT_LIMIT = 10**8
 MAX_BASIS_ENV = "TCCONF_MAX_BASIS"
 
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import inf, prod
+from math import inf
+from operator import itemgetter
 
 from .algebra import Element, TensorElement, _add_terms
 from .errors import basis_limit, check_term_limit
@@ -195,6 +196,12 @@ class QuotientAlgebra:
     quotient takes its parent algebra from it.  Normal forms eliminate the
     blocks of rows they read, and the standard monomials of a degree (with
     the dimensions) are found on first use.
+
+    A signed pure tensor is given as a summand ``(sign, default,
+    exceptions)``: the homogeneous element ``default`` in every slot but
+    those of ``exceptions``, ``(k, e)`` pairs that put e in slot k (0-based,
+    increasing).  A slot difference and each summand of bar(u, s) have one
+    exception, so a summand is O(1) to build and to read at any arity.
     """
 
     def __init__(self, ideal, label="CUSTOM"):
@@ -204,8 +211,12 @@ class QuotientAlgebra:
         self.ideal = ideal
         self.label = label
         self._std = [None] * (self.parent.top_degree + 1)  # standard monomials, on first use
-        self._pieces = {}  # terms of e, as a frozenset -> {m: nf(m*e) as a list}
+        # terms of e, as a frozenset -> the entry (e, degree parity, {m: nf(m*e) as a list})
+        self._entries = {}
+        self._unit = self._entry(Element.unit(self.parent), {})[2]  # the unit's piece table
         self._parity = {}  # monomial -> its degree parity
+        # id of each term of the last streamed product -> (term, slot parities as an int)
+        self._last = {}
 
     def standard_monomials(self, degree):
         """The basis monomials of the degree that are no pivot, in order."""
@@ -252,50 +263,63 @@ class QuotientAlgebra:
         quotient of the tensor power).  This is t times the unit tensor,
         streamed; the unit has degree 0, so no Koszul sign arises.
         """
-        return self.stream_product(t, [(1, (Element.unit(self.parent),) * t.arity)])
+        return self.stream_product(t, [(1, Element.unit(self.parent), ())])
 
-    def slot_rows(self, summands, arity=None):
-        """Each summand as ``(sign, [(e, parity, piece table of e), ...])``.
+    def slot_rows(self, summands, arity):
+        """The summands grouped by default element, each element prepared once.
 
-        Each distinct element is checked and its table found once, before
-        any piece is read, and equal elements share one entry.  With
-        ``arity`` every summand must have that many slots, and ``parity`` is
-        the degree parity of e (else None).  ``stream_product`` and
-        ``mu_of_summands`` take the returned :class:`SlotRows` in place of
-        the summands, so a factor that both read is prepared once.  Rows
-        passed in come back unchanged, once checked to be this quotient's
-        with this arity.
+        Returns a :class:`SlotRows` list of ``(default entry, rows)`` pairs.
+        An entry is ``(e, parity, piece table of e)``, one per value of e; a
+        row is ``(negative, exceptions, slots, flips)``: the exceptions as
+        ``(k, entry)`` pairs, their slots as a frozenset, and as an int the
+        slots whose parity differs from the default's.  Every element is
+        checked before any piece is read.  ``stream_product`` and
+        ``mu_of_summands`` take the rows in place of the summands, so a
+        factor that both read is prepared once.  Rows passed in come back
+        unchanged, once checked to be this quotient's with this arity.
         """
         if type(summands) is SlotRows:
-            if summands.quotient is not self or arity not in (None, summands.arity):
+            if summands.quotient is not self or summands.arity != arity:
                 raise ValueError("slot rows were prepared for another quotient or arity")
             return summands
-        seen, by_value, rows = {}, {}, SlotRows()
-        for sign, elements in summands:
-            if arity is not None and len(elements) != arity:
-                raise ValueError(f"expected {arity} tensor slots, got {len(elements)}")
-            row = []
-            for e in elements:
-                entry = seen.get(id(e))
-                if entry is None:
-                    if e.algebra is not self.parent:
-                        raise ValueError("element does not belong to the parent algebra")
-                    value = frozenset(e.terms.items())
-                    entry = by_value.get(value)
-                    if entry is None:
-                        odd = None if arity is None else e.degree() & 1
-                        entry = by_value[value] = (e, odd, self._pieces.setdefault(value, {}))
-                    seen[id(e)] = entry
-                row.append(entry)
-            rows.append((sign, row))
+        seen, groups = {}, {}
+        for sign, default, exceptions in summands:
+            d = seen.get(id(default)) or self._entry(default, seen)
+            row, places, flips = [], [], 0
+            for k, e in exceptions:
+                if not (places[-1] if places else -1) < k < arity:
+                    raise ValueError(
+                        f"exception slots must increase within 0..{arity - 1}, got {k}"
+                    )
+                entry = seen.get(id(e)) or self._entry(e, seen)
+                row.append((k, entry))
+                places.append(k)
+                if entry[1] != d[1]:
+                    flips |= 1 << k
+            group = groups.get(id(d))
+            if group is None:
+                group = groups[id(d)] = (d, [])
+            group[1].append((sign < 0, tuple(row), frozenset(places), flips))
+        rows = SlotRows(groups.values())
         rows.quotient, rows.arity = self, arity
         return rows
+
+    def _entry(self, e, seen):
+        """The entry of e, built once per value and quotient; e is checked and noted in ``seen``."""
+        if e.algebra is not self.parent:
+            raise ValueError("element does not belong to the parent algebra")
+        value = frozenset(e.terms.items())
+        entry = self._entries.get(value)
+        if entry is None:
+            entry = self._entries[value] = (e, e.degree() & 1 if e else 0, {})
+        seen[id(e)] = entry
+        return entry
 
     def _new_piece(self, table, m, e):
         """Store and return nf(m*e) as a list of (monomial, coefficient).
 
-        The tables live in the quotient and are keyed by the value of e, so
-        a piece is computed once for all calls and all equal elements.
+        The tables live in the quotient's entries, one per value of e, so a
+        piece is computed once for all calls and all equal elements.
         """
         nf = self.normal_form(Element(self.parent, self.parent._times(e.terms.items())(m)))
         piece = table[m] = list(nf.terms.items())
@@ -311,14 +335,54 @@ class QuotientAlgebra:
             products += [(m3, c * c3) for m3, c3 in piece]
         return _add_terms({}, products)
 
+    def _parities(self, tup):
+        """The degree parities of the slots of a term, slot k as bit k of an int."""
+        parity, deg = self._parity, self.parent.monomial_degree
+        bits = 0
+        for k, m in enumerate(tup):
+            bit = parity.get(m)
+            if bit is None:
+                bit = parity[m] = deg(m) & 1
+            bits |= bit << k
+        return bits
+
+    def _default_pieces(self, tup, e, table):
+        """The pieces nf(t_k e) of every slot of a term.
+
+        Returns ``(base, signs, zeros, multi, negative)``: for a piece +-m,
+        ``base[k]`` is m and ``signs[k]`` is whether it is -m; ``zeros``
+        lists the slots of zero pieces and ``multi`` the (slot, piece)
+        pairs of every other piece (both None in ``base`` and ``signs``);
+        ``negative`` is the parity of the -m pieces.
+        """
+        one = self.parent.field.one
+        minus = -one
+        base, signs, zeros, multi, negative = [], [], [], [], 0
+        for k, m in enumerate(tup):
+            piece = table.get(m)
+            if piece is None:
+                piece = self._new_piece(table, m, e)
+            if len(piece) == 1 and piece[0][1] in (one, minus):
+                flip = piece[0][1] != one
+                base.append(piece[0][0])
+                signs.append(flip)
+                negative ^= flip
+            else:
+                base.append(None)
+                signs.append(None)
+                if piece:
+                    multi.append((k, piece))
+                else:
+                    zeros.append(k)
+        return base, signs, zeros, multi, negative
+
     def stream_product(self, t, summands, term_limit=None):
         """Slotwise normal form of t times a sum of signed pure tensors.
 
-        ``summands`` holds pairs ``(sign, (e_1, ..., e_s))`` of an int sign
-        and s homogeneous elements of the parent, or is their
-        ``slot_rows(summands, s)``.  For a term
-        t_1 (x) ... (x) t_s of t with coefficient c, the product with one
-        summand is
+        ``summands`` holds ``(sign, default, exceptions)`` summands (see the
+        class) of arity s = ``t.arity``, or is their ``slot_rows(summands,
+        s)``.  For a term t_1 (x) ... (x) t_s of t with coefficient c, the
+        product with one summand of slot elements e_1, ..., e_s is
 
             c * sign * kappa * nf(t_1 e_1) (x) ... (x) nf(t_s e_s),
 
@@ -326,10 +390,15 @@ class QuotientAlgebra:
         is the Koszul sign of moving each e_k past the higher slots of t, as
         in ``TensorElement.__mul__``.  The normal form is slotwise and
         linear, so the result equals ``tensor_normal_form(t * F)`` for the
-        expanded sum F, term for term, but F is never built.  Each piece
-        nf(t_k e_k) is computed once per quotient (see ``_new_piece``), and
-        a summand is skipped as soon as one of its pieces is zero.  The
-        degree parities of the slots of t are read from a per-quotient cache.
+        expanded sum F, term for term, but F is never built.
+
+        For each term and default d, the pieces nf(t_k d) and the slot
+        parities are formed once; a summand then reads only its exception
+        slots, which must cover every zero piece of d.  The terms of the
+        last product returned are remembered with their parities, and are
+        standard, so fed back they need no piece for a unit default: a slot
+        difference costs O(1) per term plus the copy of its key.  Each piece
+        is computed once per quotient (see ``_new_piece``).
 
         ``term_limit`` bounds the tensor terms held: each summand's expanded
         product, checked once per summand from its piece lengths (the first
@@ -340,45 +409,65 @@ class QuotientAlgebra:
         if t.algebra is not alg:
             raise ValueError("tensor element does not belong to the parent algebra")
         s = t.arity
-        rows = [(sign < 0, row) for sign, row in self.slot_rows(summands, s)]
-        deg, parity = alg.monomial_degree, self._parity
-        out = {}
+        groups = self.slot_rows(summands, s)
+        whole = (1 << s) - 1
+        odd_slots = int.from_bytes(b"\xaa" * (s // 8 + 1), "little") & whole  # bits 1, 3, ...
+        last, known, unit, out = self._last, {}, self._unit, {}
         for tup, c in t.terms.items():
-            # above[k]: parity of the total degree of the slots after k
-            above = [0] * s
-            suffix = 0
-            for k in range(s - 1, 0, -1):
-                m = tup[k]
-                bit = parity.get(m)
-                if bit is None:
-                    bit = parity[m] = deg(m) & 1
-                suffix ^= bit
-                above[k - 1] = suffix
-            for negative, row in rows:
-                pieces = []
-                for k, (e, odd, table) in enumerate(row):
-                    m = tup[k]
-                    piece = table.get(m)
-                    if piece is None:
-                        piece = self._new_piece(table, m, e)
-                    if not piece:
-                        break
-                    pieces.append(piece)
-                    negative ^= odd & above[k]
+            noted = last.get(id(tup))
+            standard = noted is not None and noted[0] is tup
+            parities = noted[1] if standard else self._parities(tup)
+            for (d, odd, table), rows in groups:
+                if standard and table is unit:
+                    base, signs, zeros, multi, negative = tup, None, (), (), 0
                 else:
-                    if term_limit is not None:
-                        size = 1
-                        for piece in pieces:
-                            size *= len(piece)
-                            if size > term_limit:
-                                break
-                        check_term_limit(size, term_limit, "a streamed summand product")
-                    coefficient = -c if negative else c
-                    for choice in product(*pieces):
-                        monomials, coefficients = zip(*choice)
-                        _add_terms(out, [(monomials, prod(coefficients, start=coefficient))])
-                    check_term_limit(len(out), term_limit, "the streamed product")
-        return TensorElement(alg, s, out)
+                    base, signs, zeros, multi, negative = self._default_pieces(tup, d, table)
+                if odd:
+                    # kappa of d in every slot: slot k meets the parities above it
+                    negative ^= (parities & odd_slots).bit_count() & 1
+                flipped = parities ^ whole if odd else parities
+                for sign, exceptions, slots, flips in rows:
+                    if zeros and not slots.issuperset(zeros):
+                        continue
+                    sign ^= negative
+                    chosen = []
+                    for k, (e, e_odd, e_table) in exceptions:
+                        m = tup[k]
+                        piece = e_table.get(m)
+                        if piece is None:
+                            piece = self._new_piece(e_table, m, e)
+                        if not piece:
+                            break
+                        chosen.append((k, piece))
+                        if signs is not None and signs[k]:
+                            sign ^= 1
+                        if odd ^ e_odd and (parities >> (k + 1)).bit_count() & 1:
+                            sign ^= 1
+                    else:
+                        if multi:
+                            chosen += [kp for kp in multi if kp[0] not in slots]
+                            chosen.sort(key=itemgetter(0))
+                        if term_limit is not None:
+                            size = 1
+                            for _k, piece in chosen:
+                                size *= len(piece)
+                                if size > term_limit:
+                                    break
+                            check_term_limit(size, term_limit, "a streamed summand product")
+                        bits = flipped ^ flips
+                        for key, value in _expand(base, chosen, -c if sign else c):
+                            held = len(out)
+                            before = out.setdefault(key, value)
+                            if len(out) > held:
+                                known[id(key)] = (key, bits)
+                            elif total := before + value:
+                                out[key] = total
+                            else:
+                                del out[key]
+                        if term_limit is not None:
+                            check_term_limit(len(out), term_limit, "the streamed product")
+        self._last = known
+        return t._like(out)
 
     def mu(self, t):
         """``t.mu()`` in the quotient: the expanded reference for ``mu_of_summands``.
@@ -387,41 +476,94 @@ class QuotientAlgebra:
         """
         return self.normal_form(t.mu())
 
-    def mu_of_summands(self, summands):
-        """``mu`` of a sum of signed pure tensors, without expanding it.
+    def mu_of_summands(self, summands, arity):
+        """``mu`` of a sum of signed pure tensors of the given arity, without expanding it.
 
-        mu(sign * e_1 (x) ... (x) e_s) = sign * e_1 ... e_s.  Slots holding
-        exactly the unit are dropped (a summand of units keeps one), the
-        summands are grouped by the elements that remain, and each group's
-        signs are added in the field.  Only a group with a nonzero net is
-        multiplied, left to right with a normal form after every step, and
-        stops at the first zero.  So the two summands of a slot difference
-        cancel outright, and so do the s summands of bar(u, s) for even s.
-        Every element is checked to belong to the parent, also in a group
-        that cancels.  ``summands`` may also be their ``slot_rows``.
+        mu(sign * e_1 (x) ... (x) e_s) = sign * e_1 ... e_s.  Each summand
+        is read as the run lengths of its elements other than the unit (a
+        summand of units keeps one), from its default and exceptions alone;
+        summands of the same runs are grouped and their signs added in the
+        field.  Only a group with a nonzero net is multiplied, left to
+        right with a normal form after every step, and stops at the first
+        zero.  So the two summands of a slot difference cancel outright, and
+        so do the s summands of bar(u, s) for even s.  Every element is
+        checked to belong to the parent, also in a group that cancels.
+        ``summands`` may also be their ``slot_rows``.
         """
         alg = self.parent
-        field = alg.field
-        rows = self.slot_rows(summands)
-        unit = self._pieces.get(frozenset([(alg.one, field.one)]))
-        zero, plus, minus = field.zero, field.from_int(1), field.from_int(-1)
-        groups = {}  # the remaining entries, by identity -> [entries, net sign]
-        for sign, row in rows:
-            rest = [entry for entry in row if entry[2] is not unit] or row[:1]
-            group = groups.setdefault(tuple(map(id, rest)), [rest, zero])
-            group[1] += minus if sign < 0 else plus
+        unit = self._unit
+        groups = {}  # the runs, by identity and length -> [runs, net sign as an int]
+        for default, rows in self.slot_rows(summands, arity):
+            stays = default[2] is not unit
+            for negative, exceptions, _slots, _flips in rows:
+                # runs alternates entries and their counts; pending counts defaults
+                runs, pending, before = [], 0, -1
+                for k, entry in exceptions:
+                    pending += k - before - 1
+                    before = k
+                    if entry is default:
+                        pending += 1
+                    elif entry[2] is not unit:
+                        if stays and pending:
+                            runs += (default, pending)
+                        pending = 0
+                        if runs and runs[-2] is entry:
+                            runs[-1] += 1
+                        else:
+                            runs += (entry, 1)
+                if stays and arity - before - 1 + pending:
+                    runs += (default, arity - before - 1 + pending)
+                if not runs:
+                    runs = [exceptions[0][1] if exceptions else default, 1]
+                key = (*map(id, runs[::2]), *runs[1::2])
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = [runs, 0]
+                group[1] += -1 if negative else 1
         out = {}
-        for rest, net in groups.values():
-            p = {alg.one: net} if net else {}
-            for e, _odd, table in rest:
-                if not p:
-                    break
-                p = self._nf_times(p.items(), e, table)
-            _add_terms(out, p.items())
+        for runs, net in groups.values():
+            if net := alg.field.from_int(net):
+                _add_terms(out, self._runs_times({alg.one: net}, runs).items())
         return Element(alg, out)
+
+    def _runs_times(self, p, runs):
+        """p times each run's element, as often as the run is long, in order; stops at zero.
+
+        ``runs`` alternates entries and their counts.
+        """
+        for (e, _odd, table), count in zip(runs[::2], runs[1::2]):
+            for _ in range(count):
+                p = self._nf_times(p.items(), e, table)
+                if not p:
+                    return p
+        return p
 
     def __repr__(self):
         return f"QuotientAlgebra({self.label}, {self.parent!r})"
+
+
+def _expand(base, chosen, coefficient):
+    """The keys and values of one summand product: base with each choice of the chosen pieces.
+
+    ``chosen`` holds (slot, piece) pairs; a slot of no chosen piece keeps
+    its base monomial.  A one-term piece is written into the key once.
+    """
+    key, spread = list(base), []
+    for k, piece in chosen:
+        if len(piece) == 1:
+            ((key[k], c),) = piece
+            coefficient = coefficient * c
+        else:
+            spread.append((k, piece))
+    if not spread:
+        return [(tuple(key), coefficient)]
+    terms = []
+    for choice in product(*[piece for _k, piece in spread]):
+        value = coefficient
+        for (k, _piece), (key[k], c) in zip(spread, choice):
+            value = value * c
+        terms.append((tuple(key), value))
+    return terms
 
 
 def build_quotient(algebra, kind):

@@ -219,10 +219,18 @@ def slot_difference(element, arity, slot):
     return slot_embed(element, arity, 1) - slot_embed(element, arity, slot)
 
 
-def expanded(summands):
-    """The tensor element of a nonempty list of signed pure tensors (sign, (e_1, ..., e_s))."""
-    elements = summands[0][1]
-    return TensorElement.of_summands(elements[0].algebra, len(elements), summands)
+def expanded(summands, arity):
+    """The tensor element of a nonempty list of summands (sign, default, exceptions)."""
+    return TensorElement.of_summands(summands[0][1].algebra, arity, summands)
+
+
+def slots(summand, arity):
+    """The slot elements (e_1, ..., e_s) of a summand (sign, default, exceptions)."""
+    _sign, default, exceptions = summand
+    elements = [default] * arity
+    for k, e in exceptions:
+        elements[k] = e
+    return tuple(elements)
 
 
 def multiplied(algebra, arity, tensors):

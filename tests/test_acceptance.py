@@ -188,7 +188,7 @@ def test_criterion_10_property_floor():
     t = Element.monomial(rp3, 1)
     for s in (2, 3, 4):
         for slot in range(2, s + 1):
-            ok = ok and expanded(slot_difference_summands(t, s, slot)).mu().is_zero()
+            ok = ok and expanded(slot_difference_summands(t, s, slot), s).mu().is_zero()
     # normal-form idempotence and the ring-map law, sampled
     for (g, n, kind) in ((1, 2, "E"), (2, 2, "B")):
         q = cached_quotient(g, n, kind)

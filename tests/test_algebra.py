@@ -297,26 +297,34 @@ def test_mixed_sums_raise():
 def test_of_summands_is_the_signed_sum_of_pure_tensors():
     alg = cached_surface(2, 2)
     one, x, y = Element.unit(alg), alg.x(2), alg.y(1)
-    summands = [(1, (x, one, y)), (-1, (one, y, x)), (1, (x, one, y))]
+    # (x, 1, y) twice, once with the unit as default and once with x, and -(1, y, x)
+    summands = [
+        (1, one, ((0, x), (2, y))),
+        (-1, y, ((0, one), (2, x))),
+        (1, x, ((1, one), (2, y))),
+    ]
     expected = (
         TensorElement.of_elements([x, one, y]).scaled(2)
         - TensorElement.of_elements([one, y, x])
     )
     assert TensorElement.of_summands(alg, 3, summands) == expected
+    # a summand of no exceptions holds its default in every slot
+    assert TensorElement.of_summands(alg, 2, [(1, x, ())]) == TensorElement.of_elements([x, x])
     # a unit slot is appended without a product; a scaled unit still multiplies
     negated = {(m, alg.one): -c for m, c in x.terms.items()}
-    assert TensorElement.of_summands(alg, 2, [(-1, (x, one))]).terms == negated
+    assert TensorElement.of_summands(alg, 2, [(-1, one, ((0, x),))]).terms == negated
     doubled = {(alg.one, m): 2 * c for m, c in x.terms.items()}
-    assert TensorElement.of_summands(alg, 2, [(1, (one.scaled(2), x))]).terms == doubled
+    assert TensorElement.of_summands(alg, 2, [(1, x, ((0, one.scaled(2)),))]).terms == doubled
     # opposite summands cancel without storing a zero
-    cancel = TensorElement.of_summands(alg, 3, [(1, (x, one, y)), (-1, (x, one, y))])
+    cancel = TensorElement.of_summands(alg, 3, [summands[0], (-1, x, ((1, one), (2, y)))])
     assert cancel.terms == {}
-    with pytest.raises(ValueError, match="3 tensor slots"):
-        TensorElement.of_summands(alg, 3, [(1, (x, one))])
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"slot {k} out of range for arity 3"):
+            TensorElement.of_summands(alg, 3, [(1, one, ((k, x),))])
     gf2 = TruncatedPolynomialAlgebra(GF2, truncation=4)
     t = Element.monomial(gf2, 1)
     # over GF(2) the sign -1 is 1
-    assert TensorElement.of_summands(gf2, 2, [(-1, (t, t))]) == TensorElement.of_elements([t, t])
+    assert TensorElement.of_summands(gf2, 2, [(-1, t, ())]) == TensorElement.of_elements([t, t])
 
 
 def test_truncated_polynomial_algebra():

@@ -40,6 +40,7 @@ from oracles import (
     ring_agreement,
     slot_difference,
     slot_embed,
+    slots,
 )
 from test_quotients import count_inserts, count_mono_mul
 
@@ -52,7 +53,7 @@ def chain_product(alg, indices, gen):
 
 
 def bar(u, s):
-    return expanded(bar_summands(u, s))
+    return expanded(bar_summands(u, s), s)
 
 
 def factor_product(alg, s, kind):
@@ -204,11 +205,13 @@ def test_each_factor_is_prepared_once_and_its_rows_serve_both_products(monkeypat
     rows = q.slot_rows(summands, 3)
     t = TensorElement.of_elements([alg.y(1), alg.x(3), alg.a(1, 2)])
     assert q.stream_product(t, rows) == q.stream_product(t, summands)
-    assert q.mu_of_summands(rows) == q.mu_of_summands(summands)
+    assert q.mu_of_summands(rows, 3) == q.mu_of_summands(summands, 3)
     with pytest.raises(ValueError, match="another quotient or arity"):
         q.stream_product(TensorElement.unit(alg, 2), rows)
     with pytest.raises(ValueError, match="another quotient or arity"):
-        cached_quotient(2, 3, "E").mu_of_summands(rows)
+        q.mu_of_summands(rows, 4)
+    with pytest.raises(ValueError, match="another quotient or arity"):
+        cached_quotient(2, 3, "E").mu_of_summands(rows, 3)
 
 
 def test_a_second_evaluation_reuses_every_piece(monkeypatch):
@@ -274,7 +277,7 @@ def test_cancelling_zero_divisor_checks_multiply_nothing(monkeypatch):
     for s, summand_lists in checks.items():
         mono_mul[0] = normal_forms[0] = 0
         for summands in summand_lists:
-            assert fresh[s].mu_of_summands(summands).is_zero()
+            assert fresh[s].mu_of_summands(summands, s).is_zero()
         if s % 2 == 0:
             assert (mono_mul[0], normal_forms[0]) == (0, 0), s
         else:
@@ -415,7 +418,7 @@ def test_slot_difference_summands_expand_to_the_slot_difference():
         for s in (2, 3, 4):
             for slot in range(2, s + 1):
                 summands = slot_difference_summands(e, s, slot)
-                assert expanded(summands) == slot_difference(e, s, slot)
+                assert expanded(summands, s) == slot_difference(e, s, slot)
     for slot in (0, 4):
         with pytest.raises(ValueError, match="out of range for arity 3"):
             slot_difference_summands(alg.x(1), 3, slot)
@@ -554,7 +557,7 @@ def test_stream_product_and_mu_match_the_expanded_factors(ring, g, n):
         for f in certificate_factors(alg, s):
             streamed = q.stream_product(acc, f.summands)
             assert streamed == q.tensor_normal_form(acc * f.tensor), (s, f.label)
-            assert q.mu_of_summands(f.summands) == q.mu(f.tensor), (s, f.label)
+            assert q.mu_of_summands(f.summands, s) == q.mu(f.tensor), (s, f.label)
             acc = streamed
 
 
@@ -572,7 +575,7 @@ def test_stream_product_of_unreduced_and_partial_tensors(g, n):
             for summand in f2.summands:
                 pure = TensorElement.of_summands(alg, s, [summand])
                 assert q.stream_product(t, [summand]) == q.tensor_normal_form(t * pure)
-                assert q.mu_of_summands([summand]) == q.mu(pure)
+                assert q.mu_of_summands([summand], s) == q.mu(pure)
 
 
 def test_stream_product_expands_only_summands_without_a_zero_piece(monkeypatch):
@@ -591,9 +594,9 @@ def test_stream_product_expands_only_summands_without_a_zero_piece(monkeypatch):
     pairs = skipped = 0
     for f in certificate_factors(alg, s):
         survivors = sum(
-            all(q.normal_form(Element.monomial(alg, m) * e) for m, e in zip(t, es))
+            all(q.normal_form(Element.monomial(alg, m) * e) for m, e in zip(t, slots(summand, s)))
             for t in acc.terms
-            for _sign, es in f.summands
+            for summand in f.summands
         )
         pairs += len(acc.terms) * len(f.summands)
         skipped += len(acc.terms) * len(f.summands) - survivors
@@ -612,7 +615,7 @@ def test_stream_product_refuses_the_first_slot_prefix_past_the_limit():
     e2 = alg.a(1) + alg.b(1)
     e3 = alg.a(1) + alg.b(1) + alg.a(2)
     unit = TensorElement.unit(alg, 3)
-    summand = [(1, (e2, e3, Element.unit(alg)))]
+    summand = [(1, Element.unit(alg), ((0, e2), (1, e3)))]
     assert len(q.stream_product(unit, summand, 6).terms) == 6
     for limit, held in ((5, 6), (1, 2)):
         with pytest.raises(
@@ -643,7 +646,7 @@ def test_factor_that_is_no_zero_divisor_is_refused(monkeypatch):
 
     def with_extra(algebra, s):
         one = Element.unit(algebra)
-        extra = ZeroDivisorFactor("GENERIC", "half", [(1, (algebra.x(2),) + (one,) * (s - 1))])
+        extra = ZeroDivisorFactor("GENERIC", "half", [(1, one, ((0, algebra.x(2)),))], s)
         return factors(algebra, s) + [extra]
 
     monkeypatch.setattr(certificates, "certificate_factors", with_extra)
@@ -660,6 +663,46 @@ def test_factor_term_count_and_text_guard():
     assert f.term_count() == 5 * 2**4
     with pytest.raises(SizeGuardError, match="factor xbar2 holds 80 tensor terms"):
         f.to_text(79)
+
+
+@pytest.mark.parametrize("g,n,s", [(1, 2, 2), (2, 1, 5), (3, 3, 4)])
+def test_slot_guard_counts_s_slots_per_factor(monkeypatch, g, n, s):
+    # the guard's estimate is s times the factors that certificate_factors builds
+    slots = s * len(certificate_factors(cached_surface(g, n), s))
+    monkeypatch.setattr(certificates, "DEFAULT_SLOT_LIMIT", slots - 1)
+    built = []
+    factors = certificates.certificate_factors
+
+    def recording(algebra, stages):
+        built.append(stages)
+        return factors(algebra, stages)
+
+    monkeypatch.setattr(certificates, "certificate_factors", recording)
+    with pytest.raises(SizeGuardError, match=f"writes at least {slots} tensor slots"):
+        evaluate_certificate(g, n, s)
+    assert built == []
+    assert evaluate_certificate(g, n, s, allow_large=True).nonzero
+    monkeypatch.setattr(certificates, "DEFAULT_SLOT_LIMIT", slots)
+    assert evaluate_certificate(g, n, s).nonzero
+
+
+def test_genus_one_accumulator_peaks_at_its_final_size(monkeypatch):
+    # Each ytilde_i is multiplied before its xbar_i; in the factor order the
+    # accumulator would reach s^3 terms right after xbar_2.
+    sizes = []
+    stream_product = quotients.QuotientAlgebra.stream_product
+
+    def counting(self, t, summands, term_limit=None):
+        out = stream_product(self, t, summands, term_limit)
+        sizes.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(quotients.QuotientAlgebra, "stream_product", counting)
+    for g, n, s in [(1, 3, 10), (1, 3, 20), (1, 3, 30), (1, 3, 40), (1, 4, 20)]:
+        sizes.clear()
+        cert = evaluate_certificate(g, n, s)
+        assert len(sizes) == len(cert.factors)
+        assert max(sizes) <= len(cert.result.terms) == sizes[-1], (g, n, s)
 
 
 def test_certificate_validation():
@@ -901,7 +944,7 @@ def test_rp3_factors_are_zero_divisors():
     t = Element.monomial(alg, 1)
     for s in (2, 3):
         for slot in range(2, s + 1):
-            f = expanded(slot_difference_summands(t, s, slot))
+            f = expanded(slot_difference_summands(t, s, slot), s)
             assert f == slot_difference(t, s, slot)
             assert f.mu().is_zero()
 
@@ -1007,5 +1050,5 @@ def test_records_keep_their_defaults():
     assert second.checks == [] and (first.passed, first.failed, first.ok) == (1, 0, True)
     assert LemmaCheck("lemma1", False).detail == ""
     alg = cached_surface(2, 2)
-    factor = ZeroDivisorFactor("C", "c", slot_difference_summands(alg.a(1, 2), 2, 2))
+    factor = ZeroDivisorFactor("C", "c", slot_difference_summands(alg.a(1, 2), 2, 2), 2)
     assert factor.count == 1 and factor.tensor is factor.tensor

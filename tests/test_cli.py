@@ -424,6 +424,7 @@ def _limit_memory():
         (("search-zcl", "--genus", HUGE), "letter count"),
         (("basis", "--genus", "200", "--points", "3"), "ambient basis size 64964808 for"),
         (("rp3", "--stages", HUGE), f"stage count {HUGE} exceeds the guarded range"),
+        (("certify", "--stages", "100000"), "the product writes at least 10000400000 tensor"),
         (("rp3", "--stages", HUGE, "--allow-large"), "stage count"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
@@ -462,6 +463,16 @@ def test_exhaustive_search_ends_within_its_bound():
         assert proc.stdout == ""
         assert proc.stderr.startswith("refused: exhaustive search exceeds ")
         assert proc.stderr.count("\n") == 1 and "--strategy GREEDY" in proc.stderr
+
+
+def test_table_skips_a_cell_past_the_slot_guard_within_seconds():
+    # 100,004 factors of 100,000 slots: refused before any factor is built,
+    # where the product once ran with no end in sight, growing as s^2.
+    proc = _cli("table", "--genus", "2", "--points", "2", "--stages", "100000",
+                timeout=10, preexec_fn=_limit_memory)
+    assert proc.returncode == 0 and proc.stderr == ""
+    (rec,) = json.loads(proc.stdout)["records"]
+    assert rec["certified"] is False and rec["tc"] == 300000
 
 
 def test_table_skips_a_cell_whose_algebra_is_refused():

@@ -73,27 +73,36 @@ def homogeneous_element(data, alg):
     return element(data, alg, data.draw(st.sampled_from(sorted(degrees, key=lambda d: d != 1))))
 
 
-def tensor(data, alg, arity):
-    """A tensor of a few terms of degree at most 2 per slot, in normal form or not.
+def tensor(data, alg, arity, top=2):
+    """A tensor of a few terms of degree at most ``top`` per slot, in normal form or not.
 
     Low degrees keep most products with a factor nonzero.
     """
-    monos = [m for ms in alg.monomials_by_degree[:3] for m in ms]
+    monos = [m for ms in alg.monomials_by_degree[: top + 1] for m in ms]
     keys = st.tuples(*[st.sampled_from(monos)] * arity)
     chosen = data.draw(st.lists(keys, min_size=1, max_size=4, unique=True))
     return TensorElement(alg, arity, {t: coefficient(data, alg.field) for t in chosen})
 
 
 def summands(data, alg, arity):
-    """One to three signed pure tensors of nonzero homogeneous elements."""
-    count = data.draw(st.integers(1, 3))
-    return [
-        (
-            data.draw(st.sampled_from([1, -1])),
-            tuple(homogeneous_element(data, alg) for _ in range(arity)),
-        )
-        for _ in range(count)
-    ]
+    """One to three summands (sign, default, exceptions) of nonzero homogeneous elements.
+
+    The default and each exception are the unit or a drawn element, and the
+    exceptions sit at a drawn set of slots, so the shapes of a slot
+    difference (the unit with one exception) and of a bar summand (an
+    element with the unit as its one exception) both occur.
+    """
+    unit = Element.unit(alg)
+
+    def slot_element():
+        return unit if data.draw(st.booleans()) else homogeneous_element(data, alg)
+
+    out = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        sign, default = data.draw(st.sampled_from([1, -1])), slot_element()
+        places = sorted(data.draw(st.sets(st.integers(0, arity - 1))))
+        out.append((sign, default, tuple((k, slot_element()) for k in places)))
+    return out
 
 
 @REPEATABLE
@@ -113,7 +122,31 @@ def test_mu_of_summands_equals_mu_of_the_expanded_tensor(data, space, arity):
     q = quotient_of(space)
     alg = q.parent
     pure = summands(data, alg, arity)
-    assert q.mu_of_summands(pure) == q.mu(TensorElement.of_summands(alg, arity, pure))
+    assert q.mu_of_summands(pure, arity) == q.mu(TensorElement.of_summands(alg, arity, pure))
+
+
+# Rings B and E at genus 1..3; one or two points keep the expanded products small.
+PRODUCT_SPACES = [(g, n, ring) for g in (1, 2, 3) for n in (1, 2) for ring in ("B", "E")]
+
+
+@settings(REPEATABLE, max_examples=30)
+@given(st.data(), st.sampled_from(PRODUCT_SPACES), st.integers(2, 7))
+def test_chained_stream_products_equal_the_expanded_products(data, space, arity):
+    # t is drawn, in normal form or not, then multiplied by two summand lists
+    # in turn.  The second product comes straight after the first, so it
+    # reads the terms of the last product as the quotient remembers them:
+    # standard, with their slot parities, and a unit default reads no piece.
+    # Slots of degree at most 1 keep products with an odd default nonzero.
+    q = quotient_of(space)
+    alg = q.parent
+    first, second = summands(data, alg, arity), summands(data, alg, arity)
+    t = tensor(data, alg, arity, top=1)
+    once = q.stream_product(t, first)
+    twice = q.stream_product(once, second)
+    for left, pure, product in ((t, first, once), (once, second, twice)):
+        expanded = TensorElement.of_summands(alg, arity, pure)
+        assert product == q.tensor_normal_form(left * expanded)
+        assert q.mu_of_summands(pure, arity) == q.mu(expanded)
 
 
 def merging_summands(data, alg, arity):
@@ -125,7 +158,9 @@ def merging_summands(data, alg, arity):
     times with drawn signs, so a group can cancel (opposite signs, or an
     even count over GF(2)) or add up.  A repeat may move the units to other
     slots, keeping the rest in order, and may rebuild its elements as
-    equal copies.
+    equal copies.  Each repeat is written with a drawn default, a unit or
+    one of its slot elements, and every other slot as an exception, so one
+    sequence comes in several forms.
     """
     units = [Element.unit(alg), Element.unit(alg)]
     pool = units + [homogeneous_element(data, alg), homogeneous_element(data, alg)]
@@ -144,7 +179,9 @@ def merging_summands(data, alg, arity):
                     repeat[k] = e
             if data.draw(st.booleans()):
                 repeat = [Element(alg, dict(e.terms)) for e in repeat]
-            out.append((data.draw(st.sampled_from([1, -1])), tuple(repeat)))
+            default = data.draw(st.sampled_from(repeat + units))
+            exceptions = tuple((k, e) for k, e in enumerate(repeat) if e is not default)
+            out.append((data.draw(st.sampled_from([1, -1])), default, exceptions))
     return out
 
 
@@ -155,7 +192,7 @@ def test_merged_mu_of_summands_equals_mu_of_the_expanded_tensor(spaces, data, ar
     q = quotient_of(data.draw(st.sampled_from(spaces)))
     alg = q.parent
     pure = merging_summands(data, alg, arity)
-    assert q.mu_of_summands(pure) == q.mu(TensorElement.of_summands(alg, arity, pure))
+    assert q.mu_of_summands(pure, arity) == q.mu(TensorElement.of_summands(alg, arity, pure))
 
 
 @REPEATABLE

@@ -339,24 +339,24 @@ def test_streamed_products_refuse_elements_of_another_algebra():
     q = cached_quotient(2, 3, "B")
     foreign = SurfacePowerAlgebra(3, 3).a(2, 3)
     with pytest.raises(ValueError, match="element does not belong to the parent algebra"):
-        q.mu_of_summands([(1, (foreign, foreign))])
+        q.mu_of_summands([(1, foreign, ())], 2)
     with pytest.raises(ValueError, match="element does not belong to the parent algebra"):
-        q.stream_product(TensorElement.unit(q.parent, 2), [(1, (foreign, foreign))])
+        q.stream_product(TensorElement.unit(q.parent, 2), [(1, foreign, ())])
     # also behind a summand that vanishes before reaching it
     x = q.parent.x(1)
     with pytest.raises(ValueError, match="element does not belong to the parent algebra"):
-        q.mu_of_summands([(1, (x, x, foreign))])
+        q.mu_of_summands([(1, x, ((2, foreign),))], 3)
 
 
 def test_equal_elements_built_separately_share_one_piece_table(monkeypatch):
     q = build_quotient(cached_surface(2, 3), "B")
     alg = q.parent
     t = TensorElement.of_elements([alg.y(1), alg.x(2), alg.a(1, 2)])
-    summands = [(1, (alg.x(3), Element.unit(alg), alg.y(2))), (-1, (alg.y(3),) * 3)]
-    first = (q.stream_product(t, summands), q.mu_of_summands(summands))
-    again = [(1, (alg.x(3), Element.unit(alg), alg.y(2))), (-1, (alg.y(3),) * 3)]
+    summands = [(1, Element.unit(alg), ((0, alg.x(3)), (2, alg.y(2)))), (-1, alg.y(3), ())]
+    first = (q.stream_product(t, summands), q.mu_of_summands(summands, 3))
+    again = [(1, Element.unit(alg), ((0, alg.x(3)), (2, alg.y(2)))), (-1, alg.y(3), ())]
     calls = count_mono_mul(monkeypatch)
-    assert (q.stream_product(t, again), q.mu_of_summands(again)) == first
+    assert (q.stream_product(t, again), q.mu_of_summands(again, 3)) == first
     assert calls[0] == 0
 
 
