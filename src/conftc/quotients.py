@@ -214,9 +214,10 @@ class QuotientAlgebra:
         # terms of e, as a frozenset -> the entry (e, degree parity, {m: nf(m*e) as a list})
         self._entries = {}
         self._unit = self._entry(Element.unit(self.parent), {})[2]  # the unit's piece table
-        self._parity = {}  # monomial -> its degree parity
         # id of each term of the last streamed product -> (term, slot parities as an int)
         self._last = {}
+        self._parity = {}  # monomial -> its degree parity
+        self._standard = set()  # monomials whose normal form is themselves, as the unit's pieces say
 
     def standard_monomials(self, degree):
         """The basis monomials of the degree that are no pivot, in order."""
@@ -323,6 +324,8 @@ class QuotientAlgebra:
         """
         nf = self.normal_form(Element(self.parent, self.parent._times(e.terms.items())(m)))
         piece = table[m] = list(nf.terms.items())
+        if table is self._unit and piece == [(m, self.parent.field.one)]:
+            self._standard.add(m)
         return piece
 
     def _nf_times(self, pairs, e, table):
@@ -337,12 +340,11 @@ class QuotientAlgebra:
 
     def _parities(self, tup):
         """The degree parities of the slots of a term, slot k as bit k of an int."""
-        parity, deg = self._parity, self.parent.monomial_degree
-        bits = 0
+        parity, bits = self._parity, 0
         for k, m in enumerate(tup):
             bit = parity.get(m)
             if bit is None:
-                bit = parity[m] = deg(m) & 1
+                bit = parity[m] = self.parent.monomial_degree(m) & 1
             bits |= bit << k
         return bits
 
@@ -394,11 +396,11 @@ class QuotientAlgebra:
 
         For each term and default d, the pieces nf(t_k d) and the slot
         parities are formed once; a summand then reads only its exception
-        slots, which must cover every zero piece of d.  The terms of the
-        last product returned are remembered with their parities, and are
-        standard, so fed back they need no piece for a unit default: a slot
-        difference costs O(1) per term plus the copy of its key.  Each piece
-        is computed once per quotient (see ``_new_piece``).
+        slots, which must cover every zero piece of d.  A term of standard
+        monomials needs no piece for a unit default.  The terms of the last
+        product returned are remembered as standard, with their parities, so
+        fed back a slot difference costs O(1) per term plus the copy of its
+        key.  Each piece is computed once per quotient (see ``_new_piece``).
 
         ``term_limit`` bounds the tensor terms held: each summand's expanded
         product, checked once per summand from its piece lengths (the first
@@ -418,7 +420,7 @@ class QuotientAlgebra:
             standard = noted is not None and noted[0] is tup
             parities = noted[1] if standard else self._parities(tup)
             for (d, odd, table), rows in groups:
-                if standard and table is unit:
+                if table is unit and (standard or self._standard.issuperset(tup)):
                     base, signs, zeros, multi, negative = tup, None, (), (), 0
                 else:
                     base, signs, zeros, multi, negative = self._default_pieces(tup, d, table)
@@ -480,10 +482,10 @@ class QuotientAlgebra:
         """``mu`` of a sum of signed pure tensors of the given arity, without expanding it.
 
         mu(sign * e_1 (x) ... (x) e_s) = sign * e_1 ... e_s.  Each summand
-        is read as the run lengths of its elements other than the unit (a
-        summand of units keeps one), from its default and exceptions alone;
-        summands of the same runs are grouped and their signs added in the
-        field.  Only a group with a nonzero net is multiplied, left to
+        is read, from its default and exceptions alone, as its elements
+        other than the unit in slot order, each stretch of default slots as
+        one run (a summand of units keeps one unit); summands that read
+        alike are grouped and their signs added in the field.  Only a group with a nonzero net is multiplied, left to
         right with a normal form after every step, and stops at the first
         zero.  So the two summands of a slot difference cancel outright, and
         so do the s summands of bar(u, s) for even s.  Every element is
@@ -506,11 +508,8 @@ class QuotientAlgebra:
                     elif entry[2] is not unit:
                         if stays and pending:
                             runs += (default, pending)
+                        runs += (entry, 1)
                         pending = 0
-                        if runs and runs[-2] is entry:
-                            runs[-1] += 1
-                        else:
-                            runs += (entry, 1)
                 if stays and arity - before - 1 + pending:
                     runs += (default, arity - before - 1 + pending)
                 if not runs:
@@ -522,21 +521,16 @@ class QuotientAlgebra:
                 group[1] += -1 if negative else 1
         out = {}
         for runs, net in groups.values():
-            if net := alg.field.from_int(net):
-                _add_terms(out, self._runs_times({alg.one: net}, runs).items())
+            if not (net := alg.field.from_int(net)):
+                continue
+            p = {alg.one: net}  # times each run's element as often as the run is long
+            for (e, _odd, table), count in zip(runs[::2], runs[1::2]):
+                for _ in range(count if p else 0):
+                    p = self._nf_times(p.items(), e, table)
+                    if not p:
+                        break
+            _add_terms(out, p.items())
         return Element(alg, out)
-
-    def _runs_times(self, p, runs):
-        """p times each run's element, as often as the run is long, in order; stops at zero.
-
-        ``runs`` alternates entries and their counts.
-        """
-        for (e, _odd, table), count in zip(runs[::2], runs[1::2]):
-            for _ in range(count):
-                p = self._nf_times(p.items(), e, table)
-                if not p:
-                    return p
-        return p
 
     def __repr__(self):
         return f"QuotientAlgebra({self.label}, {self.parent!r})"

@@ -88,9 +88,10 @@ def summands(data, alg, arity):
     """One to three summands (sign, default, exceptions) of nonzero homogeneous elements.
 
     The default and each exception are the unit or a drawn element, and the
-    exceptions sit at a drawn set of slots, so the shapes of a slot
-    difference (the unit with one exception) and of a bar summand (an
-    element with the unit as its one exception) both occur.
+    exceptions sit at every slot or at a drawn set of slots, so the shapes
+    of a slot difference (the unit with one exception), of a bar summand
+    (an element with the unit as its one exception) and of a pure tensor
+    of independent slots all occur.
     """
     unit = Element.unit(alg)
 
@@ -100,7 +101,9 @@ def summands(data, alg, arity):
     out = []
     for _ in range(data.draw(st.integers(1, 3))):
         sign, default = data.draw(st.sampled_from([1, -1])), slot_element()
-        places = sorted(data.draw(st.sets(st.integers(0, arity - 1))))
+        places = range(arity)
+        if data.draw(st.booleans()):
+            places = sorted(data.draw(st.sets(st.integers(0, arity - 1))))
         out.append((sign, default, tuple((k, slot_element()) for k in places)))
     return out
 
@@ -143,6 +146,9 @@ def test_chained_stream_products_equal_the_expanded_products(data, space, arity)
     t = tensor(data, alg, arity, top=1)
     once = q.stream_product(t, first)
     twice = q.stream_product(once, second)
+    # what the quotient remembers of its last product: every term, with its slot parities
+    remembered = {key: bits for key, bits in q._last.values() if key in twice.terms}
+    assert remembered == {key: q._parities(key) for key in twice.terms}
     for left, pure, product in ((t, first, once), (once, second, twice)):
         expanded = TensorElement.of_summands(alg, arity, pure)
         assert product == q.tensor_normal_form(left * expanded)
