@@ -54,7 +54,7 @@ def slot_difference_summands(element, arity, slot):
     """
     if not 1 <= slot <= arity:
         raise ValueError(f"slot {slot} out of range for arity {arity}")
-    unit = _unit(element.algebra)
+    unit, _accepted = _held(element.algebra)
     return [(1, unit, ((0, element),)), (-1, unit, ((slot - 1, element),))]
 
 
@@ -76,18 +76,20 @@ def bar_summands(u, s):
     """
     if s < 2:
         raise ValueError("stages must be at least 2")
-    _check_bar(u)
-    unit = _unit(u.algebra)
+    unit, accepted = _held(u.algebra)
+    if u not in accepted:
+        _check_bar(u)
+        accepted.add(u)
     return [(1 if (s + j) % 2 == 0 else -1, u, ((j - 1, unit),)) for j in range(1, s + 1)]
 
 
-@lru_cache(maxsize=4)
-def _unit(algebra):
-    """The unit of the algebra, one object per algebra, so prepared rows meet it once."""
-    return Element.unit(algebra)
+@lru_cache(maxsize=1)
+def _held(algebra):
+    """The unit of the algebra, one object, so prepared rows meet it once, and the set
+    of elements ``bar_summands`` accepted; held for the last algebra only."""
+    return Element.unit(algebra), set()
 
 
-@lru_cache(maxsize=64)
 def _check_bar(u):
     if not u.is_homogeneous() or u.is_zero() or u.degree() == 0:
         raise ValueError("bar requires a homogeneous element of positive degree")

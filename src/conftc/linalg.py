@@ -12,8 +12,9 @@ These spans back every ideal and normal-form computation in the package:
 counts it.
 
 ``insert`` back-substitutes the new row only into the rows that hold its
-pivot, found through an index from each column to the rows that gained an
-entry there (a row that has lost it since is skipped).  ``seal`` drops a
+pivot, found through an index from each column to the rows that hold an
+entry there: a row enters when it gains the column and leaves when the
+column cancels, so the index names each such row once.  ``seal`` drops a
 degree's index once no later vector shares a column with its rows, as when
 a span is built one block of columns at a time (``quotients.IdealSpan``
 seals each block it eliminates), so the index never outlives its block.
@@ -37,7 +38,7 @@ class GradedSubspace:
     def __init__(self, degrees, field):
         self.field = field
         self._rows = {d: {} for d in degrees}  # degree -> {pivot: row}
-        self._holders = {}  # degree -> {column: pivots of rows that gained an entry there}
+        self._holders = {}  # degree -> {column: {pivot of each row holding it: None}}
 
     def _check_degree(self, degree):
         if degree not in self._rows:
@@ -85,23 +86,23 @@ class GradedSubspace:
             row = {i: canonical(c * inv) for i, c in r.items()}
         rows, holders = self._rows[degree], self._holders.setdefault(degree, {})
         tail = [(i, c) for i, c in row.items() if i != pivot]
-        # The index may name a row twice, or one that has lost the column since.
-        for p in {p for p in holders.pop(pivot, ()) if pivot in rows[p]}:
+        for p in holders.pop(pivot, ()):
             other = rows[p]
             f = other.pop(pivot)
             for i, c in tail:
                 cur = other.get(i)
                 if cur is None:
-                    holders.setdefault(i, []).append(p)
-                nxt = -f * c if cur is None else cur - f * c
-                if nxt:
+                    holders.setdefault(i, {})[p] = None
+                    other[i] = canonical(-f * c)
+                elif nxt := cur - f * c:
                     other[i] = canonical(nxt)
                 else:
                     del other[i]
+                    del holders[i][p]
             rows[p] = dict(other)
         rows[pivot] = row
         for i, _c in tail:
-            holders.setdefault(i, []).append(pivot)
+            holders.setdefault(i, {})[pivot] = None
         return True
 
     def seal(self, degree):

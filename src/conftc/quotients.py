@@ -15,13 +15,15 @@ normal form eliminates only the blocks its monomials lie in, and the
 standard monomials and dimensions of a degree eliminate the blocks of its
 basis monomials, which are all the blocks its rows can lie in.  A
 certificate reads a few dozen normal-form pieces, so it builds a small part
-of the rows; asking for every block gives the whole span.
+of the rows, and the surface algebras enumerate each block's multipliers
+from the letters, so it lists no basis; asking for every block gives the
+whole span.
 
 The three cached quotients: 'A' (mixed index >= 2 products) is a monomial
 ideal, recognised rather than eliminated: it is the handle-reduced algebra
 (``SurfacePowerAlgebra.handle_reduced``) modulo no rows, and the
 certificate ring 'B' is that algebra modulo the x_i y_j rows, so 'A' and
-'B' share one parent and neither lists the (2g+2)^n ambient basis.  The
+'B' share one parent and neither reads the (2g+2)^n ambient basis.  The
 base-axis quotient 'E' (the degree-2 pair relations, not monomial) is the
 power algebra modulo its rows, but only the diagonal-free multiples are
 eliminated: the generator r_ij is the class of the diagonal of coordinates
@@ -32,12 +34,12 @@ at coordinate i.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import inf
 from operator import itemgetter
 
-from .algebra import Element, TensorElement, _add_terms
+from .algebra import Element, GradedAlgebraBase, TensorElement, _add_terms
 from .errors import basis_limit, check_term_limit
 from .linalg import GradedSubspace
 from .surfaces import SurfacePowerAlgebra, xy_pair_relations, totaro_relations
@@ -57,8 +59,8 @@ def ideal_span(algebra, generators):
     Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
     each block of its rows the first time it is read.  Its blocks follow
     the algebra's ``monomial_weight``, or weigh every monomial 0 (one block
-    per degree) when a generator is not homogeneous for it.  The algebra's
-    basis is listed now, under its guard.
+    per degree) when a generator is not homogeneous for it, in which case
+    its multipliers are the listed basis, filtered.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
@@ -89,12 +91,12 @@ class IdealSpan:
     The reduced echelon form over a fixed column order is unique, so the
     rows do not depend on which blocks were asked for first.
 
-    The blocks of a degree are the weights of its basis monomials.
+    The multipliers of a block come from the algebra's ``_block``, once for
+    each generator degree, weight and unit coordinate in use; an algebra
+    with a rule enumerates them, so a normal form lists no basis.
     ``reduce`` eliminates the blocks of its vector's monomials first, and
     ``pivots``, ``rank`` and ``total_rank`` those of every basis monomial of
-    the degrees they read; both go through ``_ensure``.  The multipliers of
-    a degree are grouped by weight, and by the unit coordinates in use, on
-    first need.
+    the degrees they read; both go through ``_ensure``.
     """
 
     def __init__(self, algebra, work):
@@ -102,17 +104,15 @@ class IdealSpan:
         self.field = algebra.field
         self._top = algebra.top_degree
         self._space = GradedSubspace(range(self._top + 1), self.field)
-        weigh = algebra.monomial_weight
+        weigh, self._block = algebra.monomial_weight, algebra._block
         if any(len({weigh(m) for m in r.terms}) > 1 for r, _unit in work):
             weigh = _no_weight
+            self._block = partial(GradedAlgebraBase._block, algebra, weigh=weigh)
         self._work = [
-            (algebra._times(r.terms.items()), r.degree(), weigh(next(iter(r.terms))), unit)
+            (algebra._times(r.terms.items()), r.degree(), -weigh(next(iter(r.terms))), unit)
             for r, unit in work
         ]
         self._weigh = weigh
-        self._units = list(dict.fromkeys(unit for *_, unit in self._work))
-        self._basis = algebra.monomials_by_degree
-        self._groups = {}  # multiplier degree -> {unit coordinate: {weight: [m]}}
         self._built = set()  # (degree, weight) blocks eliminated
         self._whole = set() if work else set(range(self._top + 1))  # degrees fully eliminated
 
@@ -120,26 +120,17 @@ class IdealSpan:
         if not 0 <= degree <= self._top:
             raise ValueError(f"degree out of range: {degree}")
 
-    def _grouped(self, d):
-        """The multipliers of degree d by unit coordinate and then weight, in order."""
-        groups = self._groups.get(d)
-        if groups is None:
-            groups = self._groups[d] = {unit: {} for unit in self._units}
-            weigh, one = self._weigh, self.algebra.one
-            for m in self._basis[d]:
-                weight = weigh(m)
-                for unit, by_weight in groups.items():
-                    if unit is None or m[unit - 1] == one[unit - 1]:
-                        by_weight.setdefault(weight, []).append(m)
-        return groups
-
     def _eliminate(self, degree, weight):
         """Insert every multiple that lands in block (degree, weight)."""
         self._built.add((degree, weight))
-        for times, e, rweight, unit in self._work:
+        blocks = {}
+        for times, e, less, unit in self._work:
             if degree < e:
                 continue
-            for m in self._grouped(degree - e)[unit].get(weight - rweight, ()):
+            multipliers = blocks.get((e, less, unit))
+            if multipliers is None:
+                multipliers = blocks[e, less, unit] = self._block(degree - e, weight + less, unit)
+            for m in multipliers:
                 if vec := times(m):
                     self._space.insert(vec, degree)
         self._space.seal(degree)
@@ -155,7 +146,7 @@ class IdealSpan:
     def _eliminate_degree(self, degree):
         self._check_degree(degree)
         if degree not in self._whole:
-            self._ensure(degree, self._basis[degree])
+            self._ensure(degree, self.algebra.monomials_by_degree[degree])
             self._whole.add(degree)
 
     def reduce(self, v, degree):
@@ -565,14 +556,15 @@ def build_quotient(algebra, kind):
 
     'A' is the algebra's ``handle_reduced`` modulo no rows, 'B' the same
     algebra modulo the x_i y_j rows, and 'E' the power algebra modulo the
-    diagonal-free multiples of the pair relations.  Only 'E' lists the
-    ambient basis.  The basis is listed, under its guard, before any
-    relation is built: there are O(n^2) of them, each n letters long.
+    diagonal-free multiples of the pair relations.  Only 'E' reads the
+    ambient basis.  The basis is held to its guard by its count, listing
+    nothing, before any relation is built: there are O(n^2) of them, each n
+    letters long.
     """
     if kind not in ("E", "A", "B"):
         raise ValueError(f"unknown quotient kind {kind!r}")
     target = algebra if kind == "E" else algebra.handle_reduced
-    target.monomials_by_degree
+    target._guard_basis()
     if kind == "E":
         return QuotientAlgebra(ideal_span(target, totaro_relations(target)), "BASE_AXIS")
     if kind == "A":
@@ -585,16 +577,19 @@ def build_quotient(algebra, kind):
 # The algebra cache key holds the resolved basis guard (unbounded under
 # ``allow_large``), and the quotient cache key holds the algebra, so a
 # changed TCCONF_MAX_BASIS takes effect on the next call, and a build with
-# the guard lifted is never served to a guarded call.
+# the guard lifted is never served to a guarded call.  Only the last
+# (genus, points, guard) is held: a grid runs each one's cells in a row, and
+# an algebra it has moved past is freed with its quotients.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _surface(genus, points, max_basis):
+    _quotient.cache_clear()  # the quotients of the algebra this one replaces
     return SurfacePowerAlgebra(genus, points, max_basis=max_basis)
 
 
 def cached_surface(genus, points, allow_large=False):
-    """One shared algebra instance per (genus, points, resolved guard)."""
+    """The shared algebra of the last (genus, points, resolved guard) asked for."""
     return _surface(genus, points, inf if allow_large else basis_limit())
 
 

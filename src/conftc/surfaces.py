@@ -28,7 +28,8 @@ quotient layer.
 
 Each basis an algebra lists (the ambient one, or A's) is held to its
 ``max_basis``: the limit given when it is made, else the one
-``errors.basis_limit`` reads from TCCONF_MAX_BASIS or its default.
+``errors.basis_limit`` reads from TCCONF_MAX_BASIS or its default.  A
+(degree, handle weight) block of either is enumerated, listing nothing.
 """
 
 from __future__ import annotations
@@ -66,6 +67,41 @@ def omega_letter(genus):
 _LETTER_RE = re.compile(r"([ab])(\d+)\((\d+)\)$|w(\d+)$")
 
 
+class _Weight(tuple):
+    """A nonzero handle weight: (handle, a(p) minus b(p) letters) pairs by handle; 0 is zero."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _weight([*self, *(other or ())])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Weight([(p, -v) for p, v in self])
+
+
+def _weight(pairs):
+    """The weight of these (handle, count) pairs summed: 0 or a ``_Weight``."""
+    net = {}
+    for p, v in pairs:
+        net[p] = net.get(p, 0) + v
+    pairs = sorted(pv for pv in net.items() if pv[1])
+    return _Weight(pairs) if pairs else 0
+
+
+def _fits(left, places, owed, owed_special, room):
+    """Whether ``places`` coordinates can take ``left`` more degree, ``owed`` of it
+    degree-1 letters the weight needs (``owed_special`` of them special), with room
+    for ``room`` special letters: the rest goes to w's, one coordinate each and
+    special at genus >= 2, and to a(1)b(1) pairs, two each."""
+    spare = left - owed
+    if spare < 0 or spare & 1 or owed_special > room:
+        return False
+    pairs = spare >> 1
+    return owed + 2 * pairs - min(pairs, room - owed_special) <= places
+
+
 class SurfacePowerAlgebra(GradedAlgebraBase):
     """The full cohomology algebra of the n-fold power of a genus-g surface."""
 
@@ -82,8 +118,8 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         # The guard on every basis listed for this algebra and its handle_reduced.
         self.max_basis = basis_limit(max_basis)
         # Checked before anything is allocated: each list of letters holds 2g+2
-        # entries and each word n.  The letter rule, 4g+1 entries, and the
-        # letter weights, O(g^2 log n) bits, are built on first use.
+        # entries and each word n.  The letter rule, 4g+1 entries, is built on
+        # first use.
         self._guard("letter count", 2 * genus + 2)
         if points > MAX_POINTS:
             raise SizeGuardError(
@@ -146,9 +182,13 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
                 limit=limit,
             )
 
+    def _guard_basis(self):
+        """Refuse a basis past the guard from its count, listing nothing."""
+        self._guard("ambient basis size", len(self._letters) ** self.points)
+
     def _monomials(self):
         """All (2g+2)^n letter words, in tuple order."""
-        self._guard("ambient basis size", len(self._letters) ** self.points)
+        self._guard_basis()
         return itertools.product(self._letters, repeat=self.points)
 
     # -- monomial products ------------------------------------------------
@@ -205,24 +245,70 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
 
         return times
 
-    @cached_property
-    def _lweight(self):
-        """Each letter's handle weight (``monomial_weight``)."""
-        lweight = [0] * (2 * self.genus + 2)
-        for p in range(1, self.genus + 1):
-            unit = (2 * self.points + 1) ** (p - 1)
-            lweight[2 * p - 1], lweight[2 * p] = unit, -unit
-        return lweight
-
     def monomial_weight(self, m):
-        """The handle weight a(p) -> +e_p, b(p) -> -e_p, w -> 0, as one int.
+        """The handle weight a(p) -> +e_p, b(p) -> -e_p, w -> 0, as 0 or a ``_Weight``.
 
-        Products add weights.  The weight vector is packed in balanced base
-        2n+1; each component lies in -n..n, so distinct weights give
-        distinct ints.
+        Products add weights.  It takes O(n) and no table.
         """
-        lw = self._lweight
-        return sum([lw[c] for c in m])
+        w = self._omega
+        return _weight([((c + 1) >> 1, 1 if c & 1 else -1) for c in m if 0 < c < w])
+
+    def _block(self, degree, weight, unit=None):
+        """The words of one (degree, weight) block in tuple order, listing nothing.
+
+        With ``unit`` (numbered from 1), only those with the unit there.  A
+        word is built coordinate by coordinate, and a letter placed only
+        where the rest can still be completed (``_fits``), so every branch
+        ends in a word.  A coordinate tries the unit, a(1), b(1), w and the
+        handles the weight still names; every handle only where a pair of
+        special letters may still open, and then each ends in words.  A
+        letter the weight names always fits where its word did.
+        """
+        n, w, sp = self.points, self._omega, self.special
+        need = dict(weight or ())  # per handle: a(p) letters minus b(p) letters still to place
+        skip = -1 if unit is None else unit - 1
+        word, out = [UNIT] * n, []
+
+        def walk(i, left, places, owed, owed_special, room):
+            if not left:  # the rest are units
+                out.append(tuple(word))
+                return
+            if i == skip:
+                i += 1
+            places -= 1
+            if _fits(left, places, owed, owed_special, room):
+                walk(i + 1, left, places, owed, owed_special, room)
+            v = need.get(1, 0)
+            opens = _fits(left - 1, places, owed + 1, owed_special, room)  # an a(1)b(1) pair
+            letters = [c for c, named in ((1, v > 0), (2, v < 0)) if named or opens]
+            if sp[w]:  # the handles past the first, which genus 1 lacks
+                if _fits(left - 1, places, owed + 1, owed_special + 1, room - 1):
+                    letters += range(3, w)  # a pair of special letters may open at any handle
+                else:
+                    letters += sorted(2 * p - (v > 0) for p, v in need.items() if v and p > 1)
+            for c in letters:
+                p, step, special = (c + 1) >> 1, 1 if c & 1 else -1, sp[c]
+                v = need.get(p, 0)
+                gain = -1 if v * step > 0 else 1  # the letters still owed shrink or grow
+                word[i], need[p] = c, v - step
+                walk(i + 1, left - 1, places, owed + gain, owed_special + gain * special,
+                     room - special)
+                if v:
+                    need[p] = v
+                else:  # so need names no more handles than a word has letters
+                    del need[p]
+            if _fits(left - 2, places, owed, owed_special, room - sp[w]):
+                word[i] = w
+                walk(i + 1, left - 2, places, owed, owed_special, room - sp[w])
+            word[i] = UNIT
+
+        owed = sum(map(abs, need.values()))
+        # no letter is special at genus 1, so no word runs out of room for them
+        start = (degree, n - (unit is not None), owed, owed - abs(need.get(1, 0)),
+                 self.max_special if sp[w] else n)
+        if _fits(*start):
+            walk(0, *start)
+        return out
 
     @cached_property
     def handle_reduced(self):
@@ -324,12 +410,15 @@ class HandleReducedAlgebra(SurfacePowerAlgebra):
     """The power algebra modulo the cross-handle products: the ring A.
 
     Its basis is the words with at most one special letter (``max_special``),
-    listed by :func:`reduced_monomials` on first use under the basis guard;
-    ``is_monomial`` reads the rule off the letters, and a product that
-    leaves the words is zero.
+    listed by :func:`reduced_monomials` on first use under the basis guard,
+    and enumerated one block at a time by ``_block``; ``is_monomial`` reads
+    the rule off the letters, and a product that leaves the words is zero.
     """
 
     max_special = 1
+
+    def _guard_basis(self):
+        self._guard("handle-reduced basis size", reduced_basis_count(self.genus, self.points))
 
     def _monomials(self):
         return reduced_monomials(self)
@@ -429,12 +518,11 @@ def reduced_monomials(algebra):
     every word is listed.  The basis guard limits their count
     (:func:`reduced_basis_count`), checked before listing.
     """
-    g, n = algebra.genus, algebra.points
-    algebra._guard("handle-reduced basis size", reduced_basis_count(g, n))
+    algebra.handle_reduced._guard_basis()
     special = algebra.special
     # Words of the current length with no special letter, and with at most one.
     none, upto1 = [()], [()]
-    for _ in range(n):
+    for _ in range(algebra.points):
         none, upto1 = (
             [(c,) + w for c, sc in enumerate(special) if not sc for w in none],
             [(c,) + w for c, sc in enumerate(special) for w in (none if sc else upto1)],

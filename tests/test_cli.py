@@ -1,8 +1,10 @@
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,7 +19,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from conftc.cli import RunConfig, build_parser, main, run, schema_path
-from conftc.surfaces import SurfacePowerAlgebra
+from conftc.surfaces import HandleReducedAlgebra, SurfacePowerAlgebra
 
 needs_jsonschema = pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
 
@@ -224,23 +226,56 @@ def test_guard_refusals_name_the_listed_basis(capsys):
         assert line.startswith("refused: " + named) and line.endswith("limit 100000")
 
 
-def test_b_commands_never_list_the_ambient_basis(monkeypatch):
-    def boom(*args):
-        raise AssertionError("the ambient basis was listed")
+def test_certify_and_table_list_no_basis(monkeypatch):
+    def refusing(kind):
+        def listing(self):
+            raise AssertionError(f"the {kind} basis was listed")
+
+        return listing
 
     # A fresh guard value keys fresh cached algebras and quotients.
     monkeypatch.setenv("TCCONF_MAX_BASIS", "99991")
-    monkeypatch.setattr(SurfacePowerAlgebra, "monomials_of_degree", boom)
-    monkeypatch.setattr(SurfacePowerAlgebra, "_monomials", boom)
+    monkeypatch.setattr(SurfacePowerAlgebra, "_monomials", refusing("ambient"))
+    # lemmas lists A for its shifted basis, never the ambient one
+    code, out = run_config(command="lemmas", genus=(2,), points=(3,))
+    assert code == 0 and out
+    monkeypatch.setattr(HandleReducedAlgebra, "_monomials", refusing("handle-reduced"))
     for kw in (
         dict(command="certify", genus=(2,), points=(4,), stages=(3,)),
-        dict(command="table", genus=(2,), points=(3,), stages=(3,)),
-        dict(command="lemmas", genus=(2,), points=(3,)),
+        dict(command="certify", ring="E", genus=(2,), points=(3,), stages=(2, 3)),
+        dict(command="certify", ring="E", genus=(1,), points=(2,), stages=(2,)),
+        dict(command="table", genus=(1, 2), points=(2, 3), stages=(2, 3)),
     ):
         code, out = run_config(**kw)
         assert code == 0 and out
-    with pytest.raises(AssertionError, match="ambient basis was listed"):
-        run_config(command="certify", ring="E", genus=(2,), points=(2,))
+    with pytest.raises(AssertionError, match="the ambient basis was listed"):
+        run_config(command="basis", genus=(2,), points=(2,))
+
+
+def test_a_grid_holds_one_algebra_at_a_time(monkeypatch):
+    built = []
+    build = quotients.build_quotient
+
+    def noted(algebra, kind):
+        q = build(algebra, kind)
+        built.append(((algebra.genus, algebra.points, kind), weakref.ref(algebra), weakref.ref(q.parent)))
+        return q
+
+    # A fresh guard value keys fresh cached algebras and quotients.
+    monkeypatch.setenv("TCCONF_MAX_BASIS", "99989")
+    monkeypatch.setattr(quotients, "build_quotient", noted)
+    code, _out = run_config(command="table", genus=(1, 2), points=(2, 3), stages=(2, 3))
+    assert code == 0
+    assert [cell for cell, *_refs in built] == [(g, n, "B") for g in (1, 2) for n in (2, 3)]
+    gc.collect()
+    # the cells past the first (g, n) freed its algebra, A included; the last is held
+    for _cell, *refs in built[:-1]:
+        assert [ref() for ref in refs] == [None, None]
+    assert None not in [ref() for ref in built[-1][1:]]
+    # basis builds A and E once per (g, n)
+    del built[:]
+    assert run_config(command="basis", genus=(2,), points=(2, 3))[0] == 0
+    assert [cell for cell, *_refs in built] == [(2, n, kind) for n in (2, 3) for kind in "AE"]
 
 
 def test_config_validation_errors():

@@ -7,6 +7,7 @@ import pytest
 from conftc.fields import GF2, Bit, RATIONALS
 from conftc.linalg import GradedSubspace
 from conftc.quotients import build_quotient, cached_surface
+from conftc.surfaces import SurfacePowerAlgebra
 
 from oracles import dense_membership, dense_rank
 
@@ -317,6 +318,26 @@ def test_stored_rows_hold_no_table_left_by_edits():
     rows = [row for d in space.degrees() for row in space._space._rows[d].values()]
     assert len(rows) == 725
     assert all(sys.getsizeof(row) == sys.getsizeof(dict(row)) for row in rows)
+
+
+def test_column_index_names_each_holding_row_once(monkeypatch):
+    # At every seal each index entry names a row that still holds the column,
+    # once: a row leaves a column's entry when the column cancels in it.
+    seals = []
+    seal = GradedSubspace.seal
+
+    def checked(self, degree):
+        rows = self._rows[degree]
+        for column, holders in self._holders.get(degree, {}).items():
+            assert len(holders) == len(set(holders))
+            assert all(column in rows[p] for p in holders)
+        seals.append(sum(map(len, self._holders.get(degree, {}).values())))
+        return seal(self, degree)
+
+    monkeypatch.setattr(GradedSubspace, "seal", checked)
+    for kind in "EB":
+        build_quotient(SurfacePowerAlgebra(2, 4), kind).dimension
+    assert len(seals) > 100 and max(seals) > 100
 
 
 def test_rational_scalars_are_int_unless_a_fraction_is_needed():

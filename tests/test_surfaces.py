@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from conftc import surfaces
 from conftc.algebra import Element, TruncatedPolynomialAlgebra
 from conftc.errors import ConfigurationError, SizeGuardError, basis_limit
 from conftc.fields import RATIONALS
@@ -517,3 +518,77 @@ def test_handle_reduced_refuses_words_with_two_special_letters():
     assert Element.monomial(reduced, reduced.parse_word("a1(1)*b2(1)*w3"))
     assert reduced.a(2, 2) * reduced.omega(3) == Element.zero(reduced)
     assert reduced.a(2, 2) * reduced.a(3, 1) != Element.zero(reduced)
+
+
+def _blocks_by_listing(alg):
+    """Every (degree, weight) block of the listed basis, in listing order."""
+    blocks = {}
+    for d, ms in enumerate(alg.monomials_by_degree):
+        for m in ms:
+            blocks.setdefault((d, alg.monomial_weight(m)), []).append(m)
+    return blocks
+
+
+def _with_unit(ms, unit):
+    return [m for m in ms if unit is None or m[unit - 1] == 0]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_blocks_are_the_filtered_listing_in_order(g):
+    # every block of A, and of the power algebra where it has at most 10^4
+    # words, with each unit coordinate and with none
+    for n in range(1, 6):
+        power = SurfacePowerAlgebra(g, n)
+        for alg in (power, power.handle_reduced)[(2 * g + 2) ** n > 10**4 :]:
+            blocks = _blocks_by_listing(alg)
+            for (d, weight), ms in blocks.items():
+                for unit in (None, *range(1, n + 1)):
+                    assert alg._block(d, weight, unit) == _with_unit(ms, unit), (d, weight)
+            # a weight no word of the degree has gives an empty block
+            assert alg._block(1, alg.monomial_weight((a_letter(1),) * n)) == ([] if n > 1 else [(1,)])
+
+
+@pytest.mark.parametrize("g", [200, 1000])
+def test_blocks_at_a_large_genus(g):
+    power = SurfacePowerAlgebra(g, 3)
+    alg = power.handle_reduced
+    listed = _blocks_by_listing(alg)  # 10,800 and 54,000 words
+    w = omega_letter(g)
+    for word in [(0, 0, 0), (1, 2, 0), (3, 0, 2), (2 * g - 1, 1, 1), (0, 2 * g, w), (5, 6, 2)]:
+        block = (power.monomial_degree(word), power.monomial_weight(word))
+        for unit in (None, 1, 3):
+            assert alg._block(*block, unit) == _with_unit(listed.get(block, []), unit)
+            # the power algebra's block: its own words, in order, each once
+            got = power._block(*block, unit)
+            assert got == sorted(set(got))
+            assert (word in got) == (unit is None or word[unit - 1] == 0)
+            for m in got:
+                assert power.is_monomial(m) and (unit is None or m[unit - 1] == 0)
+                assert (power.monomial_degree(m), power.monomial_weight(m)) == block
+    # degree 2, weight 0: a w, or a(p) and b(p) on two coordinates in either order
+    assert len(power._block(2, 0)) == 3 + 6 * g
+    assert len(power._block(2, 0, 3)) == 2 + 2 * g
+
+
+def test_block_work_is_bounded_by_its_words(monkeypatch):
+    # Each letter tried is one feasibility test, and every branch taken ends
+    # in a word, so the tests per block are at most a constant times the
+    # letters of the words it yields, whatever the genus: no coordinate
+    # scans the handles.
+    calls = [0]
+    fits = surfaces._fits
+
+    def counted(*args):
+        calls[0] += 1
+        return fits(*args)
+
+    monkeypatch.setattr(surfaces, "_fits", counted)
+    for g, n in [(1, 5), (2, 5), (4, 4), (200, 3), (1000, 3)]:
+        for alg in (SurfacePowerAlgebra(g, n), SurfacePowerAlgebra(g, n).handle_reduced):
+            w = omega_letter(g)
+            for word in [(0,) * n, (1,) * (n - 1) + (w,), (2 * g - 1, w) + (2,) * (n - 2),
+                         (2 * g - 1, 2 * g) + (0,) * (n - 2)]:
+                for unit in (None, n):
+                    calls[0] = 0
+                    got = alg._block(alg.monomial_degree(word), alg.monomial_weight(word), unit)
+                    assert calls[0] <= 3 * n * (len(got) + 1), (g, n, word, unit)
