@@ -32,8 +32,8 @@ class GradedAlgebraBase:
     ordered, and their own order is the one used for pivots and text
     output; ``one`` is the unit monomial.  A monomial's degree and validity
     come from the monomial itself, so products never list the basis; the
-    basis is listed on first use of the queries below, and by ``_block``
-    unless a subclass enumerates its blocks by rule.
+    basis is listed on first use of the queries below, and by ideal spans
+    unless a subclass enumerates its blocks by rule (a ``_block`` method).
     """
 
     field = None
@@ -88,15 +88,6 @@ class GradedAlgebraBase:
     def monomial_weight(self, m):
         """A grading finer than degree that products add; 0 (trivial) by default."""
         return 0
-
-    def _block(self, degree, weight, unit=None, weigh=None):
-        """The listed monomials of the degree and weight (by ``weigh``, else ``monomial_weight``),
-        in order, with the unit at coordinate ``unit`` (from 1) if given."""
-        weigh, one = weigh or self.monomial_weight, self.one
-        return [
-            m for m in self.monomials_by_degree[degree]
-            if weigh(m) == weight and (unit is None or m[unit - 1] == one[unit - 1])
-        ]
 
     def monomial_word(self, m) -> str:
         raise NotImplementedError

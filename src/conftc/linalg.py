@@ -14,10 +14,12 @@ counts it.
 ``insert`` back-substitutes the new row only into the rows that hold its
 pivot, found through an index from each column to the rows that hold an
 entry there: a row enters when it gains the column and leaves when the
-column cancels, so the index names each such row once.  ``seal`` drops a
-degree's index once no later vector shares a column with its rows, as when
-a span is built one block of columns at a time (``quotients.IdealSpan``
-seals each block it eliminates), so the index never outlives its block.
+column cancels, so the index names each such row once.  That cost follows
+the order rows arrive in: a row whose pivot is below every stored pivot is
+held by none (``quotients.IdealSpan`` inserts a block by decreasing lead).
+``seal`` drops a degree's index once no later vector shares a column with
+its rows, as when a span is built one block of columns at a time, so the
+index never outlives its block.
 
 Integer entries stay ``int``: a row whose pivot is +1 or -1 is normalized
 by a sign change, and any other pivot by multiplying with

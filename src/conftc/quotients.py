@@ -34,12 +34,12 @@ at coordinate i.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from math import inf
 from operator import itemgetter
 
-from .algebra import Element, GradedAlgebraBase, TensorElement, _add_terms
+from .algebra import Element, TensorElement, _add_terms
 from .errors import basis_limit, check_term_limit
 from .linalg import GradedSubspace
 from .surfaces import SurfacePowerAlgebra, xy_pair_relations, totaro_relations
@@ -86,17 +86,16 @@ class IdealSpan:
     generator is not homogeneous for it.  Products add weights, so the rows
     of block (D, w) come only from a generator r times the multipliers of
     block (D - deg r, w - weight r), and no two blocks share a column.  Each
-    block is eliminated on its own, from the algebra's ``_times`` of each
-    generator in the same order as over the whole degree, and then sealed.
-    The reduced echelon form over a fixed column order is unique, so the
-    rows do not depend on which blocks were asked for first.
+    block is eliminated on its own, in lead order (``_eliminate``), and then
+    sealed.  The reduced echelon form over a fixed column order is unique,
+    so the rows depend neither on that order nor on which blocks were asked
+    for first.
 
-    The multipliers of a block come from the algebra's ``_block``, once for
-    each generator degree, weight and unit coordinate in use; an algebra
-    with a rule enumerates them, so a normal form lists no basis.
-    ``reduce`` eliminates the blocks of its vector's monomials first, and
-    ``pivots``, ``rank`` and ``total_rank`` those of every basis monomial of
-    the degrees they read; both go through ``_ensure``.
+    ``reduce`` eliminates the blocks of its vector's monomials first, with
+    multipliers from the algebra's ``_block`` if it enumerates blocks by
+    rule, so a normal form lists no basis.  ``pivots``, ``rank``,
+    ``total_rank`` and algebras without a rule take them from the listed
+    basis, each word weighed once (``_listed``).
     """
 
     def __init__(self, algebra, work):
@@ -104,56 +103,83 @@ class IdealSpan:
         self.field = algebra.field
         self._top = algebra.top_degree
         self._space = GradedSubspace(range(self._top + 1), self.field)
-        weigh, self._block = algebra.monomial_weight, algebra._block
+        weigh, rule = algebra.monomial_weight, getattr(algebra, "_block", None)
         if any(len({weigh(m) for m in r.terms}) > 1 for r, _unit in work):
-            weigh = _no_weight
-            self._block = partial(GradedAlgebraBase._block, algebra, weigh=weigh)
-        self._work = [
-            (algebra._times(r.terms.items()), r.degree(), -weigh(next(iter(r.terms))), unit)
-            for r, unit in work
-        ]
+            weigh, rule = _no_weight, None
+        self._block = rule or self._listed_block
+        self._work = {}  # (degree, -weight, unit coordinate) -> the _times of those generators
+        for r, unit in work:
+            key = (r.degree(), -weigh(next(iter(r.terms))), unit)
+            self._work.setdefault(key, []).append(algebra._times(r.terms.items()))
         self._weigh = weigh
         self._built = set()  # (degree, weight) blocks eliminated
+        self._groups = {}  # degree -> {weight: its listed words}
         self._whole = set() if work else set(range(self._top + 1))  # degrees fully eliminated
 
     def _check_degree(self, degree):
         if not 0 <= degree <= self._top:
             raise ValueError(f"degree out of range: {degree}")
 
-    def _eliminate(self, degree, weight):
-        """Insert every multiple that lands in block (degree, weight)."""
+    def _eliminate(self, degree, weight, block):
+        """Insert every multiple that lands in block (degree, weight), multipliers from ``block``.
+
+        Multipliers go in decreasing order, each times its group's generators:
+        a large one kills the large terms, so one-term products come early.
+        Each product is inserted once, reduced by the block's one-term rows
+        (their columns dropped): at once if at most one term is left, as it is
+        redundant or a row holding no other column, else after the others, by
+        decreasing lead, its least word.  A new lead is then held by no earlier
+        row, so ``insert`` rarely back-substitutes.
+        """
         self._built.add((degree, weight))
-        blocks = {}
-        for times, e, less, unit in self._work:
+        single, held = set(), []
+        for (e, less, unit), products in self._work.items():
             if degree < e:
                 continue
-            multipliers = blocks.get((e, less, unit))
-            if multipliers is None:
-                multipliers = blocks[e, less, unit] = self._block(degree - e, weight + less, unit)
-            for m in multipliers:
-                if vec := times(m):
-                    self._space.insert(vec, degree)
+            for m in reversed(block(degree - e, weight + less, unit)):
+                for times in products:
+                    if vec := times(m):
+                        for k in single.intersection(vec):
+                            del vec[k]
+                        if len(vec) > 1:
+                            held.append(vec)
+                        else:
+                            single.update(vec)
+                            self._space.insert(vec, degree)
+        held.sort(key=min, reverse=True)
+        for vec in held:
+            self._space.insert(vec, degree)
         self._space.seal(degree)
 
-    def _ensure(self, degree, monomials):
-        """Eliminate the blocks of the degree that the monomials lie in, if not yet built."""
-        weigh, built = self._weigh, self._built
-        for m in monomials:
-            block = (degree, weigh(m))
-            if block not in built:
-                self._eliminate(*block)
+    def _listed(self, degree):
+        """The listed words of the degree by weight, each weighed once."""
+        groups = self._groups.get(degree)
+        if groups is None:
+            groups = self._groups[degree] = {}
+            for m in self.algebra.monomials_by_degree[degree]:
+                groups.setdefault(self._weigh(m), []).append(m)
+        return groups
+
+    def _listed_block(self, degree, weight, unit=None):
+        """The listed words of a block, with the unit at coordinate ``unit`` (from 1) if given."""
+        one, ms = self.algebra.one, self._listed(degree).get(weight, ())
+        return ms if unit is None else [m for m in ms if m[unit - 1] == one[unit - 1]]
 
     def _eliminate_degree(self, degree):
         self._check_degree(degree)
         if degree not in self._whole:
-            self._ensure(degree, self.algebra.monomials_by_degree[degree])
+            for w in self._listed(degree):
+                if (degree, w) not in self._built:
+                    self._eliminate(degree, w, self._listed_block)
             self._whole.add(degree)
 
     def reduce(self, v, degree):
         """Normal form of v against the rows of the given degree (see ``GradedSubspace.reduce``)."""
         if degree not in self._whole:
             self._check_degree(degree)
-            self._ensure(degree, v)
+            for m in v:
+                if (degree, w := self._weigh(m)) not in self._built:
+                    self._eliminate(degree, w, self._block)
         return self._space.reduce(v, degree)
 
     def pivots(self, degree):

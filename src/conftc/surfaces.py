@@ -73,7 +73,7 @@ class _Weight(tuple):
     __slots__ = ()
 
     def __add__(self, other):
-        return _weight([*self, *(other or ())])
+        return _weight([*self, *other]) if other else self
 
     __radd__ = __add__
 

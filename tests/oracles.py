@@ -331,18 +331,21 @@ def handle_reduced_image(x):
     return Element(reduced, {m: c for m, c in x.terms.items() if not killed(m)})
 
 
-def eager_ideal_span(algebra, generators):
+def eager_ideal_span(algebra, generators, rng=None):
     """Every block of ``quotients.ideal_span(algebra, generators)``, eliminated at once.
 
     The elimination loop as it ran before the blocks were built on demand:
     each generator times each usable multiplier of each degree, in listing
     order, with a ``mono_mul`` loop, inserted into its degree, where no
-    block is sealed.  Returns the ``GradedSubspace`` as built.
+    block is sealed.  With ``rng`` (a ``random.Random``) the products are
+    inserted in the order it shuffles them to instead.  Returns the
+    ``GradedSubspace`` as built.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
     top = algebra.top_degree
     space = GradedSubspace(range(top + 1), algebra.field)
+    products = []
     for r, unit in zip(gens, units):
         if r.is_zero():
             continue
@@ -351,14 +354,18 @@ def eager_ideal_span(algebra, generators):
             for m in algebra.monomials_by_degree[d]:
                 if unit is not None and m[unit - 1] != algebra.one[unit - 1]:
                     continue
-                products = []
+                pairs = []
                 for mr, cr in r.terms.items():
                     res = algebra.mono_mul(m, mr)
                     if res is not None:
-                        products.append((res[0], cr if res[1] > 0 else -cr))
-                vec = _add_terms({}, products)
+                        pairs.append((res[0], cr if res[1] > 0 else -cr))
+                vec = _add_terms({}, pairs)
                 if vec:
-                    space.insert(vec, d + e)
+                    products.append((vec, d + e))
+    if rng is not None:
+        rng.shuffle(products)
+    for vec, degree in products:
+        space.insert(vec, degree)
     return space
 
 

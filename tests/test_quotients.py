@@ -29,6 +29,7 @@ from oracles import (
     b_ideal_leads,
     cross_handle_predicate,
     dense_rank,
+    eager_ideal_span,
     genus_embedding,
     handle_reduced_image,
     monomial_multiples,
@@ -430,6 +431,48 @@ def test_base_axis_matches_elimination_of_every_multiple(g, n):
     for d in oracle.degrees():
         assert built.pivots(d) == oracle.pivots(d)
         assert rref_rows(built, d) == rref_rows(oracle, d)
+
+
+# -- lead-ordered blocks against the listing-order oracle -------------------
+
+ORACLE_CELLS = [(g, n, "E") for g, n in E_GRID] + [(1, 3, "B"), (2, 4, "B"), (3, 3, "B")]
+
+
+def oracle_generators(q, ring):
+    return totaro_relations(q.parent) if ring == "E" else xy_pair_relations(q.parent)
+
+
+@pytest.mark.parametrize("g,n,ring", ORACLE_CELLS)
+def test_lead_ordered_rows_equal_the_listing_order_rows(g, n, ring):
+    # every block's stored rows, pivots and entries, against the mono_mul
+    # loop that inserts each product in listing order
+    q = build_quotient(cached_surface(g, n), ring)
+    q.ideal.total_rank()
+    oracle = eager_ideal_span(q.parent, oracle_generators(q, ring))
+    assert q.ideal._space._rows == oracle._rows
+
+
+@pytest.mark.parametrize("g,n,ring", [(1, 4, "E"), (2, 4, "E"), (2, 4, "B"), (3, 3, "B")])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shuffled_insertion_gives_the_same_rows(g, n, ring, seed):
+    q = build_quotient(cached_surface(g, n), ring)
+    q.ideal.total_rank()
+    shuffled = eager_ideal_span(q.parent, oracle_generators(q, ring), random.Random(seed))
+    assert q.ideal._space._rows == shuffled._rows
+
+
+def count_rewritten_rows(monkeypatch):
+    """Count the rows each ``insert`` back-substitutes into: those that hold its new pivot."""
+    rewritten = [0]
+    orig = GradedSubspace.insert
+
+    def counting(self, v, degree):
+        if r := self.reduce(v, degree):
+            rewritten[0] += len(self._holders.get(degree, {}).get(min(r), ()))
+        return orig(self, v, degree)
+
+    monkeypatch.setattr(GradedSubspace, "insert", counting)
+    return rewritten
 
 
 def count_inserts(monkeypatch):
