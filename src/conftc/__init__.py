@@ -29,7 +29,6 @@ from .quotients import (
 from .surfaces import (
     RelationSet,
     SurfacePowerAlgebra,
-    cross_handle_relations,
     xy_pair_relations,
     totaro_relations,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "TruncatedPolynomialAlgebra",
     "VerificationError",
     "build_quotient",
-    "cross_handle_relations",
     "cached_quotient",
     "cached_surface",
     "evaluate_certificate",

@@ -10,9 +10,8 @@ convention: moving a factor of degree p past one of degree q costs
 coefficient, and share their linear structure, equality and text form
 through one private base class.
 
-Elements serialize to a stable text form, one signed coefficient followed
-by a monomial word per term (tensor slots joined by ``(x)``), and parse
-back bit-exactly.
+Elements print to a stable text form, one signed coefficient followed by
+a monomial word per term (tensor slots joined by ``(x)``).
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ class GradedAlgebraBase:
     """Shared monomial bookkeeping for concrete algebra presentations.
 
     Subclasses set ``top_degree`` and implement ``is_monomial``,
-    ``monomial_degree``, ``_monomials``, ``mono_mul``, ``monomial_word`` and
-    ``parse_word``; ``monomial_weight`` may add a grading that lets
-    elimination split each degree into blocks.  Monomials are hashable and
-    ordered, and their own order is the one used for pivots and text
-    output; ``one`` is the unit monomial.  A monomial's degree and validity
+    ``monomial_degree``, ``_monomials``, ``mono_mul`` and ``monomial_word``;
+    ``monomial_weight`` may add a grading that lets elimination split each
+    degree into blocks.  Monomials are hashable and ordered, and their own
+    order is the one used for pivots and text output; ``one`` is the unit
+    monomial.  A monomial's degree and validity
     come from the monomial itself, so products never list the basis; the
     basis is listed on first use of the queries below, and by ideal spans
     unless a subclass enumerates its blocks by rule (a ``_block`` method).
@@ -90,9 +89,6 @@ class GradedAlgebraBase:
         return 0
 
     def monomial_word(self, m) -> str:
-        raise NotImplementedError
-
-    def parse_word(self, word: str):
         raise NotImplementedError
 
 
@@ -203,20 +199,6 @@ class _SparseCombination:
             for k in sorted(self.terms)
         )
 
-    @staticmethod
-    def _parse_terms(algebra, text, parse_key, what):
-        """The terms of a text form; ``parse_key`` reads the word of one key."""
-        tokens = text.split()
-        if tokens == ["0"]:
-            return {}
-        if len(tokens) % 2:
-            raise ValueError(f"malformed {what} text: {text!r}")
-        pairs = []
-        for k in range(0, len(tokens), 2):
-            c = algebra.field.parse(tokens[k])
-            pairs.append((parse_key(tokens[k + 1]), c))
-        return _add_terms({}, pairs)
-
     def __repr__(self):
         return f"<{self.to_text()}>"
 
@@ -249,10 +231,6 @@ class Element(_SparseCombination):
     @classmethod
     def unit(cls, algebra):
         return cls.monomial(algebra, algebra.one)
-
-    @classmethod
-    def from_text(cls, algebra, text: str):
-        return cls(algebra, cls._parse_terms(algebra, text, algebra.parse_word, "element"))
 
     # -- keys -------------------------------------------------------------
 
@@ -312,10 +290,6 @@ class TensorElement(_SparseCombination):
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, algebra, arity):
-        return cls(algebra, arity, {})
-
-    @classmethod
     def unit(cls, algebra, arity):
         one = (algebra.one,) * arity
         return cls(algebra, arity, {one: algebra.field.one})
@@ -357,18 +331,6 @@ class TensorElement(_SparseCombination):
                 ]
             _add_terms(terms, partial)
         return cls(algebra, arity, terms)
-
-    @classmethod
-    def from_text(cls, algebra, arity, text: str):
-        def parse_key(word):
-            words = word.split("(x)")
-            if len(words) != arity:
-                raise ValueError(
-                    f"expected {arity} tensor slots, got {len(words)}: {word!r}"
-                )
-            return tuple(algebra.parse_word(w) for w in words)
-
-        return cls(algebra, arity, cls._parse_terms(algebra, text, parse_key, "tensor"))
 
     # -- keys -------------------------------------------------------------
 
@@ -485,16 +447,3 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
         if m == 1:
             return self.name
         return f"{self.name}^{m}"
-
-    def parse_word(self, word: str):
-        if word == "1":
-            return 0
-        if word == self.name:
-            return 1
-        head, sep, exp = word.partition("^")
-        if head != self.name or not sep or not exp.isdigit():
-            raise ValueError(f"unknown monomial word: {word!r}")
-        e = int(exp)
-        if e >= self.truncation:
-            raise ValueError(f"monomial {word!r} exceeds truncation {self.truncation}")
-        return e

@@ -4,12 +4,12 @@ Scalars are plain values supporting ``+ - *`` and truthiness (``bool(x)``
 is False exactly for zero): a rational is an ``int`` when integral and a
 :class:`fractions.Fraction` otherwise, and GF(2) has :class:`Bit`.  A
 :class:`Field` object tags which field an algebra works over and provides
-conversion, parsing, formatting, ``canonical`` (a scalar in the type the
-field keeps it in) and ``inverse``, the only division (a ``Fraction`` over
-the rationals, never a ``float``); all other arithmetic
-goes through the scalar operators so that linear algebra and element code
-stay field-agnostic.  ``Fraction(1) == 1`` and the two hash alike, so
-equality and text do not depend on which type holds an integral value.
+conversion, formatting, ``canonical`` (a scalar in the type the field
+keeps it in) and ``inverse``, the only division (a ``Fraction`` over the
+rationals, never a ``float``); all other arithmetic goes through the
+scalar operators so that linear algebra and element code stay
+field-agnostic.  ``Fraction(1) == 1`` and the two hash alike, so equality
+and text do not depend on which type holds an integral value.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class Field:
     def from_int(self, k):
         raise NotImplementedError
 
-    def parse(self, text):
-        raise NotImplementedError
-
     def inverse(self, c):
         """The multiplicative inverse of a nonzero scalar."""
         raise NotImplementedError
@@ -96,12 +93,7 @@ class RationalField(Field):
         return int(k)
 
     # ``fractions`` (with ``decimal``, which it imports) is loaded on the
-    # first division or parse, not at start-up: most runs never divide.
-    def parse(self, text):
-        from fractions import Fraction
-
-        return self.canonical(Fraction(text))
-
+    # first division, not at start-up: most runs never divide.
     def inverse(self, c):
         from fractions import Fraction
 
@@ -119,9 +111,6 @@ class BinaryField(Field):
 
     def from_int(self, k):
         return Bit(k)
-
-    def parse(self, text):
-        return Bit(int(text))
 
     def inverse(self, c):
         if not c:

@@ -39,7 +39,7 @@ from itertools import product
 from math import inf
 from operator import itemgetter
 
-from .algebra import Element, TensorElement, _add_terms
+from .algebra import Element, _add_terms
 from .errors import basis_limit, check_term_limit
 from .linalg import GradedSubspace
 from .surfaces import SurfacePowerAlgebra, xy_pair_relations, totaro_relations
@@ -50,42 +50,35 @@ QUOTIENT_LABELS = ("BASE_AXIS", "HANDLE_REDUCED", "CERTIFICATE", "CUSTOM")
 def ideal_span(algebra, generators):
     """The span of the basis-monomial multiples of the generators.
 
-    Generators must be homogeneous.
+    Generators must be homogeneous, for degree and for the algebra's
+    ``monomial_weight``.
 
     A :class:`~conftc.surfaces.RelationSet` with ``unit_coordinates``
     multiplies each generator only by monomials carrying the unit at its
     unit coordinate; a plain list of generators uses every multiplier.
 
     Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
-    each block of its rows the first time it is read.  Its blocks follow
-    the algebra's ``monomial_weight``, or weigh every monomial 0 (one block
-    per degree) when a generator is not homogeneous for it, in which case
-    its multipliers are the listed basis, filtered.
+    each block of its rows the first time it is read.
     """
     gens = list(getattr(generators, "generators", generators))
     units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
-    work = []
+    weigh, work = algebra.monomial_weight, []
     for r, unit in zip(gens, units):
         if r.is_zero():
             continue
-        if not r.is_homogeneous():
+        if not r.is_homogeneous() or len({weigh(m) for m in r.terms}) > 1:
             raise ValueError(f"inhomogeneous generator: {r.to_text()}")
         work.append((r, unit))
     return IdealSpan(algebra, work)
-
-
-def _no_weight(m):
-    return 0
 
 
 class IdealSpan:
     """Reduced echelon rows of an ideal span, each block eliminated on first use.
 
     A block is one (degree, weight) pair of the algebra's
-    ``monomial_weight``, or of the weight 0 for every monomial when a
-    generator is not homogeneous for it.  Products add weights, so the rows
-    of block (D, w) come only from a generator r times the multipliers of
-    block (D - deg r, w - weight r), and no two blocks share a column.  Each
+    ``monomial_weight``.  Products add weights, so the rows of block (D, w)
+    come only from a generator r times the multipliers of block
+    (D - deg r, w - weight r), and no two blocks share a column.  Each
     block is eliminated on its own, in lead order (``_eliminate``), and then
     sealed.  The reduced echelon form over a fixed column order is unique,
     so the rows depend neither on that order nor on which blocks were asked
@@ -103,15 +96,12 @@ class IdealSpan:
         self.field = algebra.field
         self._top = algebra.top_degree
         self._space = GradedSubspace(range(self._top + 1), self.field)
-        weigh, rule = algebra.monomial_weight, getattr(algebra, "_block", None)
-        if any(len({weigh(m) for m in r.terms}) > 1 for r, _unit in work):
-            weigh, rule = _no_weight, None
-        self._block = rule or self._listed_block
+        self._block = getattr(algebra, "_block", None) or self._listed_block
+        self._weigh = weigh = algebra.monomial_weight
         self._work = {}  # (degree, -weight, unit coordinate) -> the _times of those generators
         for r, unit in work:
             key = (r.degree(), -weigh(next(iter(r.terms))), unit)
             self._work.setdefault(key, []).append(algebra._times(r.terms.items()))
-        self._weigh = weigh
         self._built = set()  # (degree, weight) blocks eliminated
         self._groups = {}  # degree -> {weight: its listed words}
         self._whole = set() if work else set(range(self._top + 1))  # degrees fully eliminated

@@ -35,7 +35,6 @@ Each basis an algebra lists (the ambient one, or A's) is held to its
 from __future__ import annotations
 
 import itertools
-import re
 import sys
 from functools import cached_property
 
@@ -62,9 +61,6 @@ def b_letter(p):
 
 def omega_letter(genus):
     return 2 * genus + 1
-
-
-_LETTER_RE = re.compile(r"([ab])(\d+)\((\d+)\)$|w(\d+)$")
 
 
 class _Weight(tuple):
@@ -380,28 +376,6 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
                 parts.append(f"b{i}({c // 2})")
         return "*".join(parts) if parts else "1"
 
-    def parse_word(self, word: str):
-        if word == "1":
-            return self.one
-        codes = [UNIT] * self.points
-        for piece in word.split("*"):
-            m = _LETTER_RE.match(piece)
-            if not m:
-                raise ValueError(f"unknown monomial word: {piece!r}")
-            if m.group(4) is not None:
-                i, c = int(m.group(4)), self._omega
-            else:
-                i, p = int(m.group(2)), int(m.group(3))
-                self._check_puncture(p)
-                c = 2 * p - 1 if m.group(1) == "a" else 2 * p
-            self._check_coord(i)
-            if codes[i - 1] != UNIT:
-                raise ValueError(f"coordinate {i} repeated in word {word!r}")
-            codes[i - 1] = c
-        if not self.is_monomial(tuple(codes)):
-            raise ValueError(f"monomial {word!r} is not in the basis")
-        return tuple(codes)
-
     def __repr__(self):
         return f"{type(self).__name__}(genus={self.genus}, points={self.points})"
 
@@ -473,23 +447,6 @@ def totaro_relations(algebra) -> RelationSet:
     return RelationSet("TOTARO", tuple(gens), tuple(units))
 
 
-def cross_handle_relations(algebra) -> RelationSet:
-    """All mixed products of index >= 2 letters across distinct coordinates.
-
-    Empty for genus 1; these present the first quotient of the power algebra.
-    """
-    gens = []
-    n, g = algebra.points, algebra.genus
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for u in range(2, g + 1):
-                for v in range(2, g + 1):
-                    for left in (algebra.a(i, u), algebra.b(i, u)):
-                        for right in (algebra.a(j, v), algebra.b(j, v)):
-                            gens.append(left * right)
-    return RelationSet("CROSS_HANDLE", tuple(gens))
-
-
 def xy_pair_relations(algebra) -> RelationSet:
     """The products x_i y_j over i, j in {2, ..., n} (i = j included)."""
     gens = []
@@ -510,7 +467,7 @@ def reduced_basis_count(genus, points):
 def reduced_monomials(algebra):
     """The basis words of the handle-reduced algebra, in tuple order.
 
-    The ideal generated by :func:`cross_handle_relations` is a monomial
+    The ideal generated by the cross-handle products is a monomial
     ideal: it is spanned by the monomials with two or more coordinates
     carrying a special letter (``algebra.special``).  The basis words are
     those with at most one special letter, listed directly rather than

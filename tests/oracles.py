@@ -15,7 +15,10 @@ against the one in ``B`` (:func:`ring_agreement`), and the certificate
 rings of consecutive genera (:func:`verify_subalgebra_chain`).  A
 reference computed in the power algebra reaches the handle-reduced algebra
 through :func:`handle_reduced_image`, which drops words by
-:func:`cross_handle_predicate` and not by the package's ``special``.
+:func:`cross_handle_predicate` and not by the package's ``special``.  The
+generators of that ideal, :func:`cross_handle_relations`, are the
+reference the package's handle-reduced algebra is checked against by
+eliminating their multiples in the power algebra.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ from conftc.algebra import Element, TensorElement, _add_terms
 from conftc.certificates import evaluate_certificate
 from conftc.linalg import GradedSubspace
 from conftc.quotients import cached_quotient, cached_surface
-from conftc.surfaces import cross_handle_relations, xy_pair_relations
+from conftc.surfaces import RelationSet, xy_pair_relations
 
 
 def dense_rows(vectors, keys=None):
@@ -247,6 +250,24 @@ def iterated_bar(u, s):
     Multiplied out factor by factor with tensor products, for any u.
     """
     return multiplied(u.algebra, s, (slot_difference(u, s, slot) for slot in range(2, s + 1)))
+
+
+def cross_handle_relations(algebra):
+    """All mixed products of index >= 2 letters across distinct coordinates.
+
+    Empty for genus 1; these present the handle-reduced quotient A of the
+    power algebra.
+    """
+    gens = []
+    n, g = algebra.points, algebra.genus
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for u in range(2, g + 1):
+                for v in range(2, g + 1):
+                    for left in (algebra.a(i, u), algebra.b(i, u)):
+                        for right in (algebra.a(j, v), algebra.b(j, v)):
+                            gens.append(left * right)
+    return RelationSet("CROSS_HANDLE", tuple(gens))
 
 
 def cross_handle_predicate(algebra):

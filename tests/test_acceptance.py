@@ -21,9 +21,9 @@ from conftc.certificates import (
 )
 from conftc.linalg import GradedSubspace
 from conftc.quotients import cached_quotient, cached_surface, ideal_span
-from conftc.surfaces import cross_handle_relations, shifted_basis_products
+from conftc.surfaces import shifted_basis_products
 
-from oracles import expanded, poly_pow, ring_agreement
+from oracles import cross_handle_relations, expanded, poly_pow, ring_agreement
 
 GRID = [
     (g, n, s) for g in (1, 2, 3) for n in (1, 2, 3) for s in (2, 3, 4)

@@ -2,7 +2,7 @@
 
 Each invocation runs in process through ``cli.main``; the sha256 of its
 stdout must equal the recorded digest.  The first four are the perfbench
-workloads.  A refactor that changes any output byte fails here, so a
+workloads, and the last four pin the text and CSV formats.  A refactor that changes any output byte fails here, so a
 change that is meant to alter output must re-record the digests and say
 why.
 
@@ -55,6 +55,14 @@ GOLDEN = [
      "660af77421dbbcb2e030f9f670e40c22dd5efa158a7fdc569a12f9dcd96e1de4"),
     ("basis --genus 1 --points 2,3",
      "3c4e8b4a45cdb654c0532f84761bb90e2ca9b2b3e248e33f2a81c60721b2b213"),
+    ("certify --genus 2 --points 3 --stages 3 --format text",
+     "3bd9fcbeafaa22ec4e6fd77fb83e192f0da3845eb5e92d4466c8a85736cadf36"),
+    ("table --genus 0,1,2 --points 1,2,3 --stages 2,3 --format csv",
+     "5ced78339851665de277861193ab4771576edb2faa5daa398af5ba6a795eb446"),
+    ("table --genus 2 --points 3 --stages 2,3 --format text",
+     "4dbb4ee93f12ff6cd2fab2ed2fc586635d72127081b0648c46d3bedcc5d8822f"),
+    ("lemmas --genus 2 --points 3 --format text",
+     "25958258dd048e5b72db66a949ff707bedef723b4be492497dc5e7dfc0ee1da8"),
 ]
 
 

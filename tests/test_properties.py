@@ -201,16 +201,6 @@ def test_merged_mu_of_summands_equals_mu_of_the_expanded_tensor(spaces, data, ar
     assert q.mu_of_summands(pure, arity) == q.mu(TensorElement.of_summands(alg, arity, pure))
 
 
-@REPEATABLE
-@given(st.data(), st.sampled_from(SPACES), st.integers(1, 4))
-def test_text_round_trips(data, space, arity):
-    alg = quotient_of(space).parent
-    e = element(data, alg)
-    assert Element.from_text(alg, e.to_text()) == e
-    t = tensor(data, alg, arity)
-    assert TensorElement.from_text(alg, arity, t.to_text()) == t
-
-
 # -- rows built block by block against the eager elimination ---------------
 
 LAZY_SPACES = [
