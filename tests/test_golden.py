@@ -2,9 +2,9 @@
 
 Each invocation runs in process through ``cli.main``; the sha256 of its
 stdout must equal the recorded digest.  The first four are the perfbench
-workloads, and the last four pin the text and CSV formats.  A refactor that changes any output byte fails here, so a
-change that is meant to alter output must re-record the digests and say
-why.
+workloads, and the last four pin the text and CSV formats.  A refactor
+that changes any output byte fails here, so a change that is meant to
+alter output must re-record the digests and say why.
 
 The invocations run with the expanded tensor product and ``mu``
 (``TensorElement.__mul__`` and ``.mu``) raising: every command, in both

@@ -503,7 +503,7 @@ def test_base_axis_build_work_counts(monkeypatch):
 
 
 def test_ideal_span_falls_back_to_one_block_per_degree():
-    # each generator has two weights, so no block holds its multiples
+    # each generator has terms of two weights, so it is refused
     alg = cached_surface(2, 2)
     for r in (alg.a(2, 2) * 2 - alg.b(1), alg.b(1) * 2 + alg.b(1, 2) * 2):
         with pytest.raises(ValueError, match="inhomogeneous"):
