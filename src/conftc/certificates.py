@@ -200,6 +200,7 @@ class Certificate:
     def __init__(
         self, genus, points, stages, ring, factors, factor_count, result, nonzero,
         support_matches_expected=None, closed_form_match=None, term_limit=None,
+        prefix_nonzero=(),
     ):
         self.genus = genus
         self.points = points
@@ -216,6 +217,8 @@ class Certificate:
         # The tensor-term limit the evaluation ran under (None: lifted); the
         # factors' transcript text is held to it too.
         self.term_limit = term_limit
+        # Whether the product is nonzero after each point's pair: one bool per point.
+        self.prefix_nonzero = prefix_nonzero
 
 
 def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
@@ -258,24 +261,19 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
             raise VerificationError(
                 f"factor {f.label} is not a zero divisor in {q.label}"
             )
+    acc = TensorElement.unit(algebra, stages)
+    for f_rows in rows[: len(rows) - 2 * points]:
+        acc = q.stream_product(acc, f_rows, limit)
     # Each ytilde_i is multiplied before its xbar_i, so the accumulator never
     # holds the s-fold spread of a bar before the ytilde cuts it.  Swapping the
     # n pairs of degrees s - 1 and 1 costs the sign (-1)^(n(s-1)).
-    order = rows[: len(rows) - 2 * points]
-    for k in range(len(order), len(rows), 2):
-        order += [rows[k + 1], rows[k]]
-    acc = TensorElement.unit(algebra, stages)
-    for f_rows in order:
-        acc = q.stream_product(acc, f_rows, limit)
+    prefix_nonzero = []
+    for k in range(len(rows) - 2 * points, len(rows), 2):
+        acc = q.stream_product(q.stream_product(acc, rows[k + 1], limit), rows[k], limit)
+        prefix_nonzero.append(bool(acc))
     if points * (stages - 1) % 2:
         acc = -acc
-    factor_count = sum(f.count for f in factors)
-    expected_count = tc_upper_bound(genus, points, stages)
-    if factor_count != expected_count:
-        raise VerificationError(
-            f"factor count {factor_count} does not match the claimed bound "
-            f"{expected_count}"
-        )
+    factor_count = _check_count(sum(f.count for f in factors), genus, points, stages)
     nonzero = bool(acc)
     support_ok = None
     closed_ok = None
@@ -306,7 +304,16 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
         support_matches_expected=support_ok,
         closed_form_match=closed_ok,
         term_limit=limit,
+        prefix_nonzero=prefix_nonzero,
     )
+
+
+def _check_count(count, genus, points, stages):
+    """The factor count, refused unless it is the claimed bound of the cell."""
+    expected = tc_upper_bound(genus, points, stages)
+    if count != expected:
+        raise VerificationError(f"factor count {count} does not match the claimed bound {expected}")
+    return count
 
 
 def certificate_record(cert):
@@ -380,37 +387,43 @@ class TcRecord:
         }
 
 
-def tc_value(genus, points, stages, allow_large=False):
-    """Table entry for one grid cell, certificate-backed where feasible.
+def tc_rows(genus, points, stages, allow_large=False):
+    """Table entries of one genus over the (n, s) grid, in grid order.
 
-    ``certified`` is True exactly when a certificate was evaluated and
-    came back nonzero (``evaluate_certificate`` has already checked that
-    its factor count is ``value``); genus 0 is always formula-only.
+    Each row (genus, s) runs once, at its largest n that the guards admit; a
+    smaller cell (genus, k, s) is certified if that product is nonzero right
+    after point k, and else by its own run.  Padding words with units is a
+    ring map H*(S_g^k) -> H*(S_g^n) that sends each ideal generator to one and
+    the factors of (g, k, s) to the first factors of (g, n, s), so a nonzero
+    prefix has a nonzero preimage.  Genus 0 is formula-only.
     """
-    value = tc_upper_bound(genus, points, stages)
-    certified = False
-    note = "formula-only"
-    if genus >= 1:
-        try:
-            cert = evaluate_certificate(genus, points, stages, allow_large=allow_large)
-        except SizeGuardError:
-            note = "guard-skipped"
-        else:
-            if cert.nonzero:
-                certified = True
+    omega_chain_elements.cache_clear()  # frees the last row's quotient before this one is built
+    records, rows = {}, {}
+    for n in sorted(points, reverse=True):
+        for s in sorted(stages):
+            value, note = tc_upper_bound(genus, n, s), "formula-only"
+            prefix, counts = rows.get(s, ((), ()))
+            if n <= len(prefix) and prefix[n - 1]:
+                # the factors up to point n: all but two per later point
+                _check_count(sum(counts[: len(counts) - 2 * (len(prefix) - n)]), genus, n, s)
                 note = "certified"
-            else:
-                note = "failed"
-    return TcRecord(
-        genus=genus,
-        n=points,
-        s=stages,
-        upper=value,
-        lower=value,
-        tc=value,
-        certified=certified,
-        note=note,
-    )
+            elif genus >= 1:
+                try:
+                    cert = evaluate_certificate(genus, n, s, allow_large=allow_large)
+                except SizeGuardError:
+                    note = "guard-skipped"
+                else:
+                    note = "certified" if cert.nonzero else "failed"
+                    # smaller cells read the prefix and the counts, not the product
+                    rows[s] = cert.prefix_nonzero, [f.count for f in cert.factors]
+                    del cert
+            records[n, s] = TcRecord(genus, n, s, value, value, value, note == "certified", note)
+    return [records[n, s] for n in sorted(points) for s in sorted(stages)]
+
+
+def tc_value(genus, points, stages, allow_large=False):
+    """Table entry for one grid cell: the one-cell case of ``tc_rows``."""
+    return tc_rows(genus, [points], [stages], allow_large)[0]
 
 
 # -- identity suites -----------------------------------------------------------

@@ -24,7 +24,7 @@ from .certificates import (
     certificate_record,
     evaluate_certificate,
     rp3_zcl_check,
-    tc_value,
+    tc_rows,
     verify_lemma_identities,
     zcl_search,
 )
@@ -111,13 +111,12 @@ def _warn_override(config, stream):
 
 
 def _run_table(config):
-    records, failures = [], 0
-    for g, n, s in _grid(config):
-        rec = tc_value(g, n, s, allow_large=config.allow_large)
-        if rec.note == "failed":
-            failures += 1
-        records.append(rec.as_dict())
-    return records, failures
+    records = [
+        rec
+        for g in sorted(config.genus)
+        for rec in tc_rows(g, config.points, config.stages, config.allow_large)
+    ]
+    return [rec.as_dict() for rec in records], sum(rec.note == "failed" for rec in records)
 
 
 def _run_certify(config):

@@ -1,9 +1,11 @@
 import hashlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftc import certificates, quotients, surfaces
+from conftc import certificates, cli, quotients, surfaces
 from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra
 from conftc.certificates import (
     Certificate,
@@ -20,6 +22,7 @@ from conftc.certificates import (
     rp3_product,
     rp3_zcl_check,
     slot_difference_summands,
+    tc_rows,
     tc_upper_bound,
     tc_value,
     verify_lemma_identities,
@@ -28,6 +31,7 @@ from conftc.certificates import (
 from conftc.errors import SizeGuardError, VerificationError
 from conftc.fields import GF2, RATIONALS
 from conftc.quotients import cached_quotient, cached_surface
+from conftc.surfaces import SurfacePowerAlgebra, totaro_relations, xy_pair_relations
 
 from oracles import (
     binomial_mod2_truncated_power,
@@ -802,6 +806,173 @@ def test_tc_value_records():
     skipped = tc_value(2, 9, 2)  # handle-reduced basis 196,830 > 10^5
     assert skipped.certified is False
     assert skipped.note == "guard-skipped"
+
+
+# -- the row pass --------------------------------------------------------------
+
+
+def _padded(e, algebra):
+    """An element of fewer points, each word padded with units, in ``algebra``."""
+    pad = (surfaces.UNIT,) * (algebra.points - e.algebra.points)
+    return Element(algebra, {m + pad: c for m, c in e.terms.items()})
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_padding_with_units_sends_a_cell_to_the_prefix_of_a_larger_one(genus):
+    # The ring map behind the row pass, H*(S_g^k) -> H*(S_g^n) for k < n <= 5:
+    # it sends the factors of (g, k, s) to the first factors of (g, n, s) and
+    # each ideal generator of E, A and B at k to one at n.
+    for n in range(2, 6):
+        big = SurfacePowerAlgebra(genus, n)
+        for k in range(1, n):
+            small = SurfacePowerAlgebra(genus, k)
+            for s in (2, 3, 4):
+                head, full = certificate_factors(small, s), certificate_factors(big, s)
+                assert len(full) - len(head) == 2 * (n - k)
+                for f, h in zip(head, full):
+                    assert (f.kind, f.label, f.count, f.arity) == (h.kind, h.label, h.count, h.arity)
+                    padded = [
+                        (sign, _padded(d, big), tuple((j, _padded(e, big)) for j, e in exc))
+                        for sign, d, exc in f.summands
+                    ]
+                    assert padded == h.summands
+            for relations in (xy_pair_relations, totaro_relations):
+                assert {_padded(r, big) for r in relations(small)} <= set(relations(big))
+            # A's words keep their count of special letters, so stay words of A
+            pad = (surfaces.UNIT,) * (n - k)
+            assert all(
+                big.handle_reduced.is_monomial(m + pad)
+                for d in range(small.top_degree + 1)
+                for m in small.handle_reduced.monomials_of_degree(d)
+            )
+            # and the map is multiplicative on the letters
+            letters = [
+                small.shifted_letter(i, c)
+                for i in range(1, k + 1)
+                for c in range(1, 2 * genus + 2)
+            ]
+            for u in letters:
+                for v in letters:
+                    assert _padded(u * v, big) == _padded(u, big) * _padded(v, big)
+
+
+def _per_cell(genus, points, stages):
+    """The note of one cell from its own certificate run, as a cell-by-cell table has it."""
+    if genus == 0:
+        return "formula-only"
+    try:
+        return "certified" if evaluate_certificate(genus, points, stages).nonzero else "failed"
+    except SizeGuardError:
+        return "guard-skipped"
+
+
+def test_row_pass_gives_the_records_of_a_per_cell_loop():
+    out = io.StringIO()
+    grid = {"genus": (0, 1, 2, 3), "points": (1, 2, 3, 4, 5), "stages": (2, 3, 4, 5)}
+    assert cli.run(cli.RunConfig("table", **grid), out) == 0
+    expected = []
+    for g in grid["genus"]:
+        for n in grid["points"]:
+            for s in grid["stages"]:
+                value = tc_upper_bound(g, n, s)
+                certified = _per_cell(g, n, s) == "certified"
+                expected.append(
+                    {"genus": g, "n": n, "s": s, "upper": value, "lower": value, "tc": value,
+                     "certified": certified}
+                )
+    assert json.loads(out.getvalue())["records"] == expected
+
+
+def _noting_runs(monkeypatch, edit=None):
+    """Record each (points, stages) that ``tc_rows`` runs a certificate for."""
+    runs, evaluate = [], certificates.evaluate_certificate
+
+    def noted(genus, points, stages, **kw):
+        runs.append((points, stages))
+        cert = evaluate(genus, points, stages, **kw)
+        if edit:
+            edit(cert)
+        return cert
+
+    monkeypatch.setattr(certificates, "evaluate_certificate", noted)
+    return runs
+
+
+def test_a_guard_skipped_top_cell_leaves_its_row_to_the_next_admitted_n(monkeypatch):
+    # A has 1,458 words at (2, 5) and 405 at (2, 4)
+    monkeypatch.setenv("TCCONF_MAX_BASIS", "1000")
+    runs = _noting_runs(monkeypatch)
+    rows = tc_rows(2, (3, 4, 5), (2, 3))
+    assert [(r.n, r.s, r.note) for r in rows] == [
+        (3, 2, "certified"),
+        (3, 3, "certified"),
+        (4, 2, "certified"),
+        (4, 3, "certified"),
+        (5, 2, "guard-skipped"),
+        (5, 3, "guard-skipped"),
+    ]
+    assert [rec.note for rec in rows] == [_per_cell(2, r.n, r.s) for r in rows]
+    # (2, 3, s) is read off the prefix of (2, 4, s), not run
+    assert runs == [(5, 2), (5, 3), (4, 2), (4, 3)]
+
+
+def test_a_zero_prefix_falls_back_to_the_cells_own_run(monkeypatch):
+    def zero_at_two(cert):
+        cert.prefix_nonzero = [k != 2 for k in range(1, cert.points + 1)]
+        if cert.points == 2:  # the cell's own run decides it
+            cert.nonzero = False
+
+    runs = _noting_runs(monkeypatch, zero_at_two)
+    rows = tc_rows(2, (1, 2, 3), (3,))
+    # (2, 2, 3) runs itself; (2, 1, 3) is read off the prefix of that run
+    assert runs == [(3, 3), (2, 3)]
+    assert [(r.n, r.certified, r.note) for r in rows] == [
+        (1, True, "certified"),
+        (2, False, "failed"),
+        (3, True, "certified"),
+    ]
+    del runs[:]
+    # a failed cell fails the table
+    assert cli.run(cli.RunConfig("table", (2,), (1, 2, 3), (3,)), io.StringIO()) == 1
+    assert runs == [(3, 3), (2, 3)]
+
+
+def test_the_prefix_is_the_product_right_after_each_point(monkeypatch):
+    for g, n, s in ((1, 3, 2), (2, 3, 3), (3, 4, 2)):
+        cert = evaluate_certificate(g, n, s)
+        assert cert.prefix_nonzero == [True] * n
+    # ytilde_2 replaced by a slot difference of w_1: after point 1 the product
+    # holds w_1 in every slot, so it vanishes at point 2 and stays zero
+    factors = certificates.certificate_factors
+
+    def killing_point_two(algebra, s):
+        out = factors(algebra, s)
+        k = next(i for i, f in enumerate(out) if f.label == "ytilde2")
+        out[k] = ZeroDivisorFactor(
+            "TILDE", "ytilde2", slot_difference_summands(algebra.omega(1), s, s), s
+        )
+        return out
+
+    monkeypatch.setattr(certificates, "certificate_factors", killing_point_two)
+    cert = evaluate_certificate(2, 3, 3)
+    assert cert.prefix_nonzero == [True, False, False] and not cert.nonzero
+
+
+def test_a_prefix_is_held_to_the_factor_count_of_its_cell(monkeypatch):
+    def miscount(position):
+        def edit(cert):
+            cert.factors[position].count += 1
+
+        return edit
+
+    # a factor after point 2 does not count towards it
+    runs = _noting_runs(monkeypatch, miscount(-1))
+    assert [r.note for r in tc_rows(2, (2, 3), (2,))] == ["certified"] * 2
+    assert runs == [(3, 2)]
+    monkeypatch.undo()
+    _noting_runs(monkeypatch, miscount(0))
+    with pytest.raises(VerificationError, match="factor count 7 does not match the claimed bound 6"):
+        tc_rows(2, (2, 3), (2,))
 
 
 # -- identity suites ----------------------------------------------------------

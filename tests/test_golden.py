@@ -2,7 +2,9 @@
 
 Each invocation runs in process through ``cli.main``; the sha256 of its
 stdout must equal the recorded digest.  The first four are the perfbench
-workloads, and the last four pin the text and CSV formats.  A refactor
+workloads.  The text and CSV formats are pinned too, and so are tables
+whose smaller cells are read off the prefix of a row's largest admitted
+cell: the last entry's n = 9 cell is past the basis guard.  A refactor
 that changes any output byte fails here, so a change that is meant to
 alter output must re-record the digests and say why.
 
@@ -63,6 +65,12 @@ GOLDEN = [
      "4dbb4ee93f12ff6cd2fab2ed2fc586635d72127081b0648c46d3bedcc5d8822f"),
     ("lemmas --genus 2 --points 3 --format text",
      "25958258dd048e5b72db66a949ff707bedef723b4be492497dc5e7dfc0ee1da8"),
+    ("table --genus 0,1,2 --points 1,2,3,4 --stages 2,3",
+     "dedf9dae793d6e4acaa441dbd1e843644c9dd1abdfe1be33b30f80c8565dab66"),
+    ("table --genus 0,1,2 --points 1,2,3,4 --stages 2,3 --format csv",
+     "d424c6e885edd45de28407acf8ae2517d269995ead5d0b3ef62a5f4d026447a8"),
+    ("table --genus 2 --points 7,8,9 --stages 2",
+     "e3e302b9e0ab3cfa3782e3b2b83ef121a3b9df4fd3a3844fcc75e0495ae0072e"),
 ]
 
 

@@ -59,7 +59,7 @@ def test_start_up_imports_only_what_a_run_uses():
     assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(added), added
 
 
-def test_rationals_divide_and_parse_in_a_fresh_interpreter():
+def test_rationals_divide_in_a_fresh_interpreter():
     out = fresh_python(
         "from fractions import Fraction\n"
         "from conftc.fields import RATIONALS\n"

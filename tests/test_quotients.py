@@ -502,7 +502,7 @@ def test_base_axis_build_work_counts(monkeypatch):
     assert inserts[0] <= 1296
 
 
-def test_ideal_span_falls_back_to_one_block_per_degree():
+def test_ideal_span_refuses_mixed_weights_and_spans_an_unweighted_algebra():
     # each generator has terms of two weights, so it is refused
     alg = cached_surface(2, 2)
     for r in (alg.a(2, 2) * 2 - alg.b(1), alg.b(1) * 2 + alg.b(1, 2) * 2):
