@@ -253,15 +253,8 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
             estimate=slots,
             limit=DEFAULT_SLOT_LIMIT,
         )
-    algebra = q.parent
-    factors = certificate_factors(algebra, stages)
-    rows = [q.slot_rows(f.summands, stages) for f in factors]
-    for f, f_rows in zip(factors, rows):
-        if not q.mu_of_summands(f_rows, stages).is_zero():
-            raise VerificationError(
-                f"factor {f.label} is not a zero divisor in {q.label}"
-            )
-    acc = TensorElement.unit(algebra, stages)
+    factors, rows = _zero_divisor_rows(q, stages)
+    acc = TensorElement.unit(q.parent, stages)
     for f_rows in rows[: len(rows) - 2 * points]:
         acc = q.stream_product(acc, f_rows, limit)
     # Each ytilde_i is multiplied before its xbar_i, so the accumulator never
@@ -306,6 +299,16 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
         term_limit=limit,
         prefix_nonzero=prefix_nonzero,
     )
+
+
+def _zero_divisor_rows(q, stages):
+    """q's certificate factors and their slot rows, each checked to be a zero divisor in q."""
+    factors = certificate_factors(q.parent, stages)
+    rows = [q.slot_rows(f.summands, stages) for f in factors]
+    for f, f_rows in zip(factors, rows):
+        if not q.mu_of_summands(f_rows, stages).is_zero():
+            raise VerificationError(f"factor {f.label} is not a zero divisor in {q.label}")
+    return factors, rows
 
 
 def _check_count(count, genus, points, stages):
@@ -390,22 +393,24 @@ class TcRecord:
 def tc_rows(genus, points, stages, allow_large=False):
     """Table entries of one genus over the (n, s) grid, in grid order.
 
-    Each row (genus, s) runs once, at its largest n that the guards admit; a
-    smaller cell (genus, k, s) is certified if that product is nonzero right
-    after point k, and else by its own run.  Padding words with units is a
-    ring map H*(S_g^k) -> H*(S_g^n) that sends each ideal generator to one and
+    Each row (genus, s) multiplies once, at its largest n that the guards
+    admit; a smaller cell (genus, k, s) is certified if that product is nonzero
+    right after point k, and else by its own run.  Padding words with units is
+    a ring map H*(S_g^k) -> H*(S_g^n) that sends each ideal generator to one and
     the factors of (g, k, s) to the first factors of (g, n, s), so a nonzero
-    prefix has a nonzero preimage.  Genus 0 is formula-only.
+    prefix has a nonzero preimage.  The cell's own factors are still checked to
+    be zero divisors in its own quotient.  Genus 0 is formula-only.
     """
-    omega_chain_elements.cache_clear()  # frees the last row's quotient before this one is built
     records, rows = {}, {}
     for n in sorted(points, reverse=True):
+        omega_chain_elements.cache_clear()  # frees the last quotient before this one is built
         for s in sorted(stages):
             value, note = tc_upper_bound(genus, n, s), "formula-only"
             prefix, counts = rows.get(s, ((), ()))
             if n <= len(prefix) and prefix[n - 1]:
                 # the factors up to point n: all but two per later point
                 _check_count(sum(counts[: len(counts) - 2 * (len(prefix) - n)]), genus, n, s)
+                _zero_divisor_rows(cached_quotient(genus, n, "B", allow_large), s)
                 note = "certified"
             elif genus >= 1:
                 try:
@@ -414,9 +419,8 @@ def tc_rows(genus, points, stages, allow_large=False):
                     note = "guard-skipped"
                 else:
                     note = "certified" if cert.nonzero else "failed"
-                    # smaller cells read the prefix and the counts, not the product
                     rows[s] = cert.prefix_nonzero, [f.count for f in cert.factors]
-                    del cert
+                    del cert  # smaller cells read the prefix and the counts, not the product
             records[n, s] = TcRecord(genus, n, s, value, value, value, note == "certified", note)
     return [records[n, s] for n in sorted(points) for s in sorted(stages)]
 

@@ -831,6 +831,8 @@ def test_padding_with_units_sends_a_cell_to_the_prefix_of_a_larger_one(genus):
                 assert len(full) - len(head) == 2 * (n - k)
                 for f, h in zip(head, full):
                     assert (f.kind, f.label, f.count, f.arity) == (h.kind, h.label, h.count, h.arity)
+                    # a zero divisor in the power algebra, so in each of its quotients
+                    assert f.tensor.mu().is_zero()
                     padded = [
                         (sign, _padded(d, big), tuple((j, _padded(e, big)) for j, e in exc))
                         for sign, d, exc in f.summands
@@ -956,6 +958,23 @@ def test_the_prefix_is_the_product_right_after_each_point(monkeypatch):
     monkeypatch.setattr(certificates, "certificate_factors", killing_point_two)
     cert = evaluate_certificate(2, 3, 3)
     assert cert.prefix_nonzero == [True, False, False] and not cert.nonzero
+
+
+def test_a_prefix_cell_checks_its_own_factors_in_its_own_quotient(monkeypatch):
+    factors = certificates.certificate_factors
+
+    def no_zero_divisor_at_two_points(algebra, s):
+        out = factors(algebra, s)
+        if algebra.points == 2:  # y_2 in slot 1 alone: mu is y_2
+            unit = Element.unit(algebra)
+            out[-1] = ZeroDivisorFactor("TILDE", "ytilde2", [(1, unit, ((0, algebra.y(2)),))], s)
+        return out
+
+    runs = _noting_runs(monkeypatch)
+    monkeypatch.setattr(certificates, "certificate_factors", no_zero_divisor_at_two_points)
+    with pytest.raises(VerificationError, match="factor ytilde2 is not a zero divisor in CERTIFICATE"):
+        tc_rows(2, (2, 3), (2,))
+    assert runs == [(3, 2)]  # the cell read the prefix of (2, 3, 2) and did not run itself
 
 
 def test_a_prefix_is_held_to_the_factor_count_of_its_cell(monkeypatch):

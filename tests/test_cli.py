@@ -266,8 +266,9 @@ def test_a_grid_holds_one_algebra_at_a_time(monkeypatch):
     monkeypatch.setattr(quotients, "build_quotient", noted)
     code, _out = run_config(command="table", genus=(1, 2), points=(2, 3), stages=(2, 3))
     assert code == 0
-    # each (g, s) row runs at its largest n, and the smaller cells read its prefix
-    assert [cell for cell, *_refs in built] == [(g, 3, "B") for g in (1, 2)]
+    # each (g, s) row runs at its largest n first; a smaller cell reads its
+    # prefix and checks its own factors in its own quotient
+    assert [cell for cell, *_refs in built] == [(g, n, "B") for g in (1, 2) for n in (3, 2)]
     gc.collect()
     # the cells past the first (g, n) freed its algebra, A included; the last is held
     for _cell, *refs in built[:-1]:

@@ -27,7 +27,7 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 CASES = [
     (
         ["table", "--genus", "2,3", "--points", "1,2", "--stages", "2,3"],
-        {"B:g2n2": 24, "B:g3n2": 36},
+        {"B:g2n1": 6, "B:g2n2": 24, "B:g3n1": 8, "B:g3n2": 36},
     ),
     (["lemmas", "--genus", "2", "--points", "3"], {"A:g2n3": 108}),
     (["lemmas", "--genus", "2", "--points", "4"], {"A:g2n4": 405}),
