@@ -27,7 +27,6 @@ from .quotients import (
     ideal_span,
 )
 from .surfaces import (
-    RelationSet,
     SurfacePowerAlgebra,
     xy_pair_relations,
     totaro_relations,
@@ -44,7 +43,6 @@ __all__ = [
     "GradedSubspace",
     "QuotientAlgebra",
     "RATIONALS",
-    "RelationSet",
     "SizeGuardError",
     "SurfacePowerAlgebra",
     "TensorElement",

@@ -412,11 +412,7 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
             raise ValueError("truncation must be at least 1")
         limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
         if truncation > limit:
-            raise SizeGuardError(
-                f"basis size {truncation} exceeds the limit {limit}",
-                estimate=truncation,
-                limit=limit,
-            )
+            raise SizeGuardError(f"basis size {truncation} exceeds the limit {limit}")
         self.field = field
         self.truncation = truncation
         self.gen_degree = gen_degree

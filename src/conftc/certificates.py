@@ -140,7 +140,7 @@ def certificate_factors(algebra, s):
 
     c is a_1(2) in slots 1/2; d is b_1(2) in slots 1/2 (s = 2) or 1/3 (s >= 3).
     """
-    cd, y1, pairs = _factor_letters(algebra)
+    cd, y1, pairs, _chains = _factor_letters(algebra)
     diff, factor = slot_difference_summands, ZeroDivisorFactor
     factors = []
     if cd:
@@ -155,20 +155,19 @@ def certificate_factors(algebra, s):
 
 @lru_cache(maxsize=1)
 def _factor_letters(algebra):
-    """[c, d] (genus >= 2, else empty), y_1 and each (x_i, y_i), built once per algebra."""
+    """[c, d] (genus >= 2, else empty), y_1, each (x_i, y_i), and the chains
+    w_1 x_2...x_n and w_1 y_2...y_n, built once per algebra."""
     cd = [algebra.a(1, 2), algebra.b(1, 2)] if algebra.genus >= 2 else []
-    return cd, algebra.y(1), [(algebra.x(i), algebra.y(i)) for i in range(1, algebra.points + 1)]
+    pairs = [(algebra.x(i), algebra.y(i)) for i in range(1, algebra.points + 1)]
+    vx = vy = algebra.omega(1)
+    for x, y in pairs[1:]:
+        vx, vy = vx * x, vy * y
+    return cd, algebra.y(1), pairs, (vx, vy)
 
 
-@lru_cache(maxsize=1)
 def omega_chain_elements(q):
-    """Normal forms of w_1 x_2...x_n and w_1 y_2...y_n in the quotient, once per quotient."""
-    alg = q.parent
-    vx = alg.omega(1)
-    vy = alg.omega(1)
-    for i in range(2, alg.points + 1):
-        vx = vx * alg.x(i)
-        vy = vy * alg.y(i)
+    """Normal forms of w_1 x_2...x_n and w_1 y_2...y_n in the quotient."""
+    vx, vy = _factor_letters(q.parent)[3]
     return q.normal_form(vx), q.normal_form(vy)
 
 
@@ -250,8 +249,6 @@ def evaluate_certificate(genus, points, stages, ring="B", allow_large=False):
         raise SizeGuardError(
             f"the product writes at least {slots} tensor slots, "
             f"which exceeds the limit {DEFAULT_SLOT_LIMIT}",
-            estimate=slots,
-            limit=DEFAULT_SLOT_LIMIT,
         )
     factors, rows = _zero_divisor_rows(q, stages)
     acc = TensorElement.unit(q.parent, stages)
@@ -403,7 +400,6 @@ def tc_rows(genus, points, stages, allow_large=False):
     """
     records, rows = {}, {}
     for n in sorted(points, reverse=True):
-        omega_chain_elements.cache_clear()  # frees the last quotient before this one is built
         for s in sorted(stages):
             value, note = tc_upper_bound(genus, n, s), "formula-only"
             prefix, counts = rows.get(s, ((), ()))
@@ -733,11 +729,7 @@ def rp3_zcl_check(s):
     if s < 2:
         raise ValueError("stages must be at least 2")
     if s > 5:
-        raise SizeGuardError(
-            f"stage count {s} exceeds the guarded range (tensor basis 4^{s})",
-            estimate=s,
-            limit=5,
-        )
+        raise SizeGuardError(f"stage count {s} exceeds the guarded range (tensor basis 4^{s})")
     prod = rp3_product(s)
     if prod.is_zero():
         raise VerificationError(
@@ -791,8 +783,6 @@ def zcl_search(target, s, strategy=None):
     if strategy == "EXHAUSTIVE_TINY" and dimension > 8:
         raise SizeGuardError(
             f"exhaustive search requires total dimension at most 8, got {dimension}",
-            estimate=dimension,
-            limit=8,
         )
     unit = TensorElement.unit(alg, s)
     candidates = []
@@ -834,8 +824,6 @@ def zcl_search(target, s, strategy=None):
                 raise SizeGuardError(
                     f"exhaustive search exceeds {EXHAUSTIVE_SLOTS} tensor slots "
                     "(terms times stages) multiplied; try --strategy GREEDY",
-                    estimate=slots,
-                    limit=EXHAUSTIVE_SLOTS,
                 )
             nv = q.stream_product(value, candidates[k][1])
             if nv.is_zero():

@@ -166,6 +166,7 @@ def _run_basis(config):
                     ],
                 }
             )
+            del qa, qe  # so the next (g, n)'s quotients are built with these freed
     return records, 0
 
 
@@ -206,8 +207,7 @@ def _run_rp3(config):
 def _run_search(config):
     records = []
     for g, n, s in _grid(config):
-        target = cached_quotient(g, n, config.ring, config.allow_large)
-        result = zcl_search(target, s, config.strategy)
+        result = zcl_search(cached_quotient(g, n, config.ring, config.allow_large), s, config.strategy)
         records.append(
             {
                 "genus": g,

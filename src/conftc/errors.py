@@ -23,16 +23,7 @@ class ConftcError(Exception):
 
 
 class SizeGuardError(ConftcError):
-    """A requested computation exceeds a configured size bound.
-
-    Carries the offending estimate and the limit so callers (notably the
-    CLI) can report exactly which bound failed.
-    """
-
-    def __init__(self, message, estimate=None, limit=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.limit = limit
+    """A requested computation exceeds a configured size bound, which its message names."""
 
 
 class ConfigurationError(ConftcError):
@@ -69,8 +60,4 @@ def basis_limit(max_basis=None):
 def check_term_limit(count, limit, what):
     """Refuse ``what`` if it holds more than ``limit`` tensor terms (None: no limit)."""
     if limit is not None and count > limit:
-        raise SizeGuardError(
-            f"{what} holds {count} tensor terms, which exceeds the limit {limit}",
-            estimate=count,
-            limit=limit,
-        )
+        raise SizeGuardError(f"{what} holds {count} tensor terms, which exceeds the limit {limit}")

@@ -47,23 +47,27 @@ from .surfaces import SurfacePowerAlgebra, xy_pair_relations, totaro_relations
 QUOTIENT_LABELS = ("BASE_AXIS", "HANDLE_REDUCED", "CERTIFICATE", "CUSTOM")
 
 
-def ideal_span(algebra, generators):
+def ideal_span(algebra, generators, units=None):
     """The span of the basis-monomial multiples of the generators.
 
     Generators must be homogeneous, for degree and for the algebra's
     ``monomial_weight``.
 
-    A :class:`~conftc.surfaces.RelationSet` with ``unit_coordinates``
-    multiplies each generator only by monomials carrying the unit at its
-    unit coordinate; a plain list of generators uses every multiplier.
+    ``units``, when given, holds one coordinate (numbered from 1, or None)
+    per generator: a coordinate where a letter times the generator equals,
+    up to sign, the same letter in another coordinate times it.  The ideal
+    is then spanned by the multiples whose multiplier carries the unit
+    there, and only those are formed.  Without it every multiplier is used.
 
     Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
     each block of its rows the first time it is read.
     """
-    gens = list(getattr(generators, "generators", generators))
-    units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
+    if units is None:
+        units = (None,) * len(generators)
+    elif len(units) != len(generators):
+        raise ValueError("units needs one entry per generator")
     weigh, work = algebra.monomial_weight, []
-    for r, unit in zip(gens, units):
+    for r, unit in zip(generators, units):
         if r.is_zero():
             continue
         if not r.is_homogeneous() or len({weigh(m) for m in r.terms}) > 1:
@@ -582,7 +586,7 @@ def build_quotient(algebra, kind):
     target = algebra if kind == "E" else algebra.handle_reduced
     target._guard_basis()
     if kind == "E":
-        return QuotientAlgebra(ideal_span(target, totaro_relations(target)), "BASE_AXIS")
+        return QuotientAlgebra(ideal_span(target, *totaro_relations(target)), "BASE_AXIS")
     if kind == "A":
         return QuotientAlgebra(ideal_span(target, []), "HANDLE_REDUCED")
     return QuotientAlgebra(ideal_span(target, xy_pair_relations(target)), "CERTIFICATE")
@@ -590,30 +594,28 @@ def build_quotient(algebra, kind):
 
 # -- cached builders for the standard quotients ---------------------------
 #
-# The algebra cache key holds the resolved basis guard (unbounded under
-# ``allow_large``), and the quotient cache key holds the algebra, so a
-# changed TCCONF_MAX_BASIS takes effect on the next call, and a build with
-# the guard lifted is never served to a guarded call.  Only the last
-# (genus, points, guard) is held: a grid runs each one's cells in a row, and
-# an algebra it has moved past is freed with its quotients.
+# The cache key holds the resolved basis guard (unbounded under
+# ``allow_large``), so a changed TCCONF_MAX_BASIS takes effect on the next
+# call, and a build with the guard lifted is never served to a guarded call.
+# Only the last (genus, points, guard) is held, with the quotients of its
+# algebra: a grid runs each one's cells in a row, and an algebra it has moved
+# past is freed with its quotients.
 
 
 @lru_cache(maxsize=1)
 def _surface(genus, points, max_basis):
-    _quotient.cache_clear()  # the quotients of the algebra this one replaces
-    return SurfacePowerAlgebra(genus, points, max_basis=max_basis)
+    """The algebra and a dict of its quotients by kind, filled by ``cached_quotient``."""
+    return SurfacePowerAlgebra(genus, points, max_basis=max_basis), {}
 
 
 def cached_surface(genus, points, allow_large=False):
     """The shared algebra of the last (genus, points, resolved guard) asked for."""
-    return _surface(genus, points, inf if allow_large else basis_limit())
-
-
-@lru_cache(maxsize=None)
-def _quotient(algebra, kind):
-    return build_quotient(algebra, kind)
+    return _surface(genus, points, inf if allow_large else basis_limit())[0]
 
 
 def cached_quotient(genus, points, kind, allow_large=False):
     """The 'E', 'A' or 'B' quotient of the cached power algebra."""
-    return _quotient(cached_surface(genus, points, allow_large), kind)
+    algebra, built = _surface(genus, points, inf if allow_large else basis_limit())
+    if kind not in built:
+        built[kind] = build_quotient(algebra, kind)
+    return built[kind]

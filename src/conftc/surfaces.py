@@ -23,8 +23,8 @@ The handle-reduced ring A, the power algebra modulo the cross-handle
 products, is an algebra here too (:class:`HandleReducedAlgebra`, reached
 as ``handle_reduced``): its basis is the words with at most one special
 letter, and a product that leaves them is zero; the certificate ring B is
-a quotient of it.  This module also builds the relation sets feeding the
-quotient layer.
+a quotient of it.  This module also builds the relation generators feeding
+the quotient layer.
 
 Each basis an algebra lists (the ambient one, or A's) is held to its
 ``max_basis``: the limit given when it is made, else the one
@@ -121,8 +121,6 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             raise SizeGuardError(
                 f"{points} points exceed {MAX_POINTS}: every basis would hold at least "
                 f"2^{points} words, past the {MAX_ENTRIES} entries a list can hold",
-                estimate=points,
-                limit=MAX_POINTS,
             )
         self.field = RATIONALS
         self.top_degree = 2 * points
@@ -174,8 +172,6 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
             raise SizeGuardError(
                 f"{what} {size} for genus {self.genus} with {self.points} "
                 f"points exceeds the limit {limit}",
-                estimate=size,
-                limit=limit,
             )
 
     def _guard_basis(self):
@@ -403,37 +399,13 @@ class HandleReducedAlgebra(SurfacePowerAlgebra):
         return self
 
 
-class RelationSet:
-    """A labeled list of homogeneous relation elements.
-
-    ``unit_coordinates``, when given, holds one coordinate (numbered from
-    1, or None) per generator: a coordinate where a letter times the
-    generator equals, up to sign, the same letter in another coordinate
-    times it.  The ideal is then spanned by the multiples whose multiplier
-    carries the unit there, and :func:`conftc.quotients.ideal_span` skips
-    the rest.
-    """
-
-    def __init__(self, label, generators, unit_coordinates=None):
-        if unit_coordinates is not None and len(unit_coordinates) != len(generators):
-            raise ValueError("unit_coordinates needs one entry per generator")
-        self.label = label
-        self.generators = generators
-        self.unit_coordinates = unit_coordinates
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-
-def totaro_relations(algebra) -> RelationSet:
-    """One degree-2 generator per coordinate pair i < j.
+def totaro_relations(algebra):
+    """One degree-2 generator per coordinate pair i < j, and the unit coordinate of each.
 
     The pair (i, j) contributes w_i + w_j + sum_p (b_i(p)a_j(p) - a_i(p)b_j(p)),
     the class of the diagonal of coordinates i and j.  Its unit coordinate
-    is i: the diagonal satisfies r_ij (u_i - u_j) = 0 for every letter u.
+    is i (the ``units`` of :func:`conftc.quotients.ideal_span`): the diagonal
+    satisfies r_ij (u_i - u_j) = 0 for every letter u.
     """
     gens, units = [], []
     n, g = algebra.points, algebra.genus
@@ -444,17 +416,17 @@ def totaro_relations(algebra) -> RelationSet:
                 e = e + algebra.b(i, p) * algebra.a(j, p) - algebra.a(i, p) * algebra.b(j, p)
             gens.append(e)
             units.append(i)
-    return RelationSet("TOTARO", tuple(gens), tuple(units))
+    return tuple(gens), tuple(units)
 
 
-def xy_pair_relations(algebra) -> RelationSet:
+def xy_pair_relations(algebra):
     """The products x_i y_j over i, j in {2, ..., n} (i = j included)."""
     gens = []
     n = algebra.points
     for i in range(2, n + 1):
         for j in range(2, n + 1):
             gens.append(algebra.x(i) * algebra.y(j))
-    return RelationSet("XY_PAIRS", tuple(gens))
+    return tuple(gens)
 
 
 def reduced_basis_count(genus, points):

@@ -29,7 +29,7 @@ from conftc.algebra import Element, TensorElement, _add_terms
 from conftc.certificates import evaluate_certificate
 from conftc.linalg import GradedSubspace
 from conftc.quotients import cached_quotient, cached_surface
-from conftc.surfaces import RelationSet, xy_pair_relations
+from conftc.surfaces import xy_pair_relations
 
 
 def dense_rows(vectors, keys=None):
@@ -267,7 +267,7 @@ def cross_handle_relations(algebra):
                     for left in (algebra.a(i, u), algebra.b(i, u)):
                         for right in (algebra.a(j, v), algebra.b(j, v)):
                             gens.append(left * right)
-    return RelationSet("CROSS_HANDLE", tuple(gens))
+    return tuple(gens)
 
 
 def cross_handle_predicate(algebra):
@@ -352,8 +352,8 @@ def handle_reduced_image(x):
     return Element(reduced, {m: c for m, c in x.terms.items() if not killed(m)})
 
 
-def eager_ideal_span(algebra, generators, rng=None):
-    """Every block of ``quotients.ideal_span(algebra, generators)``, eliminated at once.
+def eager_ideal_span(algebra, generators, units=None, rng=None):
+    """Every block of ``quotients.ideal_span(algebra, generators, units)``, eliminated at once.
 
     The elimination loop as it ran before the blocks were built on demand:
     each generator times each usable multiplier of each degree, in listing
@@ -362,12 +362,10 @@ def eager_ideal_span(algebra, generators, rng=None):
     inserted in the order it shuffles them to instead.  Returns the
     ``GradedSubspace`` as built.
     """
-    gens = list(getattr(generators, "generators", generators))
-    units = getattr(generators, "unit_coordinates", None) or (None,) * len(gens)
     top = algebra.top_degree
     space = GradedSubspace(range(top + 1), algebra.field)
     products = []
-    for r, unit in zip(gens, units):
+    for r, unit in zip(generators, units or (None,) * len(generators)):
         if r.is_zero():
             continue
         e = r.degree()
@@ -463,8 +461,11 @@ def verify_subalgebra_chain(genus, points, allow_large=False):
         dst = cached_surface(h + 1, points, allow_large)
         target = cached_quotient(h + 1, points, "B", allow_large)
         embed = genus_embedding(src, dst)
-        for rels in (cross_handle_relations(src), xy_pair_relations(src)):
+        for label, rels in (
+            ("CROSS_HANDLE", cross_handle_relations(src)),
+            ("XY_PAIRS", xy_pair_relations(src)),
+        ):
             for k, r in enumerate(rels):
                 ok = target.normal_form(handle_reduced_image(embed(r))).is_zero()
-                report.checks.append(ChainCheck(h, h + 1, rels.label, k, ok))
+                report.checks.append(ChainCheck(h, h + 1, label, k, ok))
     return report

@@ -139,9 +139,8 @@ def test_basis_command():
     ids=["lemmas", "basis"],
 )
 def test_handle_reduced_words_are_listed_once_per_cell(monkeypatch, command, genus, points):
-    # fresh algebra and quotient caches, so each cell lists A's words here
+    # a fresh cache of algebras and their quotients, so each cell lists A's words here
     monkeypatch.setattr(quotients, "_surface", lru_cache(None)(quotients._surface.__wrapped__))
-    monkeypatch.setattr(quotients, "_quotient", lru_cache(None)(quotients._quotient.__wrapped__))
     calls = []
     listing = surfaces.reduced_monomials
 
@@ -226,6 +225,35 @@ def test_guard_refusals_name_the_listed_basis(capsys):
         assert line.startswith("refused: " + named) and line.endswith("limit 100000")
 
 
+# One refusal per guard, its whole stderr line pinned.  The exhaustive
+# search's slot bound is pinned in a subprocess (test_exhaustive_search_ends_within_its_bound).
+REFUSALS = [
+    ("certify --genus 2 --points 9 --stages 2",
+     "handle-reduced basis size 196830 for genus 2 with 9 points exceeds the limit 100000"),
+    ("certify --genus 50000",
+     "letter count 100002 for genus 50000 with 2 points exceeds the limit 100000"),
+    ("certify --points 60 --allow-large",
+     "60 points exceed 59: every basis would hold at least 2^60 words, "
+     "past the 1152921504606846975 entries a list can hold"),
+    ("certify --genus 2 --points 2 --stages 17",
+     "factor xbar2 holds 1114112 tensor terms, which exceeds the limit 1000000"),
+    ("certify --genus 2 --points 3 --stages 10000",
+     "the product writes at least 100060000 tensor slots, which exceeds the limit 100000000"),
+    ("rp3 --stages 6", "stage count 6 exceeds the guarded range (tensor basis 4^6)"),
+    ("search-zcl --genus 2 --points 2 --stages 2 --strategy EXHAUSTIVE_TINY",
+     "exhaustive search requires total dimension at most 8, got 24"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[a for a, _ in REFUSALS])
+def test_each_guard_refuses_with_its_one_line(monkeypatch, capsys, argv, message):
+    monkeypatch.delenv("TCCONF_MAX_BASIS", raising=False)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {message}\n"
+
+
 def test_certify_and_table_list_no_basis(monkeypatch):
     def refusing(kind):
         def listing(self):
@@ -257,8 +285,14 @@ def test_a_grid_holds_one_algebra_at_a_time(monkeypatch):
     build = quotients.build_quotient
 
     def noted(algebra, kind):
+        gc.collect()
+        # no quotient of an earlier (g, n) is alive while the next one is built
+        cell = (algebra.genus, algebra.points)
+        held = [c for c, *refs in built if c[:2] != cell and refs[2]() is not None]
+        assert held == [], f"{held} still alive while building {cell + (kind,)}"
         q = build(algebra, kind)
-        built.append(((algebra.genus, algebra.points, kind), weakref.ref(algebra), weakref.ref(q.parent)))
+        refs = (weakref.ref(algebra), weakref.ref(q.parent), weakref.ref(q))
+        built.append(((algebra.genus, algebra.points, kind), *refs))
         return q
 
     # A fresh guard value keys fresh cached algebras and quotients.
@@ -270,14 +304,22 @@ def test_a_grid_holds_one_algebra_at_a_time(monkeypatch):
     # prefix and checks its own factors in its own quotient
     assert [cell for cell, *_refs in built] == [(g, n, "B") for g in (1, 2) for n in (3, 2)]
     gc.collect()
-    # the cells past the first (g, n) freed its algebra, A included; the last is held
+    # the cells past the first (g, n) freed its algebra, A included, and its
+    # quotient; the last is held
     for _cell, *refs in built[:-1]:
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
     assert None not in [ref() for ref in built[-1][1:]]
-    # basis builds A and E once per (g, n)
-    del built[:]
-    assert run_config(command="basis", genus=(2,), points=(2, 3))[0] == 0
-    assert [cell for cell, *_refs in built] == [(2, n, kind) for n in (2, 3) for kind in "AE"]
+    # certify and search-zcl build B once per (g, n), basis A and E
+    for limit, kw, kinds in (
+        (99988, dict(command="certify", genus=(2, 3), points=(2, 3), stages=(2, 3)), "B"),
+        (99987, dict(command="search-zcl", genus=(1, 2), points=(1, 2), stages=(2,)), "B"),
+        (99986, dict(command="basis", genus=(2,), points=(2, 3)), "AE"),
+    ):
+        monkeypatch.setenv("TCCONF_MAX_BASIS", str(limit))
+        del built[:]
+        assert run_config(**kw)[0] == 0
+        cells = [(g, n, kind) for g in kw["genus"] for n in kw["points"] for kind in kinds]
+        assert [cell for cell, *_refs in built] == cells
 
 
 def test_config_validation_errors():

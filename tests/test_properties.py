@@ -215,8 +215,8 @@ LAZY_SPACES.append((2, 5, "B"))
 def eager_rows(g, n, ring):
     """The oracle's span for the quotient's ideal, with every block eliminated up front."""
     alg = cached_quotient(g, n, ring).parent
-    gens = totaro_relations(alg) if ring == "E" else xy_pair_relations(alg)
-    return eager_ideal_span(alg, gens)
+    gens = totaro_relations(alg) if ring == "E" else (xy_pair_relations(alg), None)
+    return eager_ideal_span(alg, *gens)
 
 
 def eager_normal_form(span, e):

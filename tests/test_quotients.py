@@ -55,12 +55,12 @@ def test_empty_ideal_is_zero_subspace():
 
 def test_pair_ideal_ranks_for_two_points_on_torus():
     alg = cached_surface(1, 2)
-    rels = totaro_relations(alg)
-    space = ideal_span(alg, rels)
+    gens, units = totaro_relations(alg)
+    space = ideal_span(alg, gens, units)
     assert space.rank(2) == 1
     # degree 3: the span of the four letter multiples of the generator,
     # rank checked against dense elimination
-    r = rels.generators[0]
+    r = gens[0]
     products = [
         (m * r).terms
         for m in (alg.a(1), alg.b(1), alg.a(2), alg.b(2))
@@ -104,7 +104,7 @@ def test_mixed_letter_product_survives_in_a():
 def test_absorption_exhaustive():
     cases = [
         (1, 2, "B", lambda alg: list(xy_pair_relations(alg))),
-        (2, 2, "E", lambda alg: list(totaro_relations(alg))),
+        (2, 2, "E", lambda alg: list(totaro_relations(alg)[0])),
         (2, 2, "B", lambda alg: list(cross_handle_relations(alg)) + list(xy_pair_relations(alg))),
     ]
     for g, n, kind, genfn in cases:
@@ -197,7 +197,7 @@ def test_tensor_normal_form_annihilates_ideal_slots():
 def test_quotient_mu():
     alg = cached_surface(1, 2)
     qe = cached_quotient(1, 2, "E")
-    r = totaro_relations(alg).generators[0]
+    r = totaro_relations(alg)[0][0]
     t = TensorElement.of_elements([r, Element.unit(alg)])
     assert qe.mu(t).is_zero()
 
@@ -425,8 +425,8 @@ E_GRID = (
 def test_base_axis_matches_elimination_of_every_multiple(g, n):
     alg = cached_surface(g, n)
     built = build_quotient(alg, "E").ideal
-    # a plain list carries no unit coordinates: every multiplier is used
-    oracle = ideal_span(alg, list(totaro_relations(alg)))
+    # with no unit coordinates every multiplier is used
+    oracle = ideal_span(alg, totaro_relations(alg)[0])
     assert built.degrees() == oracle.degrees()
     for d in oracle.degrees():
         assert built.pivots(d) == oracle.pivots(d)
@@ -439,7 +439,8 @@ ORACLE_CELLS = [(g, n, "E") for g, n in E_GRID] + [(1, 3, "B"), (2, 4, "B"), (3,
 
 
 def oracle_generators(q, ring):
-    return totaro_relations(q.parent) if ring == "E" else xy_pair_relations(q.parent)
+    """The generators of the ring's ideal and their unit coordinates, as ``build_quotient`` spans them."""
+    return totaro_relations(q.parent) if ring == "E" else (xy_pair_relations(q.parent), None)
 
 
 @pytest.mark.parametrize("g,n,ring", ORACLE_CELLS)
@@ -448,7 +449,7 @@ def test_lead_ordered_rows_equal_the_listing_order_rows(g, n, ring):
     # loop that inserts each product in listing order
     q = build_quotient(cached_surface(g, n), ring)
     q.ideal.total_rank()
-    oracle = eager_ideal_span(q.parent, oracle_generators(q, ring))
+    oracle = eager_ideal_span(q.parent, *oracle_generators(q, ring))
     assert q.ideal._space._rows == oracle._rows
 
 
@@ -457,7 +458,7 @@ def test_lead_ordered_rows_equal_the_listing_order_rows(g, n, ring):
 def test_shuffled_insertion_gives_the_same_rows(g, n, ring, seed):
     q = build_quotient(cached_surface(g, n), ring)
     q.ideal.total_rank()
-    shuffled = eager_ideal_span(q.parent, oracle_generators(q, ring), random.Random(seed))
+    shuffled = eager_ideal_span(q.parent, *oracle_generators(q, ring), rng=random.Random(seed))
     assert q.ideal._space._rows == shuffled._rows
 
 
@@ -491,7 +492,7 @@ def test_base_axis_build_work_counts(monkeypatch):
     alg = SurfacePowerAlgebra(2, 4)
     calls = count_mono_mul(monkeypatch)
     inserts = count_inserts(monkeypatch)
-    ambient = ideal_span(alg, list(totaro_relations(alg)))
+    ambient = ideal_span(alg, totaro_relations(alg)[0])
     assert ambient.total_rank() == 725
     ambient_calls = calls[0]
     assert ambient_calls == 37284

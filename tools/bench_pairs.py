@@ -18,7 +18,8 @@ benchmark does.
 
 The output holds every run's result line: ``pairs`` (``workload``,
 ``pair``, ``seed``, ``side``, ``first``, ``result``) and ``traced_all``
-(``side``, ``seed``, ``result``), and each side's ``src_lines``, the lines
+(``side``, ``seed``, ``result``), with the ``FAILED`` lines of a run that
+reports failed operations, and each side's ``src_lines``, the lines
 of its ``src/conftc/*.py`` as ``wc -l`` counts them.  A summary goes to
 stdout: both line counts, then per workload and end-to-end metric, the
 median of each side, the number of pairs in which the change is better,
@@ -57,16 +58,26 @@ def src_lines(copy):
 
 
 def run_bench(copy, args):
-    """One ``perfbench/run.py`` run in a copy; returns its result line as a dict."""
+    """One ``perfbench/run.py`` run in a copy; returns its result line as a dict.
+
+    A run that reports failed operations also keeps, as ``failed_lines``, its
+    ``# <workload>: FAILED ...`` lines, which say what failed.
+    """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *args],
         cwd=copy, env=env, capture_output=True, text=True,
     )
+    lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         return {"correct": False, "error": proc.stderr.strip()[-2000:]}
+    if result.get("failed"):
+        result["failed_lines"] = [
+            line for line in lines if line.startswith("# ") and ": FAILED " in line
+        ]
+    return result
 
 
 def summarize(runs, workloads, claim):
