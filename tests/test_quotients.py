@@ -439,7 +439,7 @@ ORACLE_CELLS = [(g, n, "E") for g, n in E_GRID] + [(1, 3, "B"), (2, 4, "B"), (3,
 
 
 def oracle_generators(q, ring):
-    """The generators of the ring's ideal and their unit coordinates, as ``build_quotient`` spans them."""
+    """The ring's ideal generators and unit coordinates, as ``build_quotient`` spans them."""
     return totaro_relations(q.parent) if ring == "E" else (xy_pair_relations(q.parent), None)
 
 
