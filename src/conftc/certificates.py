@@ -21,6 +21,7 @@ quotients they build are held to the basis guard and the products to
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import prod
 
 from .algebra import Element, TensorElement, TruncatedPolynomialAlgebra
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .fields import GF2
 from .quotients import QuotientAlgebra, cached_quotient, ideal_span
-from .surfaces import UNIT, a_letter, b_letter, shifted_basis_products
+from .surfaces import UNIT, a_letter, b_letter
 
 
 # -- factor construction ----------------------------------------------------
@@ -140,7 +141,7 @@ def certificate_factors(algebra, s):
 
     c is a_1(2) in slots 1/2; d is b_1(2) in slots 1/2 (s = 2) or 1/3 (s >= 3).
     """
-    cd, y1, pairs, _chains = _factor_letters(algebra)
+    cd, y1, pairs = _factor_letters(algebra)
     diff, factor = slot_difference_summands, ZeroDivisorFactor
     factors = []
     if cd:
@@ -155,20 +156,21 @@ def certificate_factors(algebra, s):
 
 @lru_cache(maxsize=1)
 def _factor_letters(algebra):
-    """[c, d] (genus >= 2, else empty), y_1, each (x_i, y_i), and the chains
-    w_1 x_2...x_n and w_1 y_2...y_n, built once per algebra."""
+    """[c, d] (genus >= 2, else empty), y_1 and each (x_i, y_i), built once per algebra."""
     cd = [algebra.a(1, 2), algebra.b(1, 2)] if algebra.genus >= 2 else []
     pairs = [(algebra.x(i), algebra.y(i)) for i in range(1, algebra.points + 1)]
-    vx = vy = algebra.omega(1)
-    for x, y in pairs[1:]:
-        vx, vy = vx * x, vy * y
-    return cd, algebra.y(1), pairs, (vx, vy)
+    return cd, algebra.y(1), pairs
 
 
 def omega_chain_elements(q):
-    """Normal forms of w_1 x_2...x_n and w_1 y_2...y_n in the quotient."""
-    vx, vy = _factor_letters(q.parent)[3]
-    return q.normal_form(vx), q.normal_form(vy)
+    """Normal forms of w_1 x_2...x_n and w_1 y_2...y_n in the quotient, built on
+    first use and kept on it."""
+    if q.omega_chains is None:
+        vx = vy = q.parent.omega(1)
+        for x, y in _factor_letters(q.parent)[2][1:]:
+            vx, vy = vx * x, vy * y
+        q.omega_chains = q.normal_form(vx), q.normal_form(vy)
+    return q.omega_chains
 
 
 def expected_survivors(q, s):
@@ -491,7 +493,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
                 return
         add(name, True, f"{count} instances")
 
-    shifted_products = shifted_basis_products(alg)
+    words = sorted(chain.from_iterable(alg.monomials_by_degree))  # A's words, in tuple order
     special = alg.special
     X1, Y1 = a_letter(1), b_letter(1)  # the codes of x(1) and y(1)
     coords = range(1, points + 1)
@@ -507,17 +509,24 @@ def verify_lemma_identities(genus, points, allow_large=False):
         # lemma1(i), (ii) and (iii): v x_j y_j vanishes for each shifted basis
         # element v with a letter at j, with a special first letter, and with
         # a plain first letter and a special letter at some k other than 1
-        # and j.  One pass forms each v x_j y_j once and tallies it in every
+        # and j.  One pass over the words in tuple order forms each v x_j y_j
+        # once, as (v' x_j y_j) z for v = v' z with z the shifted letter of
+        # v's last coordinate t (x_j y_j is even), from the product of the
+        # earlier v'; a zero v' x_j y_j forms nothing.  It is tallied in every
         # family that holds v.
         counts, failed = [0, 0, 0], [False, False, False]
-        for m, e in shifted_products:
+        formed = {words[0]: r}  # word of v -> v x_j y_j
+        for m in words[1:]:
+            t = max(k for k, c in enumerate(m, 1) if c)
+            vr = formed[m[: t - 1] + (UNIT,) * (points - t + 1)]
+            vr = formed[m] = vr and vr * fam[t][m[t - 1] - 1][2]
             member = (
                 m[j - 1] != UNIT,
                 special[m[0]],
                 m[0] in (X1, Y1) and any(special[m[k]] for k in others),
             )
             if any(member):
-                survives = bool(e * r)
+                survives = bool(vr)
                 for f in range(3):
                     if member[f]:
                         counts[f] += 1
@@ -551,9 +560,14 @@ def verify_lemma_identities(genus, points, allow_large=False):
                 ),
             )
 
-    # Second lemma: products against x_i y_j for distinct i, j >= 2.
+    # Second lemma: products against x_i y_j for distinct i, j >= 2.  Each
+    # z_j x_i y_j is formed once per pair and letter z_j at j, and each
+    # z x_1 y_j and z x_i y_1 as z times x_1 y_j or x_i y_1, each formed once;
+    # a product with a zero factor is not formed (``and`` keeps the zero).
+    x1y = {j: x1 * xyw[j][1] for j in range(2, points + 1)}  # x_1 y_j
     for i in range(2, points + 1):
         xi, yi, wi = xyw[i]
+        xiy1 = xi * y1
         # The products z_1 z_i of lemma2(4) and lemma2(6), the same for every j.
         pairs_1i = [
             (f"{l1}*{li}", c1, ci, z1 * zi)
@@ -565,6 +579,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
                 continue
             xj, yj, wj = xyw[j]
             r = xi * yj
+            zr = {cj: zj * r for _lj, cj, zj in fam[j]}  # z_j r by z_j's code
             pair = f"(i={i},j={j})"
             add(
                 f"lemma2(1)(i) {pair}",
@@ -574,7 +589,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
             aggregate(
                 f"lemma2(1)(ii) {pair}",
                 (
-                    (lab, z * r + z * x1 * yj)
+                    (lab, z * r + z * x1y[j])
                     for lab, c, z in fam[i]
                     if special[c]
                 ),
@@ -595,7 +610,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
             aggregate(
                 f"lemma2(2)(iv) {pair}",
                 (
-                    (lab, z * r + z * xi * y1)
+                    (lab, zr[c] + z * xiy1)
                     for lab, c, z in fam[j]
                     if special[c]
                 ),
@@ -603,8 +618,8 @@ def verify_lemma_identities(genus, points, allow_large=False):
             aggregate(
                 f"lemma2(2) others vanish {pair}",
                 (
-                    (lab, z * r)
-                    for lab, c, z in fam[j]
+                    (lab, zr[c])
+                    for lab, c, _z in fam[j]
                     if c == Y1
                 ),
             )
@@ -623,9 +638,9 @@ def verify_lemma_identities(genus, points, allow_large=False):
             aggregate(
                 f"lemma2(3) others vanish {pair}",
                 (
-                    (f"{li}*{lj}", zi * zj * r)
+                    (f"{li}*{lj}", zr[cj] and zi * zr[cj])
                     for li, ci, zi in fam[i]
-                    for lj, cj, zj in fam[j]
+                    for lj, cj, _zj in fam[j]
                     if not (ci == Y1 and cj == X1)
                 ),
             )
@@ -640,7 +655,7 @@ def verify_lemma_identities(genus, points, allow_large=False):
             aggregate(
                 f"lemma2(4) others vanish {pair}",
                 (
-                    (lab, z1i * r)
+                    (lab, z1i and z1i * r)
                     for lab, c1, ci, z1i in pairs_1i
                     if not (c1 in (X1, Y1) and ci == Y1)
                 ),
@@ -656,18 +671,18 @@ def verify_lemma_identities(genus, points, allow_large=False):
             aggregate(
                 f"lemma2(5) others vanish {pair}",
                 (
-                    (f"{l1}*{lj}", z1 * zj * r)
+                    (f"{l1}*{lj}", zr[cj] and z1 * zr[cj])
                     for l1, c1, z1 in fam[1]
-                    for lj, cj, zj in fam[j]
+                    for lj, cj, _zj in fam[j]
                     if not (c1 in (X1, Y1) and cj == X1)
                 ),
             )
             aggregate(
                 f"lemma2(6) triple products vanish {pair}",
                 (
-                    (f"{lab}*{lj}", z1i * zj * r)
+                    (f"{lab}*{lj}", z1i and zr[cj] and z1i * zr[cj])
                     for lab, _c1, _ci, z1i in pairs_1i
-                    for lj, _cj, zj in fam[j]
+                    for lj, cj, _zj in fam[j]
                 ),
             )
 

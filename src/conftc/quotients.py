@@ -57,7 +57,9 @@ def ideal_span(algebra, generators, units=None):
     per generator: a coordinate where a letter times the generator equals,
     up to sign, the same letter in another coordinate times it.  The ideal
     is then spanned by the multiples whose multiplier carries the unit
-    there, and only those are formed.  Without it every multiplier is used.
+    there, and only those are formed.  Units are given for the pair relations
+    of ``surfaces.totaro_relations``, whose Koszul rule then skips the
+    multiples that earlier ones span.  Without them every multiplier is used.
 
     Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
     each block of its rows the first time it is read.
@@ -102,10 +104,15 @@ class IdealSpan:
         self._space = GradedSubspace(range(self._top + 1), self.field)
         self._block = getattr(algebra, "_block", None) or self._listed_block
         self._weigh = weigh = algebra.monomial_weight
-        self._work = {}  # (degree, -weight, unit coordinate) -> the _times of those generators
+        # (degree, -weight, unit coordinate) -> [(_times of a generator, its Koszul bound)]
+        self._work, self._w = {}, None  # w: the letter of the Koszul rule
         for r, unit in work:
-            key = (r.degree(), -weigh(next(iter(r.terms))), unit)
-            self._work.setdefault(key, []).append(algebra._times(r.terms.items()))
+            key, bound = (r.degree(), -weigh(next(iter(r.terms))), unit), 0
+            if unit is not None:  # r = r_ij with i = unit, its lead (least word) w_j
+                lead = min(r.terms)
+                j = next(k for k, c in enumerate(lead, 1) if c)
+                self._w, bound = lead[j - 1], j if unit == 1 else inf
+            self._work.setdefault(key, []).append((algebra._times(r.terms.items()), bound))
         self._built = set()  # (degree, weight) blocks eliminated
         self._groups = {}  # degree -> {weight: its listed words}
         self._whole = set() if work else set(range(self._top + 1))  # degrees fully eliminated
@@ -123,16 +130,19 @@ class IdealSpan:
         (their columns dropped): at once if at most one term is left, as it is
         redundant or a row holding no other column, else after the others, by
         decreasing lead, its least word.  A new lead is then held by no earlier
-        row, so ``insert`` rarely back-substitutes.
+        row, so ``insert`` rarely back-substitutes.  The Koszul rule of
+        ``surfaces.totaro_relations`` skips m r when m's first w at a coordinate
+        l >= 2 (``cut``) has l < r's bound: j for r_1j, inf for i >= 2, else 0.
         """
         self._built.add((degree, weight))
-        single, held = set(), []
+        single, held, w = set(), [], self._w
         for (e, less, unit), products in self._work.items():
             if degree < e:
                 continue
             for m in reversed(block(degree - e, weight + less, unit)):
-                for times in products:
-                    if vec := times(m):
+                cut = m.index(w, 1) + 1 if unit and w in m[1:] else inf  # its first w_l, l >= 2
+                for times, bound in products:
+                    if cut >= bound and (vec := times(m)):
                         for k in single.intersection(vec):
                             del vec[k]
                         if len(vec) > 1:
@@ -229,6 +239,7 @@ class QuotientAlgebra:
         self._last = {}
         self._parity = {}  # monomial -> its degree parity
         self._standard = set()  # monomials whose normal form is themselves, as the unit's pieces say
+        self.omega_chains = None  # the chains of ``certificates.omega_chain_elements``, on first use
 
     def standard_monomials(self, degree):
         """The basis monomials of the degree that are no pivot, in order."""

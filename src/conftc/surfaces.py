@@ -406,6 +406,18 @@ def totaro_relations(algebra):
     the class of the diagonal of coordinates i and j.  Its unit coordinate
     is i (the ``units`` of :func:`conftc.quotients.ideal_span`): the diagonal
     satisfies r_ij (u_i - u_j) = 0 for every letter u.
+
+    The Koszul rule (``IdealSpan._eliminate``) skips m r_ij, for m with the
+    unit at i, when m has w at a coordinate l >= 2 and either i >= 2 or
+    l < j.  The lead (least word) of r_1l is w_l = r_1l - t, with tail
+    t = w_1 + sum_p (b_1(p)a_l(p) - a_1(p)b_l(p)); r is even, so m r_ij =
+    (m/w_l) r_ij r_1l - (m/w_l) t r_ij: a multiple of the earlier r_1l plus
+    multiples u r_ij.  For i >= 2 each u keeps the unit at i and is
+    tuple-larger than m; for i = 1 the unit rule moves u's coordinate-1
+    letter to j > l, and u becomes tuple-smaller than m.  Inducting over the
+    generators in (i, j) order, and over each one's multipliers downwards
+    (i >= 2) or upwards (i = 1), every skipped product is spanned by formed
+    ones; reduced echelon rows are unique, so the rows do not change.
     """
     gens, units = [], []
     n, g = algebra.points, algebra.genus

@@ -12,8 +12,10 @@ multiple into a ``GradedSubspace`` up front and is the reference for the
 package's on-demand blocks, and the cross-checks at the end, which compare
 the package's own quotients with each other: the certificate in ``E``
 against the one in ``B`` (:func:`ring_agreement`), and the certificate
-rings of consecutive genera (:func:`verify_subalgebra_chain`).  A
-reference computed in the power algebra reaches the handle-reduced algebra
+rings of consecutive genera (:func:`verify_subalgebra_chain`), and the
+lemma suites with every product formed on its own
+(:func:`unshared_lemma_identities`), the reference for the shared partial
+products of ``certificates.verify_lemma_identities``.  A reference computed in the power algebra reaches the handle-reduced algebra
 through :func:`handle_reduced_image`, which drops words by
 :func:`cross_handle_predicate` and not by the package's ``special``.  The
 generators of that ideal, :func:`cross_handle_relations`, are the
@@ -26,10 +28,10 @@ from fractions import Fraction
 from itertools import product
 
 from conftc.algebra import Element, TensorElement, _add_terms
-from conftc.certificates import evaluate_certificate
+from conftc.certificates import LemmaCheck, LemmaReport, _letter_family, evaluate_certificate
 from conftc.linalg import GradedSubspace
 from conftc.quotients import cached_quotient, cached_surface
-from conftc.surfaces import xy_pair_relations
+from conftc.surfaces import UNIT, a_letter, b_letter, shifted_basis_products, xy_pair_relations
 
 
 def dense_rows(vectors, keys=None):
@@ -468,4 +470,246 @@ def verify_subalgebra_chain(genus, points, allow_large=False):
             for k, r in enumerate(rels):
                 ok = target.normal_form(handle_reduced_image(embed(r))).is_zero()
                 report.checks.append(ChainCheck(h, h + 1, label, k, ok))
+    return report
+
+
+# -- the lemma suites, unshared ----------------------------------------------
+
+
+def unshared_lemma_identities(genus, points, allow_large=False):
+    """``certificates.verify_lemma_identities`` with every product formed on its own.
+
+    The suites as they ran before they shared partial products: lemma 1
+    multiplies each shifted basis element v by x_j y_j, once per (v, j),
+    and every other instance multiplies out its own factors, left to right.
+    The checks, names, counts and first-failure labels must be the same.
+
+    Computes in the handle-reduced algebra A itself, the parent of the 'A'
+    quotient: A has no relations beyond its basis, so an element vanishes
+    there exactly when it has no terms.  The pairwise cases need at least
+    three points and are skipped below that.  Also checks the
+    factorizations, none with a term of two special letters, that justify
+    trading the pair relations for x_i y_j.
+    """
+    if genus < 2:
+        raise ValueError("the identity suites require genus at least 2")
+    if points < 2:
+        raise ValueError("the identity suites require at least 2 points")
+    alg = cached_quotient(genus, points, "A", allow_large).parent
+    report = LemmaReport(genus, points)
+
+    def add(name, ok, detail=""):
+        report.checks.append(LemmaCheck(name, ok, detail))
+
+    def aggregate(name, instances):
+        """instances: iterable of (label, element that must vanish)."""
+        count = 0
+        for label, e in instances:
+            count += 1
+            if e:
+                add(name, False, f"first failure: {label}")
+                return
+        add(name, True, f"{count} instances")
+
+    shifted_products = shifted_basis_products(alg)
+    special = alg.special
+    X1, Y1 = a_letter(1), b_letter(1)  # the codes of x(1) and y(1)
+    coords = range(1, points + 1)
+    xyw = {t: (alg.x(t), alg.y(t), alg.omega(t)) for t in coords}
+    fam = {t: _letter_family(alg, t) for t in coords}
+    x1, y1, w1 = xyw[1]
+
+    # First lemma: products against x_j y_j.
+    for j in range(2, points + 1):
+        xj, yj, wj = xyw[j]
+        r = xj * yj
+        others = [k - 1 for k in range(2, points + 1) if k != j]
+        # lemma1(i), (ii) and (iii): v x_j y_j vanishes for each shifted basis
+        # element v with a letter at j, with a special first letter, and with
+        # a plain first letter and a special letter at some k other than 1
+        # and j.  One pass forms each v x_j y_j once and tallies it in every
+        # family that holds v.
+        counts, failed = [0, 0, 0], [False, False, False]
+        for m, e in shifted_products:
+            member = (
+                m[j - 1] != UNIT,
+                special[m[0]],
+                m[0] in (X1, Y1) and any(special[m[k]] for k in others),
+            )
+            if any(member):
+                survives = bool(e * r)
+                for f in range(3):
+                    if member[f]:
+                        counts[f] += 1
+                        failed[f] = failed[f] or survives
+        for f, (family, label) in enumerate(
+            [
+                ("i", f"v with letter at {j}"),
+                ("ii", "v with special first letter"),
+                ("iii", "v with plain first letter and a special elsewhere"),
+            ]
+        ):
+            detail = f"first failure: {label}" if failed[f] else f"{counts[f]} instances"
+            add(f"lemma1({family}) j={j}", not failed[f], detail)
+        add(
+            f"lemma1(iv) j={j}",
+            x1 * r == x1 * wj + w1 * xj,
+        )
+        add(
+            f"lemma1(v) j={j}",
+            y1 * r == y1 * wj + w1 * yj,
+        )
+        for k in range(2, points + 1):
+            if k == j:
+                continue
+            aggregate(
+                f"lemma1(vi) j={j} k={k}",
+                (
+                    (lab, z * r - (z * y1 * xj - z * x1 * yj))
+                    for lab, c, z in fam[k]
+                    if special[c]
+                ),
+            )
+
+    # Second lemma: products against x_i y_j for distinct i, j >= 2.
+    for i in range(2, points + 1):
+        xi, yi, wi = xyw[i]
+        # The products z_1 z_i of lemma2(4) and lemma2(6), the same for every j.
+        pairs_1i = [
+            (f"{l1}*{li}", c1, ci, z1 * zi)
+            for l1, c1, z1 in fam[1]
+            for li, ci, zi in fam[i]
+        ]
+        for j in range(2, points + 1):
+            if i == j:
+                continue
+            xj, yj, wj = xyw[j]
+            r = xi * yj
+            pair = f"(i={i},j={j})"
+            add(
+                f"lemma2(1)(i) {pair}",
+                yi * r == -(wi * yj) + w1 * yj - y1 * xi * yj + x1 * yi * yj,
+            )
+            # z r = -z x_1 y_j for a special z at i
+            aggregate(
+                f"lemma2(1)(ii) {pair}",
+                (
+                    (lab, z * r + z * x1 * yj)
+                    for lab, c, z in fam[i]
+                    if special[c]
+                ),
+            )
+            aggregate(
+                f"lemma2(1) others vanish {pair}",
+                (
+                    (lab, z * r)
+                    for lab, c, z in fam[i]
+                    if c == X1
+                ),
+            )
+            add(
+                f"lemma2(2)(iii) {pair}",
+                xj * r == -(xi * wj) + xi * w1 + y1 * xi * xj - x1 * xi * yj,
+            )
+            # z r = -z x_i y_1 for a special z at j
+            aggregate(
+                f"lemma2(2)(iv) {pair}",
+                (
+                    (lab, z * r + z * xi * y1)
+                    for lab, c, z in fam[j]
+                    if special[c]
+                ),
+            )
+            aggregate(
+                f"lemma2(2) others vanish {pair}",
+                (
+                    (lab, z * r)
+                    for lab, c, z in fam[j]
+                    if c == Y1
+                ),
+            )
+            add(
+                f"lemma2(3)(v) {pair}",
+                yi * xj * r
+                == (
+                    y1 * wi * xj
+                    + y1 * xi * wj
+                    - x1 * wi * yj
+                    - x1 * yi * wj
+                    + w1 * yi * xj
+                    - w1 * xi * yj
+                ),
+            )
+            aggregate(
+                f"lemma2(3) others vanish {pair}",
+                (
+                    (f"{li}*{lj}", zi * zj * r)
+                    for li, ci, zi in fam[i]
+                    for lj, cj, zj in fam[j]
+                    if not (ci == Y1 and cj == X1)
+                ),
+            )
+            add(
+                f"lemma2(4)(vi) {pair}",
+                x1 * yi * r == -(x1 * wi * yj) - w1 * xi * yj,
+            )
+            add(
+                f"lemma2(4)(vii) {pair}",
+                y1 * yi * r == -(y1 * wi * yj) - w1 * yi * yj,
+            )
+            aggregate(
+                f"lemma2(4) others vanish {pair}",
+                (
+                    (lab, z1i * r)
+                    for lab, c1, ci, z1i in pairs_1i
+                    if not (c1 in (X1, Y1) and ci == Y1)
+                ),
+            )
+            add(
+                f"lemma2(5)(viii) {pair}",
+                x1 * xj * r == -(x1 * xi * wj) + w1 * xi * xj,
+            )
+            add(
+                f"lemma2(5)(ix) {pair}",
+                y1 * xj * r == -(y1 * xi * wj) + w1 * xi * yj,
+            )
+            aggregate(
+                f"lemma2(5) others vanish {pair}",
+                (
+                    (f"{l1}*{lj}", z1 * zj * r)
+                    for l1, c1, z1 in fam[1]
+                    for lj, cj, zj in fam[j]
+                    if not (c1 in (X1, Y1) and cj == X1)
+                ),
+            )
+            aggregate(
+                f"lemma2(6) triple products vanish {pair}",
+                (
+                    (f"{lab}*{lj}", z1i * zj * r)
+                    for lab, _c1, _ci, z1i in pairs_1i
+                    for lj, _cj, zj in fam[j]
+                ),
+            )
+
+    # Ambient factorizations used to simplify the pair relations.
+    for i in range(2, points + 1):
+        xi, yi, wi = xyw[i]
+        for j in range(i + 1, points + 1):
+            xj, yj, wj = xyw[j]
+            lhs = (
+                wi
+                + wj
+                + alg.b(i) * alg.a(j)
+                - alg.a(i) * alg.b(j)
+            )
+            prod_ab = (alg.a(i) - alg.a(j)) * (alg.b(i) - alg.b(j))
+            prod_xy = (
+                xi * yi
+                + xj * yj
+                - xi * yj
+                - xj * yi
+            )
+            add(f"pair relation factors (i={i},j={j})", lhs == prod_ab)
+            add(f"pair relation in x/y letters (i={i},j={j})", prod_ab == prod_xy)
+
     return report

@@ -45,6 +45,7 @@ from oracles import (
     slot_difference,
     slot_embed,
     slots,
+    unshared_lemma_identities,
 )
 from test_quotients import count_inserts, count_mono_mul, count_rewritten_rows
 
@@ -200,7 +201,7 @@ def test_a_certificate_rarely_back_substitutes(monkeypatch, ring, most):
     rewritten = count_rewritten_rows(monkeypatch)
     inserts = count_inserts(monkeypatch)
     evaluate_certificate(2, 5, 3, ring=ring)
-    assert inserts[0] == {"E": 3050, "B": 1984}[ring]
+    assert inserts[0] == {"E": 2376, "B": 1984}[ring]
     assert rewritten[0] <= most
 
 
@@ -1079,37 +1080,76 @@ def test_lemma_suites_report_products_that_leave_a(monkeypatch):
 
 
 def test_lemma1_families_form_each_product_once(monkeypatch):
-    # lemma1(i), (ii) and (iii) share their products v * x_j y_j: each is
-    # formed once per distinct (v, j), however many families hold v
-    shifted = []
+    # lemma1(i), (ii) and (iii) read v * x_j y_j off one pass over A's words:
+    # for v = v' z with z the letter of v's last coordinate, it is formed once
+    # as (v' x_j y_j) * z, and not at all when v' x_j y_j is zero
+    letters = []
+    family = certificates._letter_family
 
-    def recording(algebra):
-        shifted.extend(surfaces.shifted_basis_products(algebra))
-        return shifted
+    def recording(algebra, t):
+        letters.append(family(algebra, t))
+        return letters[-1]
 
-    keys = []
+    formed = []
     mul = Element.__mul__
 
     def counting(self, other):
-        if any(self is e for _m, e in shifted):
-            keys.append((id(self), frozenset(other.terms.items())))
+        is_letter = [any(e is z for fam in letters for _l, _c, z in fam) for e in (self, other)]
+        if is_letter == [False, True]:
+            formed.append((frozenset(self.terms.items()), frozenset(other.terms.items())))
         return mul(self, other)
 
-    monkeypatch.setattr(certificates, "shifted_basis_products", recording)
+    monkeypatch.setattr(certificates, "_letter_family", recording)
     monkeypatch.setattr(Element, "__mul__", counting)
     assert verify_lemma_identities(2, 4).ok
     monkeypatch.undo()
-    special = cached_quotient(2, 4, "A").parent.special
-    plain = (surfaces.a_letter(1), surfaces.b_letter(1))
-    expected = sum(
-        1
-        for j in (2, 3, 4)
-        for m, _e in shifted
-        if m[j - 1]
-        or special[m[0]]
-        or (m[0] in plain and any(special[m[k - 1]] for k in (2, 3, 4) if k != j))
-    )
-    assert len(keys) == len(set(keys)) == expected
+    # every left factor is a nonzero v' x_j y_j, and no product repeats
+    assert all(left for left, _z in formed)
+    assert len(formed) == len(set(formed))
+    # one product per word v of A and j whose v' x_j y_j is nonzero, with v'
+    # multiplied out on its own
+    alg = cached_quotient(2, 4, "A").parent
+    shifted = dict(surfaces.shifted_basis_products(alg))
+    expected = 0
+    for j in (2, 3, 4):
+        r = alg.x(j) * alg.y(j)
+        for m in shifted:
+            if any(m):
+                t = max(k for k, c in enumerate(m, 1) if c)
+                expected += bool(shifted[m[: t - 1] + (0,) * (4 - t + 1)] * r)
+    assert len(formed) == expected == 450
+
+
+@pytest.mark.parametrize("planted", [None, "sign", "special"])
+def test_lemma_suites_match_the_unshared_products(monkeypatch, planted):
+    # the shared partial products give every check, count and first-failure
+    # label of the suites that form each product on its own, on the digest's
+    # grid; a planted fault (a(p)b(p) = -w at coordinate 1, or A's word rule
+    # off) must fail the same checks with the same first failures
+    cells = [(g, n) for g in range(2, 5) for n in range(2, 6)]
+    if planted == "sign":
+        mono_mul = surfaces.SurfacePowerAlgebra.mono_mul
+
+        def flipped(self, m1, m2):
+            r = mono_mul(self, m1, m2)
+            if r is not None and m1[0] & 1 and m2[0] == m1[0] + 1:
+                return r[0], -r[1]
+            return r
+
+        monkeypatch.setattr(surfaces.SurfacePowerAlgebra, "mono_mul", flipped)
+        cells = [(2, 3), (2, 4), (3, 4)]
+    failures = 0
+    for g, n in cells:
+        if planted == "special":
+            if (g, n) not in [(2, 3), (2, 4), (3, 4)]:
+                continue
+            alg = cached_quotient(g, n, "A").parent
+            monkeypatch.setattr(alg, "max_special", n)
+        shared = [(c.name, c.ok, c.detail) for c in verify_lemma_identities(g, n).checks]
+        unshared = [(c.name, c.ok, c.detail) for c in unshared_lemma_identities(g, n).checks]
+        assert shared == unshared, (g, n)
+        failures += sum(not ok for _name, ok, _detail in shared)
+    assert failures == {None: 0, "sign": 114, "special": 108}[planted]
 
 
 def test_lemma_requires_higher_genus():

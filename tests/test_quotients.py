@@ -435,7 +435,11 @@ def test_base_axis_matches_elimination_of_every_multiple(g, n):
 
 # -- lead-ordered blocks against the listing-order oracle -------------------
 
-ORACLE_CELLS = [(g, n, "E") for g, n in E_GRID] + [(1, 3, "B"), (2, 4, "B"), (3, 3, "B")]
+# (1, 5) and (5, 3) hold Koszul-skipped multiples at every unit coordinate
+ORACLE_CELLS = (
+    [(g, n, "E") for g, n in E_GRID + [(1, 5), (5, 3)]]
+    + [(1, 3, "B"), (2, 4, "B"), (3, 3, "B")]
+)
 
 
 def oracle_generators(q, ring):
@@ -500,7 +504,9 @@ def test_base_axis_build_work_counts(monkeypatch):
     built = build_quotient(alg, "E")
     assert built.ideal.total_rank() == 725
     assert 4 * calls[0] <= ambient_calls
-    assert inserts[0] <= 1296
+    # 1,296 multiples carry the unit at the generator's unit coordinate; the
+    # Koszul rule of totaro_relations skips 300 of them
+    assert inserts[0] == 996
 
 
 def test_ideal_span_refuses_mixed_weights_and_spans_an_unweighted_algebra():
