@@ -435,7 +435,7 @@ def test_base_axis_matches_elimination_of_every_multiple(g, n):
 
 # -- lead-ordered blocks against the listing-order oracle -------------------
 
-# (1, 5) and (5, 3) hold Koszul-skipped multiples at every unit coordinate
+# (1, 5) and (5, 3) take the Koszul rule of totaro_relations to five points and genus 5
 ORACLE_CELLS = (
     [(g, n, "E") for g, n in E_GRID + [(1, 5), (5, 3)]]
     + [(1, 3, "B"), (2, 4, "B"), (3, 3, "B")]
