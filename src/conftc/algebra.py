@@ -25,11 +25,11 @@ class GradedAlgebraBase:
     """Shared monomial bookkeeping for concrete algebra presentations.
 
     Subclasses set ``top_degree`` and implement ``is_monomial``,
-    ``monomial_degree``, ``_monomials``, ``mono_mul`` and ``monomial_word``;
+    ``monomial_degree``, ``_monomials``, ``_times`` and ``monomial_word``;
     ``monomial_weight`` may add a grading that lets elimination split each
-    degree into blocks.  Monomials are hashable and ordered, and their own
-    order is the one used for pivots and text output; ``one`` is the unit
-    monomial.  A monomial's degree and validity
+    degree into blocks; ``mono_mul`` is read off ``_times``.  Monomials are
+    hashable and ordered, and their own order is the one used for pivots and
+    text output; ``one`` is the unit monomial.  A monomial's degree and validity
     come from the monomial itself, so products never list the basis; the
     basis is listed on first use of the queries below, and by ideal spans
     unless a subclass enumerates its blocks by rule (a ``_block`` method).
@@ -75,14 +75,14 @@ class GradedAlgebraBase:
         """Every basis monomial, in order; guards the size of the listing."""
         raise NotImplementedError
 
-    def mono_mul(self, m1, m2):
-        """Product of two basis monomials: ``(monomial, sign)`` or None."""
+    def _times(self, terms):
+        """The product hook: for (monomial, coefficient) pairs, the map m -> m times their
+        element, as a terms dict.  Every product of the package is formed by such a map."""
         raise NotImplementedError
 
-    def _times(self, terms):
-        """The map m -> m times the element of these terms, as a terms dict: a ``mono_mul`` loop."""
-        e = Element(self, dict(terms))
-        return lambda m: (Element.monomial(self, m) * e).terms
+    def mono_mul(self, m1, m2):
+        """Product of two basis monomials, ``(monomial, sign)`` or None, read off ``_times``."""
+        return next(iter(self._times([(m2, 1)])(m1).items()), None)
 
     def monomial_weight(self, m):
         """A grading finer than degree that products add; 0 (trivial) by default."""
@@ -210,7 +210,8 @@ class Element(_SparseCombination):
     degrees.  No zero coefficient is ever stored.
     """
 
-    __slots__ = ("algebra", "terms")
+    # _right: the ``_times`` map m -> m times this element, kept once it is a right factor
+    __slots__ = ("algebra", "terms", "_right")
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
@@ -243,15 +244,14 @@ class Element(_SparseCombination):
         if not isinstance(other, Element):
             return self.scaled(other)
         self._require_same(other)
-        mul = self.algebra.mono_mul
-        products = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                r = mul(m1, m2)
-                if r is not None:
-                    c = c1 * c2
-                    products.append((r[0], c if r[1] > 0 else -c))
-        return self._like(_add_terms({}, products))
+        try:
+            times = other._right
+        except AttributeError:
+            times = other._right = self.algebra._times(other.terms.items())
+        out = {}
+        for m, c in self.terms.items():
+            _add_terms(out, [(k, c * v) for k, v in times(m).items()])
+        return self._like(out)
 
     def degrees(self):
         """Sorted tuple of degrees occurring in this element."""
@@ -355,47 +355,42 @@ class TensorElement(_SparseCombination):
         if not isinstance(other, TensorElement):
             return self.scaled(other)
         self._require_same(other)
-        alg = self.algebra
-        deg = alg.monomial_degree
-        s = self.arity
+        deg, times = self.algebra.monomial_degree, self.algebra._times
+        # each term of other as its coefficient and, per slot, its map and parity
+        right = [(c2, [(times([(m, 1)]), deg(m) & 1) for m in t2]) for t2, c2 in other.terms.items()]
         products = []
         for t1, c1 in self.terms.items():
-            # sufpar[k]: parity of the total degree of slots k..s-1 of t1
-            sufpar = [0] * (s + 1)
-            for k in range(s - 1, -1, -1):
-                sufpar[k] = sufpar[k + 1] ^ (deg(t1[k]) & 1)
-            for t2, c2 in other.terms.items():
-                sign = 1
-                slots = []
-                for k in range(s):
-                    if deg(t2[k]) & 1 and sufpar[k + 1]:
-                        sign = -sign
-                    r = alg.mono_mul(t1[k], t2[k])
-                    if r is None:
+            parities = [deg(m) & 1 for m in t1]
+            for c2, slots in right:
+                c, word, above = c1 * c2, [], sum(parities) & 1  # above: t1's parity after slot k
+                for m1, odd1, (slot_times, odd2) in zip(t1, parities, slots):
+                    above ^= odd1
+                    r = slot_times(m1)
+                    if not r:
                         break
-                    slots.append(r[0])
-                    if r[1] < 0:
-                        sign = -sign
+                    ((m, sign),) = r.items()
+                    word.append(m)
+                    if (sign < 0) ^ (odd2 and above):
+                        c = -c
                 else:
-                    c = c1 * c2
-                    products.append((tuple(slots), c if sign > 0 else -c))
+                    products.append((tuple(word), c))
         return self._like(_add_terms({}, products))
 
     def mu(self):
         """Multiply the slots left to right; the expanded reference, called by no library code."""
-        mul = self.algebra.mono_mul
-        products = []
+        maps, times, products = {}, self.algebra._times, []  # maps: m2 -> the map m -> m m2
         for t, c in self.terms.items():
-            m, sign = t[0], 1
+            m = t[0]
             for m2 in t[1:]:
-                r = mul(m, m2)
-                if r is None:
+                if m2 not in maps:
+                    maps[m2] = times([(m2, 1)])
+                r = maps[m2](m)
+                if not r:
                     break
-                m = r[0]
-                if r[1] < 0:
-                    sign = -sign
+                ((m, sign),) = r.items()
+                c = -c if sign < 0 else c
             else:
-                products.append((m, c if sign > 0 else -c))
+                products.append((m, c))
         return Element(self.algebra, _add_terms({}, products))
 
 
@@ -433,9 +428,9 @@ class TruncatedPolynomialAlgebra(GradedAlgebraBase):
     def _monomials(self):
         return range(self.truncation)
 
-    def mono_mul(self, m1, m2):
-        e = m1 + m2
-        return None if e >= self.truncation else (e, 1)
+    def _times(self, terms):
+        terms, top = tuple(terms), self.truncation
+        return lambda m: {m + e: c for e, c in terms if m + e < top}
 
     def monomial_word(self, m) -> str:
         if m == 0:

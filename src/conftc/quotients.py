@@ -105,13 +105,17 @@ class IdealSpan:
         self._block = getattr(algebra, "_block", None) or self._listed_block
         self._weigh = weigh = algebra.monomial_weight
         # (degree, -weight, unit coordinate) -> [(_times of a generator, its Koszul bound)]
-        self._work, self._w = {}, None  # w: the letter of the Koszul rule
+        self._work, self._w = {}, None  # w: the letter of the Koszul rule, if it runs
+        # It needs every r_1l: the leads (least words) of the unit-1 generators are w_2, ..., w_n.
+        if leads := {min(r.terms) for r, unit in work if unit == 1}:
+            one, w = algebra.one, max(min(leads))
+            if leads == {one[:l] + (w,) + one[l + 1 :] for l in range(1, len(one))}:
+                self._w = w
         for r, unit in work:
             key, bound = (r.degree(), -weigh(next(iter(r.terms))), unit), 0
-            if unit is not None:  # r = r_ij with i = unit, its lead (least word) w_j
-                lead = min(r.terms)
-                j = next(k for k, c in enumerate(lead, 1) if c)
-                self._w, bound = lead[j - 1], j if unit == 1 else inf
+            if unit is not None and self._w is not None:  # r = r_ij with i = unit, its lead w_j
+                j = next(k for k, c in enumerate(min(r.terms), 1) if c)
+                bound = j if unit == 1 else inf
             self._work.setdefault(key, []).append((algebra._times(r.terms.items()), bound))
         self._built = set()  # (degree, weight) blocks eliminated
         self._groups = {}  # degree -> {weight: its listed words}

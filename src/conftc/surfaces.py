@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import cached_property
+from operator import xor
 
 from .algebra import Element, GradedAlgebraBase
 from .errors import SizeGuardError, basis_limit
@@ -129,10 +130,7 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         self._deg = [0] + [1] * (2 * genus) + [2]
         # a(p), b(p) for p >= 2, and w = a(2)b(2) once there is a second handle
         self.special = tuple(genus >= 2 and c >= 3 for c in self._letters)
-        # 1 for an odd letter plus 64 for a special one: a sum of kinds over a word
-        # (at most MAX_POINTS < 64 letters) holds the parity of its odd letters in
-        # bit 0 and the count of its special letters from bit 6 up.
-        self._kind = [(d & 1) + 64 * sp for d, sp in zip(self._deg, self.special)]
+        self._odd = [d & 1 for d in self._deg]
         self.one = (UNIT,) * points
 
     @cached_property
@@ -185,54 +183,42 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
 
     # -- monomial products ------------------------------------------------
 
-    def mono_mul(self, m1, m2):
-        rule = self._rule
-        out, par, gain = list(m1), 0, 0
-        for i, d in enumerate(m2):
-            if d:
-                r = rule[d].get(m1[i])
-                if r is None:
-                    return None
-                out[i], sign, more = r
-                par ^= sign < 0
-                gain += more
-        if gain > 0 and sum(map(self.special.__getitem__, out)) > self.max_special:
-            return None
-        out = tuple(out)
-        # Koszul sign from interleaving: slot i of m2 crosses slots > i of m1.
-        deg = self._deg
-        suffix_odd = 0
-        for i in range(self.points - 1, -1, -1):
-            if deg[m2[i]] & 1:
-                par ^= suffix_odd
-            if deg[m1[i]] & 1:
-                suffix_odd ^= 1
-        return (out, -1 if par else 1)
-
     def _times(self, terms):
-        """The map m -> m times the element of these terms, as a terms dict signed as by
-        ``mono_mul``.  It reads only each term's non-unit coordinates, and drops a
-        term whose letter the letter rule kills against m's before building its word."""
-        deg, rule, kind, most = self._deg, self._rule, self._kind, self.max_special
-        prepared = [(c, [(i, rule[d], deg[d] & 1) for i, d in enumerate(m) if d]) for m, c in terms]
+        """The product kernel: the map m -> m times the element of these terms, as a terms dict.
+
+        The only code that applies the letter rule, the Koszul sign and the
+        room for special letters.  Slot i of a term crosses the letters of m
+        after i, so m's odd letters sign a product at the coordinates that
+        follow an odd number of the term's odd letters (``cross``).  It reads
+        only each term's non-unit coordinates, and drops a term whose letter
+        the rule kills against m's before building its word.
+        """
+        rule, odd, special, most = self._rule, self._odd, self.special, self.max_special
+        prepared = []
+        for m2, c in terms:
+            cross = [k for k, p in enumerate(itertools.accumulate([odd[d] for d in m2[:-1]], xor), 1) if p]
+            prepared.append((c, [(i, rule[d]) for i, d in enumerate(m2) if d], cross))
 
         def times(m):
-            after, out = None, {}
-            for c, support in prepared:
-                for i, products, _odd in support:
+            out, room = {}, None
+            for c, support, cross in prepared:
+                for i, products in support:
                     if m[i] not in products:
                         break
                 else:
-                    if after is None:  # after[i]: the kinds of m's letters after i, summed
-                        after = [*itertools.accumulate([kind[x] for x in m[:0:-1]], initial=0)][::-1]
-                        room = most - ((after[0] + kind[m[0]]) >> 6)  # special letters m may gain
                     word, neg, gain = list(m), False, 0
-                    for i, products, odd in support:
+                    for i, products in support:
                         word[i], sign, more = products[m[i]]
-                        neg ^= (sign < 0) ^ (odd & after[i])
+                        neg ^= sign < 0
                         gain += more
-                    if gain <= room:
-                        out[tuple(word)] = -c if neg else c
+                    for k in cross:
+                        neg ^= odd[m[k]]
+                    if gain > 0:
+                        if room is None:  # the special letters m may gain
+                            room = most + gain - sum(map(special.__getitem__, word))
+                        if gain > room:
+                            continue
+                    out[tuple(word)] = -c if neg else c
             return out
 
         return times

@@ -7,6 +7,7 @@ from conftc.algebra import Element, TensorElement, TruncatedPolynomialAlgebra, _
 from conftc.errors import SizeGuardError
 from conftc.fields import GF2, RATIONALS
 from conftc.quotients import cached_surface
+from conftc.surfaces import SurfacePowerAlgebra
 
 from oracles import poly_pow, slot_embed
 
@@ -91,6 +92,33 @@ def test_associativity_sampled():
     for _ in range(2000):
         e1, e2, e3 = (Element.monomial(alg, rng.choice(monos)) for _ in range(3))
         assert (e1 * e2) * e3 == e1 * (e2 * e3)
+
+
+def test_a_right_factor_is_prepared_once_and_equality_ignores_it(monkeypatch):
+    # Element products go through the right factor's _times map, built on its
+    # first use as a right factor and kept; an equal element built anew has
+    # its own map, and equal elements stay equal, with one hash
+    alg = SurfacePowerAlgebra(2, 3)
+    prepared = []
+    times = SurfacePowerAlgebra._times
+
+    def counting(self, terms):
+        prepared.append(list(terms))
+        return times(self, prepared[-1])
+
+    monkeypatch.setattr(SurfacePowerAlgebra, "_times", counting)
+    y = alg.y(2)
+    lefts = [alg.x(1), alg.x(2), alg.a(3, 2), alg.omega(1), Element.unit(alg), alg.x(3) * alg.b(1)]
+    assert len(prepared) == 1  # b(1) was the right factor of x(3)
+    products = [u * y for u in lefts]
+    assert prepared[1:] == [list(y.terms.items())]
+    assert [u * y for u in lefts] == products and len(prepared) == 2
+    # x1 y2 = a1(1) b2(1) - w1, and w1 y2 = w1 b2(1): a(1) is 1, b(1) 2 and w 5
+    assert [products[0].terms, products[3].terms] == [{(1, 2, 0): 1, (5, 0, 0): -1}, {(5, 2, 0): 1}]
+    again = alg.y(2)
+    assert again == y and hash(again) == hash(y) and {y, again} == {y}
+    assert [u * again for u in lefts] == products and len(prepared) == 3
+    assert again == y and hash(again) == hash(y)
 
 
 def test_tensor_multiply_no_crossing():

@@ -47,7 +47,7 @@ from oracles import (
     slots,
     unshared_lemma_identities,
 )
-from test_quotients import count_inserts, count_mono_mul, count_rewritten_rows
+from test_quotients import count_inserts, count_monomial_products, count_rewritten_rows
 
 
 def chain_product(alg, indices, gen):
@@ -169,7 +169,7 @@ def fresh_quotient(monkeypatch, g, n, ring="B", eliminate=True):
 def test_bar_work_counts(monkeypatch):
     alg = cached_surface(2, 3)
     fresh_quotient(monkeypatch, 2, 3)
-    calls = count_mono_mul(monkeypatch)
+    calls = count_monomial_products(monkeypatch)
     bar(alg.x(2), 10)
     # only the check that x_2 squares to zero multiplies monomials
     assert calls[0] <= len(alg.x(2).terms) ** 2
@@ -235,7 +235,7 @@ def test_each_factor_is_prepared_once_and_its_rows_serve_both_products(monkeypat
 def test_a_second_evaluation_reuses_every_piece(monkeypatch):
     q = fresh_quotient(monkeypatch, 2, 3)
     evaluate_certificate(2, 3, 10)
-    calls = count_mono_mul(monkeypatch)
+    calls = count_monomial_products(monkeypatch)
     # outside the quotient: the bar squares and the expected survivor chains
     certificate_factors(q.parent, 10)
     expected_survivors(q, 10)
@@ -252,7 +252,7 @@ def test_cells_of_one_algebra_share_letters_bar_checks_and_chains(monkeypatch):
     # form no chain.
     evaluate_certificate(2, 3, 3)
     q = cached_quotient(2, 3, "B")
-    calls, letters = count_mono_mul(monkeypatch), []
+    calls, letters = count_monomial_products(monkeypatch), []
     monomial = Element.monomial.__func__
 
     def counting(cls, algebra, m, coeff=1):
@@ -283,7 +283,7 @@ def test_cancelling_zero_divisor_checks_multiply_nothing(monkeypatch):
         for s in (2, 3, 4, 9, 10)
     }
     fresh = {s: eliminated_quotient(alg) for s in checks}
-    mono_mul = count_mono_mul(monkeypatch)
+    products = count_monomial_products(monkeypatch)
     normal_forms = [0]
     normal_form = quotients.QuotientAlgebra.normal_form
 
@@ -293,14 +293,14 @@ def test_cancelling_zero_divisor_checks_multiply_nothing(monkeypatch):
 
     monkeypatch.setattr(quotients.QuotientAlgebra, "normal_form", counting)
     for s, summand_lists in checks.items():
-        mono_mul[0] = normal_forms[0] = 0
+        products[0] = normal_forms[0] = 0
         for summands in summand_lists:
             assert fresh[s].mu_of_summands(summands, s).is_zero()
         if s % 2 == 0:
-            assert (mono_mul[0], normal_forms[0]) == (0, 0), s
+            assert (products[0], normal_forms[0]) == (0, 0), s
         else:
             assert normal_forms[0] == 1 + len(u.terms), s
-            assert mono_mul[0] == len(u.terms) + len(u.terms) ** 2, s
+            assert products[0] == len(u.terms) + len(u.terms) ** 2, s
 
 
 @pytest.mark.parametrize("ring", ["B", "E"])
@@ -1034,18 +1034,31 @@ def _failed_checks(genus, points):
     return [(c.name, c.detail) for c in verify_lemma_identities(genus, points).checks if not c.ok]
 
 
+def plant_wrong_sign(monkeypatch):
+    """Plant a(p)b(p) = -w at coordinate 1 in the product kernel: a term of m
+    times an element flips its sign when m has a(p) there and the element's
+    term b(p)."""
+    times = surfaces.SurfacePowerAlgebra._times
+
+    def flipped(self, terms):
+        maps = [(m2, times(self, [(m2, c)])) for m2, c in terms]
+
+        def product(m):
+            out = {}
+            for m2, one in maps:
+                flip = m[0] & 1 and m2[0] == m[0] + 1
+                out.update((k, -c if flip else c) for k, c in one(m).items())
+            return out
+
+        return product
+
+    monkeypatch.setattr(surfaces.SurfacePowerAlgebra, "_times", flipped)
+
+
 def test_lemma_suites_report_a_wrong_sign(monkeypatch):
     # a(p)b(p) = -w at coordinate 1 breaks the identities that read x_1 y_j
     # or w_1, and the families whose members then fail to vanish
-    mono_mul = surfaces.SurfacePowerAlgebra.mono_mul
-
-    def flipped(self, m1, m2):
-        r = mono_mul(self, m1, m2)
-        if r is not None and m1[0] & 1 and m2[0] == m1[0] + 1:
-            return r[0], -r[1]
-        return r
-
-    monkeypatch.setattr(surfaces.SurfacePowerAlgebra, "mono_mul", flipped)
+    plant_wrong_sign(monkeypatch)
     failed = _failed_checks(2, 3)
     names = [name for name, _detail in failed]
     assert len(failed) == 18
@@ -1128,15 +1141,7 @@ def test_lemma_suites_match_the_unshared_products(monkeypatch, planted):
     # off) must fail the same checks with the same first failures
     cells = [(g, n) for g in range(2, 5) for n in range(2, 6)] if planted is None else [(2, 3), (2, 4), (3, 4)]
     if planted == "sign":
-        mono_mul = surfaces.SurfacePowerAlgebra.mono_mul
-
-        def flipped(self, m1, m2):
-            r = mono_mul(self, m1, m2)
-            if r is not None and m1[0] & 1 and m2[0] == m1[0] + 1:
-                return r[0], -r[1]
-            return r
-
-        monkeypatch.setattr(surfaces.SurfacePowerAlgebra, "mono_mul", flipped)
+        plant_wrong_sign(monkeypatch)
     failures = 0
     for g, n in cells:
         if planted == "special":

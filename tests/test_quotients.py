@@ -311,15 +311,11 @@ def test_b_ideal_pivots_need_every_lead_and_no_other(g, n):
         assert monomial_multiples(reduced, mutant) != pivots
 
 
-def count_mono_mul(monkeypatch):
-    """Count the monomial products: ``mono_mul`` calls, and the terms that a
-    map made by ``_times`` multiplies at each call."""
+def count_monomial_products(monkeypatch):
+    """Count the monomial products: the terms that a map made by ``_times``, the
+    one product hook, multiplies at each call."""
     calls = [0]
-    orig, orig_times = SurfacePowerAlgebra.mono_mul, SurfacePowerAlgebra._times
-
-    def counting(self, m1, m2):
-        calls[0] += 1
-        return orig(self, m1, m2)
+    orig_times = SurfacePowerAlgebra._times
 
     def counting_times(self, terms):
         terms = list(terms)
@@ -331,7 +327,6 @@ def count_mono_mul(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(SurfacePowerAlgebra, "mono_mul", counting)
     monkeypatch.setattr(SurfacePowerAlgebra, "_times", counting_times)
     return calls
 
@@ -356,14 +351,14 @@ def test_equal_elements_built_separately_share_one_piece_table(monkeypatch):
     summands = [(1, Element.unit(alg), ((0, alg.x(3)), (2, alg.y(2)))), (-1, alg.y(3), ())]
     first = (q.stream_product(t, summands), q.mu_of_summands(summands, 3))
     again = [(1, Element.unit(alg), ((0, alg.x(3)), (2, alg.y(2)))), (-1, alg.y(3), ())]
-    calls = count_mono_mul(monkeypatch)
+    calls = count_monomial_products(monkeypatch)
     assert (q.stream_product(t, again), q.mu_of_summands(again, 3)) == first
     assert calls[0] == 0
 
 
 def test_tower_build_work_counts(monkeypatch):
     alg = SurfacePowerAlgebra(2, 4)
-    calls = count_mono_mul(monkeypatch)
+    calls = count_monomial_products(monkeypatch)
     # total_rank eliminates every block of the lazily built rows
     build_quotient(alg, "A").ideal.total_rank()
     assert calls[0] == 0
@@ -494,7 +489,7 @@ def count_inserts(monkeypatch):
 
 def test_base_axis_build_work_counts(monkeypatch):
     alg = SurfacePowerAlgebra(2, 4)
-    calls = count_mono_mul(monkeypatch)
+    calls = count_monomial_products(monkeypatch)
     inserts = count_inserts(monkeypatch)
     ambient = ideal_span(alg, totaro_relations(alg)[0])
     assert ambient.total_rank() == 725
@@ -507,6 +502,40 @@ def test_base_axis_build_work_counts(monkeypatch):
     # 1,296 multiples carry the unit at the generator's unit coordinate; the
     # Koszul rule of totaro_relations skips 300 of them
     assert inserts[0] == 996
+
+
+# (g, n, the pairs (i, j) of the r_ij spanned, their total rank or None)
+KOSZUL_FAMILIES = [
+    (2, 3, [(2, 3)], 36),
+    (2, 3, [(1, 3), (2, 3)], 66),
+    (2, 3, [(1, 2), (2, 3)], None),
+    (2, 3, [(1, 2), (1, 3)], 66),
+    (2, 4, [(1, 4)], 216),
+    (2, 4, [(2, 3), (3, 4)], None),
+    (2, 4, [(1, 2), (1, 3), (2, 4), (3, 4)], None),
+    (2, 4, [(1, 2), (1, 3), (1, 4), (2, 3)], None),
+    (1, 4, [(1, 4)], 64),
+    (1, 4, [(1, 3), (2, 3), (2, 4)], None),
+    (1, 4, [(1, 2), (1, 3), (1, 4)], None),
+    (1, 4, [(1, 2), (1, 3), (1, 4), (3, 4)], None),
+]
+
+
+@pytest.mark.parametrize("g,n,pairs,rank", KOSZUL_FAMILIES)
+def test_the_koszul_rule_runs_only_on_a_family_with_every_r_1l(g, n, pairs, rank):
+    # The rule skips m r_ij as a multiple of some r_1l plus earlier products,
+    # so a family that lacks an r_1l keeps only the unit cut.  Either way the
+    # rows are those of the eager oracle, which forms every product the
+    # units allow.
+    alg = cached_surface(g, n)
+    gens, units = totaro_relations(alg)
+    index = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    gens, units = zip(*[(gens[index.index(p)], units[index.index(p)]) for p in pairs])
+    span = ideal_span(alg, gens, units)
+    oracle = eager_ideal_span(alg, gens, units)
+    assert span.total_rank() == oracle.total_rank() == (rank or oracle.total_rank())
+    assert span._space._rows == oracle._rows
+    assert (span._w is not None) == ({(1, j) for j in range(2, n + 1)} <= set(pairs))
 
 
 def test_ideal_span_refuses_mixed_weights_and_spans_an_unweighted_algebra():

@@ -174,13 +174,24 @@ def test_times_matches_the_mono_mul_loop(g, n):
         assert nonzero > 100
 
 
-def test_times_default_is_the_mono_mul_loop():
+def test_truncated_polynomial_times_adds_exponents():
+    # t^m times each term t^e below the truncation, its coefficient kept; the
+    # derived mono_mul and Element products read the same map
     alg = TruncatedPolynomialAlgebra(RATIONALS, truncation=5, gen_degree=2)
     terms = {0: 2, 1: -1, 3: 3, 4: 1}
     times = alg._times(terms.items())
-    for m in range(5):
-        assert times(m) == mono_mul_loop(alg, m, terms)
-    assert times(1) == {1: 2, 2: -1, 4: 3}
+    assert [times(m) for m in range(5)] == [
+        terms,
+        {1: 2, 2: -1, 4: 3},
+        {2: 2, 3: -1},
+        {3: 2, 4: -1},
+        {4: 2},
+    ]
+    assert all(times(m) == mono_mul_loop(alg, m, terms) for m in range(5))
+    assert (alg.mono_mul(1, 3), alg.mono_mul(2, 3)) == ((4, 1), None)
+    t = Element.monomial(alg, 1)
+    assert t * Element(alg, terms) == Element(alg, {1: 2, 2: -1, 4: 3})
+    assert t * t * t == Element.monomial(alg, 3) and (t * t) * (t * t * t) == Element.zero(alg)
 
 
 def test_monomial_weight_is_additive_and_separates_handles():

@@ -4,8 +4,9 @@ It is checked on the table, lemmas and certify paths, certify in both
 rings.  A traced invocation must exit 0 and print exactly what the plain
 CLI prints.  The counting pass must give the same work counts and quotient
 dimensions whatever the hash seed, and find the dimensions
-``perfbench/baseline.json`` holds (or, for the ``E`` case, which the
-baseline lacks, the dimension this file pins); it also runs the full elimination (``dimension``) of every quotient
+``perfbench/baseline.json`` holds (or, for the two certify cases at
+``(g, n) = (2, 4)``, which the baseline lacks, the dimensions this file
+pins); it also runs the full elimination (``dimension``) of every quotient
 the command asks for.  The spans pass wraps every public function and the
 methods it names in ``SPANNED_METHODS``, and must write a summary line
 with a span for the CLI.  Span coverage is not checked: these cells are
@@ -33,6 +34,7 @@ CASES = [
     (["lemmas", "--genus", "2", "--points", "3"], {"A:g2n3": 108}),
     (["lemmas", "--genus", "2", "--points", "4"], {"A:g2n4": 405}),
     (["certify", "--genus", "2", "--points", "4", "--stages", "2", "--ring", "E"], {"E:g2n4": 571}),
+    (["certify", "--genus", "2", "--points", "4", "--stages", "2"], {"B:g2n4": 180}),
 ]
 
 
@@ -42,7 +44,7 @@ def _run(argv, seed):
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("args, dims", CASES, ids=["table", "lemmas", "lemmas_g2n4", "certify_e"])
+@pytest.mark.parametrize("args, dims", CASES, ids=["table", "lemmas", "lemmas_g2n4", "certify_e", "certify_b"])
 def test_counting_pass_keeps_stdout_counts_and_dims(args, dims):
     plain = _run([sys.executable, "-m", "conftc.cli", *args], 1)
     assert plain.returncode == 0, plain.stderr
