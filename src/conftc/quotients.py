@@ -58,8 +58,8 @@ def ideal_span(algebra, generators, units=None):
     up to sign, the same letter in another coordinate times it.  The ideal
     is then spanned by the multiples whose multiplier carries the unit
     there, and only those are formed.  Units are given for the pair relations
-    of ``surfaces.totaro_relations``, whose Koszul rule then skips the
-    multiples that earlier ones span.  Without them every multiplier is used.
+    of ``surfaces.totaro_relations``; given every r_1l, their Koszul rule skips
+    the multiples that earlier ones span.  Without units every multiplier is used.
 
     Nothing is eliminated here: the returned :class:`IdealSpan` eliminates
     each block of its rows the first time it is read.

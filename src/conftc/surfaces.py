@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import cached_property
-from operator import xor
 
 from .algebra import Element, GradedAlgebraBase
 from .errors import SizeGuardError, basis_limit
@@ -196,7 +195,8 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         rule, odd, special, most = self._rule, self._odd, self.special, self.max_special
         prepared = []
         for m2, c in terms:
-            cross = [k for k, p in enumerate(itertools.accumulate([odd[d] for d in m2[:-1]], xor), 1) if p]
+            parities = itertools.accumulate([odd[d] for d in m2[:-1]], int.__xor__)  # of the first k
+            cross = [k for k, p in enumerate(parities, 1) if p]
             prepared.append((c, [(i, rule[d]) for i, d in enumerate(m2) if d], cross))
 
         def times(m):
@@ -393,9 +393,9 @@ def totaro_relations(algebra):
     is i (the ``units`` of :func:`conftc.quotients.ideal_span`): the diagonal
     satisfies r_ij (u_i - u_j) = 0 for every letter u.
 
-    The Koszul rule (``IdealSpan._eliminate``) skips m r_ij, for m with the
-    unit at i, when m has w at a coordinate l >= 2 and either i >= 2 or
-    l < j.  The lead (least word) of r_1l is w_l = r_1l - t, with tail
+    The Koszul rule (``IdealSpan._eliminate``, on a span of every r_1l) skips
+    m r_ij, for m with the unit at i, when m has w at a coordinate l >= 2 and
+    either i >= 2 or l < j.  The lead (least word) of r_1l is w_l = r_1l - t, with tail
     t = w_1 + sum_p (b_1(p)a_l(p) - a_1(p)b_l(p)); r is even, so m r_ij =
     (m/w_l) r_ij r_1l - (m/w_l) t r_ij: a multiple of the earlier r_1l plus
     multiples u r_ij.  For i >= 2 each u keeps the unit at i and is
