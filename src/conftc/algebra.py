@@ -356,8 +356,9 @@ class TensorElement(_SparseCombination):
             return self.scaled(other)
         self._require_same(other)
         deg, times = self.algebra.monomial_degree, self.algebra._times
-        # each term of other as its coefficient and, per slot, its map and parity
-        right = [(c2, [(times([(m, 1)]), deg(m) & 1) for m in t2]) for t2, c2 in other.terms.items()]
+        maps = {m: times([(m, 1)]) for m in {m for t2 in other.terms for m in t2}}
+        # each term of other as its coefficient and, per slot, its monomial's map and parity
+        right = [(c2, [(maps[m], deg(m) & 1) for m in t2]) for t2, c2 in other.terms.items()]
         products = []
         for t1, c1 in self.terms.items():
             parities = [deg(m) & 1 for m in t1]
@@ -378,12 +379,11 @@ class TensorElement(_SparseCombination):
 
     def mu(self):
         """Multiply the slots left to right; the expanded reference, called by no library code."""
-        maps, times, products = {}, self.algebra._times, []  # maps: m2 -> the map m -> m m2
+        times, products = self.algebra._times, []
+        maps = {m: times([(m, 1)]) for m in {m for t in self.terms for m in t[1:]}}
         for t, c in self.terms.items():
             m = t[0]
             for m2 in t[1:]:
-                if m2 not in maps:
-                    maps[m2] = times([(m2, 1)])
                 r = maps[m2](m)
                 if not r:
                     break

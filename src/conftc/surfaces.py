@@ -195,7 +195,7 @@ class SurfacePowerAlgebra(GradedAlgebraBase):
         rule, odd, special, most = self._rule, self._odd, self.special, self.max_special
         prepared = []
         for m2, c in terms:
-            parities = itertools.accumulate([odd[d] for d in m2[:-1]], int.__xor__)  # of the first k
+            parities = itertools.accumulate([odd[d] for d in m2[:-1]], int.__xor__)
             cross = [k for k, p in enumerate(parities, 1) if p]
             prepared.append((c, [(i, rule[d]) for i, d in enumerate(m2) if d], cross))
 
